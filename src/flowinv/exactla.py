@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from math import gcd
 
 
@@ -174,53 +175,80 @@ class SmithDecomposition:
         return tuple(self.s[i, i] for i in range(n))
 
 
-def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
-    """Smith normal form over the integers.
+# A row operation of the elimination, applied to a list of rows or entries:
+# (i, j, None) swaps i and j; (i, j, q) subtracts q times j from i.
+RowOp = tuple[int, int, "int | None"]
 
-    The diagonal of S is non-negative, each entry divides the next, and zero
-    entries come last.  Pivoting always selects the nonzero entry of least
-    absolute value in the remaining submatrix (ties broken by smallest row,
-    then smallest column index), making the decomposition deterministic.
+
+def _replay(log, y: list) -> None:
+    """Apply the logged row operations to the entries of ``y`` in place."""
+    for i, j, q in log:
+        if q is None:
+            y[i], y[j] = y[j], y[i]
+        else:
+            y[i] -= q * y[j]
+
+
+def _replay_rows(log, n: int) -> list[list[int]]:
+    """The product U of the logged row operations, applied to the identity."""
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    for i, j, q in log:
+        if q is None:
+            u[i], u[j] = u[j], u[i]
+        else:
+            u[i] = [a - q * b for a, b in zip(u[i], u[j])]
+    return u
+
+
+def _eliminate(a: IntMatrix, want_v: bool):
+    """Reduce ``a`` to Smith normal form S.
+
+    Returns ``(diagonal, log, v)``: the diagonal of S, the row operations in
+    the order they were made (U is their product), and the column transform V
+    when ``want_v`` is set, else None.  Row operations are only logged, so no
+    U is built here.
+
+    Pivoting always selects the nonzero entry of least absolute value in the
+    remaining submatrix (ties broken by smallest row, then smallest column
+    index), making the decomposition deterministic.  Finished rows and columns
+    are zero off the diagonal, so the operations at pivot k touch only rows and
+    columns from k on.
     """
     nr, nc = a.rows, a.cols
     s = [list(row) for row in a.entries]
-    u = [[int(i == j) for j in range(nr)] for i in range(nr)]
-    v = [[int(i == j) for j in range(nc)] for i in range(nc)]
+    v = [[int(i == j) for j in range(nc)] for i in range(nc)] if want_v else None
+    log: list[RowOp] = []
 
-    def swap_rows(i, j):
-        s[i], s[j] = s[j], s[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for row in s:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    def row_sub(i, j, q):
-        # row i -= q * row j
+    def row_sub(i, j, q, k):
+        # row i -= q * row j, on the columns from k on
         si, sj = s[i], s[j]
-        for t in range(nc):
-            si[t] -= q * sj[t]
-        ui, uj = u[i], u[j]
-        for t in range(nr):
-            ui[t] -= q * uj[t]
+        si[k:] = [x - q * y for x, y in zip(si[k:], sj[k:])]
+        log.append((i, j, q))
 
-    def col_sub(i, j, q):
+    def col_sub(i, j, q, k):
         # col i -= q * col j
-        for row in s:
-            row[i] -= q * row[j]
-        for row in v:
-            row[i] -= q * row[j]
+        for row in s[k:]:
+            x = row[j]
+            if x:
+                row[i] -= q * x
+        if v is not None:
+            for row in v:
+                row[i] -= q * row[j]
 
     def find_pivot(k):
         best = None
+        best_abs = 0
         for i in range(k, nr):
             row = s[i]
             for j in range(k, nc):
                 e = row[j]
-                if e and (best is None or abs(e) < abs(s[best[0]][best[1]])):
-                    best = (i, j)
+                if e:
+                    m = e if e > 0 else -e
+                    if best is None or m < best_abs:
+                        best, best_abs = (i, j), m
+                        if m == 1:
+                            # Nothing is strictly smaller: the first 1 wins.
+                            return best
         return best
 
     k = 0
@@ -230,23 +258,29 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
         if piv is None:
             break
         if piv[0] != k:
-            swap_rows(k, piv[0])
+            s[k], s[piv[0]] = s[piv[0]], s[k]
+            log.append((k, piv[0], None))
         if piv[1] != k:
-            swap_cols(k, piv[1])
+            p = piv[1]
+            for row in s[k:]:
+                row[k], row[p] = row[p], row[k]
+            if v is not None:
+                for row in v:
+                    row[k], row[p] = row[p], row[k]
         pivot = s[k][k]
         dirty = False
-        for i in range(nr):
+        for i in range(k, nr):
             if i != k and s[i][k]:
                 q = s[i][k] // pivot
                 if q:
-                    row_sub(i, k, q)
+                    row_sub(i, k, q, k)
                 if s[i][k]:
                     dirty = True
-        for j in range(nc):
+        for j in range(k, nc):
             if j != k and s[k][j]:
                 q = s[k][j] // pivot
                 if q:
-                    col_sub(j, k, q)
+                    col_sub(j, k, q, k)
                 if s[k][j]:
                     dirty = True
         if dirty:
@@ -262,20 +296,52 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
                 break
         if offender is not None:
             # Pull the non-divisible row up next to the pivot and reduce again.
-            row_sub(k, offender, -1)
+            row_sub(k, offender, -1, k)
             continue
         k += 1
 
+    diagonal = []
     for i in range(limit):
-        if s[i][i] < 0:
-            for row in s:
-                row[i] = -row[i]
-            for row in v:
-                row[i] = -row[i]
+        d = s[i][i]
+        if d < 0:
+            d = -d
+            if v is not None:
+                for row in v:
+                    row[i] = -row[i]
+        diagonal.append(d)
+    return tuple(diagonal), log, v
 
+
+def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
+    """Smith normal form over the integers.
+
+    The diagonal of S is non-negative, each entry divides the next, and zero
+    entries come last.  Pivoting always selects the nonzero entry of least
+    absolute value in the remaining submatrix (ties broken by smallest row,
+    then smallest column index), making the decomposition deterministic.
+    The elimination logs its row operations and U is their product, built
+    here by replaying them on the identity; callers that need only the
+    diagonal or the cokernel use ``smith_diagonal`` or ``cokernel``, which
+    build neither U nor V.
+    """
+    diagonal, log, v = _eliminate(a, want_v=True)
+    s = [[0] * a.cols for _ in range(a.rows)]
+    for i, d in enumerate(diagonal):
+        s[i][i] = d
     return SmithDecomposition(
-        IntMatrix.from_rows(u), IntMatrix.from_rows(s), IntMatrix.from_rows(v)
+        IntMatrix.from_rows(_replay_rows(log, a.rows)),
+        IntMatrix.from_rows(s),
+        IntMatrix.from_rows(v),
     )
+
+
+def smith_diagonal(a: IntMatrix) -> tuple[int, ...]:
+    """The diagonal of the Smith normal form of ``a``, without U or V.
+
+    >>> smith_diagonal(IntMatrix.from_rows([[0, -3], [-1, -1]]))
+    (1, 3)
+    """
+    return _eliminate(a, want_v=False)[0]
 
 
 @dataclass(frozen=True)
@@ -323,21 +389,46 @@ class CokernelProjection:
     """Maps an integer vector to its class in coker(A) coordinates.
 
     Coordinates follow the group's invariant factors: one residue per torsion
-    factor, then one integer per free summand.
+    factor, then one integer per free summand.  The projection keeps the row
+    operations of the Smith elimination of A and replays them on each vector
+    it is given, so U is never formed unless ``u`` is read.
     """
 
-    u: IntMatrix
+    log: tuple[RowOp, ...]
     diagonal: tuple[int, ...]
 
+    @cached_property
+    def u(self) -> IntMatrix:
+        """The row transform U of the Smith form, built on first read."""
+        return IntMatrix.from_rows(_replay_rows(self.log, len(self.diagonal)))
+
     def __call__(self, vec) -> tuple[int, ...]:
-        y = self.u.mul_vector(vec)
+        y = [int(x) for x in vec]
+        if len(y) != len(self.diagonal):
+            raise ValueError("vector length mismatch")
+        _replay(self.log, y)
         torsion = [y[i] % d for i, d in enumerate(self.diagonal) if d >= 2]
         free = [y[i] for i, d in enumerate(self.diagonal) if d == 0]
         return tuple(torsion + free)
 
 
+def _quotient(a: IntMatrix) -> tuple[AbelianGroup, CokernelProjection]:
+    """Z^rows modulo the column lattice of ``a``, for any shape of ``a``."""
+    diagonal, log, _ = _eliminate(a, want_v=False)
+    # Rows past the last column have no pivot: each adds a free summand.
+    diagonal += (0,) * (a.rows - len(diagonal))
+    group = AbelianGroup(
+        torsion=tuple(d for d in diagonal if d >= 2),
+        free_rank=sum(1 for d in diagonal if d == 0),
+    )
+    return group, CokernelProjection(tuple(log), diagonal)
+
+
 def cokernel(a: IntMatrix) -> tuple[AbelianGroup, CokernelProjection]:
     """Cokernel Z^n / A Z^n of a square integer matrix.
+
+    One Smith elimination, which builds neither U nor V: the projection
+    replays its row operations.
 
     Examples
     --------
@@ -347,13 +438,7 @@ def cokernel(a: IntMatrix) -> tuple[AbelianGroup, CokernelProjection]:
     """
     if not a.is_square:
         raise ValueError("cokernel requires a square matrix")
-    dec = smith_normal_form(a)
-    diag = dec.diagonal()
-    group = AbelianGroup(
-        torsion=tuple(d for d in diag if d >= 2),
-        free_rank=sum(1 for d in diag if d == 0),
-    )
-    return group, CokernelProjection(dec.u, diag)
+    return _quotient(a)
 
 
 def group_iso(a: AbelianGroup, b: AbelianGroup) -> bool:
@@ -502,15 +587,10 @@ def pointed_equivalent(
 
 
 def lattice_contains(a: IntMatrix, vec) -> bool:
-    """Whether ``vec`` lies in the lattice spanned by the columns of ``a``."""
-    dec = smith_normal_form(a)
-    y = dec.u.mul_vector(vec)
-    n = min(a.rows, a.cols)
-    for i in range(a.rows):
-        d = dec.s[i, i] if i < n else 0
-        if d == 0:
-            if y[i] != 0:
-                return False
-        elif y[i] % d:
-            return False
-    return True
+    """Whether ``vec`` lies in the lattice spanned by the columns of ``a``.
+
+    >>> lattice_contains(IntMatrix.from_rows([[2, 0], [0, 3]]), (4, 3))
+    True
+    """
+    _, project = _quotient(a)
+    return not any(project(vec))

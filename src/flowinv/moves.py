@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from flowinv.exactla import IntMatrix, cokernel, group_iso, lattice_contains, smith_normal_form
+from flowinv.exactla import IntMatrix, cokernel, group_iso, smith_diagonal
 from flowinv.graph import Edge, GraphError, MultiGraph, strongly_connected_components
 from flowinv.invariants import bowen_franks_matrix
 
@@ -873,17 +873,17 @@ def verify_vertex_class_map(src: MultiGraph, tgt: MultiGraph, cmap: VertexClassM
     bt = bowen_franks_matrix(tgt)
     m = cmap.as_matrix()
 
+    gt, project = cokernel(bt)
     image = m @ bs
     for j in range(image.cols):
-        if not lattice_contains(bt, image.column(j)):
+        if any(project(image.column(j))):
             return False
 
     gs, _ = cokernel(bs)
-    gt, _ = cokernel(bt)
     if not group_iso(gs, gt):
         return False
 
-    diag = smith_normal_form(m.hstack(bt)).diagonal()
+    diag = smith_diagonal(m.hstack(bt))
     return len(diag) == tgt.n and all(d == 1 for d in diag)
 
 

@@ -19,6 +19,7 @@ from flowinv.exactla import (
     group_iso,
     lattice_contains,
     pointed_equivalent,
+    smith_diagonal,
     smith_normal_form,
 )
 
@@ -68,6 +69,71 @@ def _factors_by_minors(m: IntMatrix) -> list[int]:
         out.append(g // prev)
         prev = g
     return out
+
+
+def _minor_gcd(m: IntMatrix, k: int) -> int:
+    """The gcd of all k-by-k minors of m."""
+    data = m.to_lists()
+    g = 0
+    for rows in itertools.combinations(range(m.rows), k):
+        for cols in itertools.combinations(range(m.cols), k):
+            sub = IntMatrix.from_rows([[data[r][c] for c in cols] for r in rows])
+            g = gcd(g, abs(_det_fractions(sub)))
+    return g
+
+
+def _rational_solve(m: IntMatrix, v):
+    """Gauss-Jordan elimination over Fractions on [m | v].
+
+    Returns the rank of m, whether m x = v has a rational solution, and that
+    solution when m has full column rank (it is then unique).
+    """
+    rows = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(m.to_lists(), v)]
+    r = 0
+    for c in range(m.cols):
+        p = next((i for i in range(r, m.rows) if rows[i][c]), None)
+        if p is None:
+            continue
+        rows[r], rows[p] = rows[p], rows[r]
+        rows[r] = [x / rows[r][c] for x in rows[r]]
+        for i in range(m.rows):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        r += 1
+    solvable = all(row[-1] == 0 for row in rows[r:])
+    solution = [rows[i][-1] for i in range(r)] if r == m.cols and solvable else None
+    return r, solvable, solution
+
+
+def _in_column_lattice(m: IntMatrix, v) -> bool:
+    """Lattice-membership oracle.
+
+    With independent columns the rational solution of m x = v is unique and
+    must be integral.  Otherwise v must keep the rank r of m and the gcd of
+    the r-by-r minors: the index of L(m) in L([m | v]) is their ratio.
+    """
+    rank, solvable, solution = _rational_solve(m, v)
+    if not solvable:
+        return False
+    if solution is not None:
+        return all(x.denominator == 1 for x in solution)
+    if rank == 0:
+        return not any(v)
+    with_v = m.hstack(IntMatrix.from_rows([[x] for x in v]))
+    return _minor_gcd(m, rank) == _minor_gcd(with_v, rank)
+
+
+def _matrices(st):
+    """Hypothesis strategy: integer matrices of any shape up to 8 by 8."""
+    side = st.integers(1, 8)
+    return st.tuples(side, side).flatmap(
+        lambda rc: st.lists(
+            st.lists(st.integers(-5, 5), min_size=rc[1], max_size=rc[1]),
+            min_size=rc[0],
+            max_size=rc[0],
+        ).map(IntMatrix.from_rows)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -167,6 +233,27 @@ def test_snf_matches_minor_gcd_oracle():
         assert list(smith_normal_form(m).diagonal()) == _factors_by_minors(m)
 
 
+def test_snf_contract_property():
+    hyp = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hyp.settings(max_examples=150, deadline=None)
+    @hyp.given(_matrices(st))
+    def check(m):
+        dec = smith_normal_form(m)
+        assert dec.u @ m @ dec.v == dec.s
+        assert abs(_det_fractions(dec.u)) == 1
+        assert abs(_det_fractions(dec.v)) == 1
+        diag = dec.diagonal()
+        assert all(d >= 0 for d in diag)
+        nonzero = [d for d in diag if d]
+        assert nonzero == list(diag[: len(nonzero)]), "zeros come last"
+        assert all(b % a == 0 for a, b in zip(nonzero, nonzero[1:]))
+        assert smith_diagonal(m) == diag
+
+    check()
+
+
 def test_snf_is_deterministic():
     m = IntMatrix.from_rows([[2, 4, 4], [-6, 6, 12], [10, 4, 16]])
     first = smith_normal_form(m)
@@ -206,6 +293,68 @@ def test_cokernel_projection_kills_column_lattice():
         coeffs = [rng.randint(-3, 3) for _ in range(n)]
         vec = m.mul_vector(coeffs)
         assert all(c == 0 for c in project(vec))
+
+
+def test_cokernel_projection_rejects_wrong_length():
+    group, project = cokernel(IntMatrix.from_rows([[2, 0, 0], [0, 3, 0], [0, 0, 0]]))
+    assert group == AbelianGroup(torsion=(6,), free_rank=1)
+    assert len(project([1, 1, 1])) == 2
+    for vec in ([1, 1], [1, 1, 1, 1], []):
+        with pytest.raises(ValueError):
+            project(vec)
+    with pytest.raises(ValueError):
+        lattice_contains(IntMatrix.from_rows([[2, 0], [0, 3]]), (2, 3, 0))
+
+
+def test_cokernel_projection_matches_snf_transform():
+    rng = random.Random(16)
+    for _ in range(40):
+        n = rng.randint(1, 6)
+        m = _rand_matrix(rng, n, -4, 4)
+        group, project = cokernel(m)
+        dec = smith_normal_form(m)
+        assert project.u == dec.u
+        diag = dec.diagonal()
+        assert group == AbelianGroup(
+            torsion=tuple(d for d in diag if d >= 2), free_rank=diag.count(0)
+        )
+        vec = [rng.randint(-9, 9) for _ in range(n)]
+        y = dec.u.mul_vector(vec)
+        want = [y[i] % d for i, d in enumerate(diag) if d >= 2]
+        want += [y[i] for i, d in enumerate(diag) if d == 0]
+        assert project(vec) == tuple(want)
+
+
+def test_projection_vanishes_exactly_on_column_lattice_property():
+    hyp = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @st.composite
+    def cases(draw):
+        m = draw(_matrices(st))
+        coeffs = draw(st.lists(st.integers(-3, 3), min_size=m.cols, max_size=m.cols))
+        # Half the vectors are column combinations, the rest are moved off
+        # the lattice's points by a small shift that may land on another.
+        shift = draw(
+            st.one_of(
+                st.just([0] * m.rows),
+                st.lists(st.integers(-2, 2), min_size=m.rows, max_size=m.rows),
+            )
+        )
+        return m, tuple(a + b for a, b in zip(m.mul_vector(coeffs), shift)), not any(shift)
+
+    @hyp.settings(max_examples=300, deadline=None)
+    @hyp.given(cases())
+    def check(case):
+        m, vec, combination = case
+        want = _in_column_lattice(m, vec)
+        assert want or not combination
+        assert lattice_contains(m, vec) is want
+        if m.is_square:
+            _, project = cokernel(m)
+            assert (not any(project(vec))) is want
+
+    check()
 
 
 def test_cokernel_of_transpose_is_isomorphic():

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+import os
 import random
 
 from flowinv.exactla import AbelianGroup, Ternary
@@ -127,3 +129,17 @@ def test_unit_class_is_all_ones_image():
 
         _, proj = cokernel(bowen_franks_matrix(g))
         assert franks_triple(g).unit_class == proj([1] * g.n)
+
+
+def test_franks_triples_match_golden_file():
+    # Triples of 40 seeded graphs (dense n 1..24, sparse, and singular ones
+    # with a free part), written by the Smith elimination that built U and V
+    # in full.  The unit coordinates depend on every row operation, so any
+    # change to the pivot order or the operations shows here.
+    path = os.path.join(os.path.dirname(__file__), "data", "franks_golden.json")
+    with open(path, encoding="utf-8") as fh:
+        cases = json.load(fh)["cases"]
+    assert len(cases) == 40
+    for case in cases:
+        triple = franks_triple(MultiGraph.from_matrix(case["matrix"]))
+        assert triple.to_dict() == case["triple"], f"{case['kind']} n={case['n']}"

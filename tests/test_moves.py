@@ -6,7 +6,15 @@ import random
 
 import pytest
 
-from flowinv.exactla import Ternary, cokernel, det, group_iso, pointed_equivalent
+from flowinv.exactla import (
+    IntMatrix,
+    Ternary,
+    cokernel,
+    det,
+    group_iso,
+    pointed_equivalent,
+    smith_diagonal,
+)
 from flowinv.graph import MultiGraph, is_isomorphic, sources, transpose
 from flowinv.invariants import bowen_franks_matrix, franks_triple
 from flowinv.moves import (
@@ -519,6 +527,20 @@ def test_verify_rejects_zero_map():
 
     g = MultiGraph.from_matrix([[4]])  # cokernel Z/3, nontrivial
     cmap = VertexClassMap(((0,),))
+    assert not verify_vertex_class_map(g, g, cmap)
+
+
+def test_verify_rejects_map_off_the_lattice():
+    from flowinv.moves import VertexClassMap
+
+    # I - A^t = [[1, -3], [-1, 0]] spans {(x, y) : x + y = 0 mod 3}, with
+    # cokernel Z/3.  The map below is onto the cokernel and the groups agree,
+    # but it sends the lattice column (1, -1) to (0, -1), off the lattice.
+    g = MultiGraph.from_matrix([[0, 1], [3, 1]])
+    cmap = VertexClassMap(((-1, -1), (-1, 0)))
+    b = bowen_franks_matrix(g)
+    assert cmap.as_matrix() @ b == IntMatrix.from_rows([[0, 3], [-1, 3]])
+    assert smith_diagonal(cmap.as_matrix().hstack(b)) == (1, 1)
     assert not verify_vertex_class_map(g, g, cmap)
 
 
