@@ -25,6 +25,7 @@ Exit status: 2 for parse or validation problems, 1 for a failing selftest,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -287,13 +288,13 @@ def _cmd_check(ns) -> int:
             {
                 "command": "check",
                 "vertices": g.n,
-                "edges": len(g.edges),
+                "edges": g.edge_count,
                 "report": report.to_dict(),
             }
         )
         return 0
     print(f"vertices: {g.n}")
-    print(f"edges: {len(g.edges)}")
+    print(f"edges: {g.edge_count}")
     for key, value in report.to_dict().items():
         print(f"{key}: {_bool(value)}")
     return 0
@@ -436,7 +437,11 @@ def _cmd_selftest(ns) -> int:
 # Parser.
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and shared by every
+    ``main`` call: each build leaves its actions and formatters in reference
+    cycles that only the cyclic garbage collector frees."""
     parser = argparse.ArgumentParser(
         prog="flowinv",
         description=(

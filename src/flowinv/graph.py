@@ -41,11 +41,19 @@ class MultiGraph:
     Parallel edges and loops are allowed.  Vertices are 0..n-1 with string
     labels; edges carry unique string ids so that splittings can name the
     copies they create.  The empty graph is rejected.
+
+    The incidence matrix is the source of truth: degrees, the structural
+    report, invariants and canonical keys read it alone.  A graph built from
+    a matrix (``matrix=``, :meth:`from_matrix`, :func:`parse_graph`) stores
+    only the matrix; its edges, with ids ``e0, e1, ...`` in row-major order,
+    are derived on the first read of ``edges``, ``out_edges``, ``in_edges``
+    or ``edge_by_id`` and cached.  A graph built from an edge list keeps its
+    edges, ids and order as given.
     """
 
     __slots__ = ("_labels", "_edges", "_matrix", "_out", "_in", "_canon")
 
-    def __init__(self, vertices, edges=()):
+    def __init__(self, vertices, edges=(), *, matrix=None):
         if isinstance(vertices, int):
             labels = tuple(f"v{i}" for i in range(vertices))
         else:
@@ -53,8 +61,25 @@ class MultiGraph:
         if not labels:
             raise GraphError("graph must have at least one vertex")
         n = len(labels)
+        self._labels = labels
+        self._canon = None
+
+        if matrix is not None:
+            if edges:
+                raise GraphError("give either edges or a matrix, not both")
+            rows = tuple(tuple(int(x) for x in row) for row in matrix)
+            if len(rows) != n or any(len(r) != n for r in rows):
+                raise GraphError(f"incidence matrix must be square of size {n}")
+            for i, row in enumerate(rows):
+                for j, k in enumerate(row):
+                    if k < 0:
+                        raise GraphError(f"negative multiplicity at ({i}, {j})")
+            self._matrix = IntMatrix(n, n, rows)
+            self._edges = self._out = self._in = None
+            return
 
         built = []
+        mat = [[0] * n for _ in range(n)]
         seen_ids = set()
         auto = 0
         for item in edges:
@@ -77,36 +102,38 @@ class MultiGraph:
                 raise GraphError(f"duplicate edge id {eid!r}")
             seen_ids.add(eid)
             built.append(Edge(int(src), int(tgt), eid))
+            mat[int(src)][int(tgt)] += 1
 
-        self._labels = labels
-        self._edges = tuple(built)
-        out = [[] for _ in range(n)]
-        inc = [[] for _ in range(n)]
-        mat = [[0] * n for _ in range(n)]
-        for e in self._edges:
+        self._matrix = IntMatrix.from_rows(mat)
+        self._set_edges(built)
+
+    def _set_edges(self, edges) -> None:
+        out = [[] for _ in range(self.n)]
+        inc = [[] for _ in range(self.n)]
+        for e in edges:
             out[e.source].append(e)
             inc[e.target].append(e)
-            mat[e.source][e.target] += 1
+        self._edges = tuple(edges)
         self._out = tuple(tuple(x) for x in out)
         self._in = tuple(tuple(x) for x in inc)
-        self._matrix = IntMatrix.from_rows(mat)
-        self._canon = None
+
+    def _materialize(self) -> None:
+        """Derive the edges of a matrix-built graph: row-major, ids e0, e1, ..."""
+        ids = itertools.count()
+        self._set_edges(
+            [
+                Edge(i, j, f"e{next(ids)}")
+                for i, row in enumerate(self._matrix.entries)
+                for j, k in enumerate(row)
+                for _ in range(k)
+            ]
+        )
 
     @staticmethod
     def from_matrix(rows, labels=None) -> "MultiGraph":
         """Build a graph from a square non-negative incidence matrix."""
         data = [list(r) for r in rows]
-        n = len(data)
-        if any(len(r) != n for r in data):
-            raise GraphError("incidence matrix must be square")
-        edges = []
-        for i in range(n):
-            for j in range(n):
-                k = int(data[i][j])
-                if k < 0:
-                    raise GraphError(f"negative multiplicity at ({i}, {j})")
-                edges.extend((i, j) for _ in range(k))
-        return MultiGraph(labels if labels is not None else n, edges)
+        return MultiGraph(labels if labels is not None else len(data), matrix=data)
 
     @property
     def n(self) -> int:
@@ -118,7 +145,14 @@ class MultiGraph:
 
     @property
     def edges(self) -> tuple[Edge, ...]:
+        if self._edges is None:
+            self._materialize()
         return self._edges
+
+    @property
+    def edge_count(self) -> int:
+        """Number of edges, summed from the matrix; builds no edge."""
+        return sum(map(sum, self._matrix.entries))
 
     def label(self, v: int) -> str:
         return self._labels[v]
@@ -136,22 +170,26 @@ class MultiGraph:
         raise GraphError(f"no vertex named {name!r}")
 
     def edge_by_id(self, eid: str) -> Edge:
-        for e in self._edges:
+        for e in self.edges:
             if e.id == eid:
                 return e
         raise GraphError(f"no edge with id {eid!r}")
 
     def out_edges(self, v: int) -> tuple[Edge, ...]:
+        if self._out is None:
+            self._materialize()
         return self._out[v]
 
     def in_edges(self, v: int) -> tuple[Edge, ...]:
+        if self._in is None:
+            self._materialize()
         return self._in[v]
 
     def out_degree(self, v: int) -> int:
-        return len(self._out[v])
+        return sum(self._matrix.entries[v])
 
     def in_degree(self, v: int) -> int:
-        return len(self._in[v])
+        return sum(row[v] for row in self._matrix.entries)
 
     def incidence(self) -> IntMatrix:
         return self._matrix
@@ -159,7 +197,7 @@ class MultiGraph:
     def transpose(self) -> "MultiGraph":
         return MultiGraph(
             self._labels,
-            [Edge(e.target, e.source, e.id) for e in self._edges],
+            [Edge(e.target, e.source, e.id) for e in self.edges],
         )
 
     def permuted(self, perm) -> "MultiGraph":
@@ -170,7 +208,7 @@ class MultiGraph:
         labels = [None] * self.n
         for old, new in enumerate(perm):
             labels[new] = self._labels[old]
-        edges = [Edge(perm[e.source], perm[e.target], e.id) for e in self._edges]
+        edges = [Edge(perm[e.source], perm[e.target], e.id) for e in self.edges]
         return MultiGraph(labels, edges)
 
     def __eq__(self, other) -> bool:
@@ -182,7 +220,7 @@ class MultiGraph:
         return hash((self.n, self._matrix.entries))
 
     def __repr__(self) -> str:
-        return f"MultiGraph(n={self.n}, edges={len(self._edges)})"
+        return f"MultiGraph(n={self.n}, edges={self.edge_count})"
 
 
 def incidence_matrix(g: MultiGraph) -> IntMatrix:
@@ -221,7 +259,7 @@ def strongly_connected_components(g: MultiGraph) -> list[list[int]]:
     stack: list[int] = []
     counter = itertools.count()
     components: list[list[int]] = []
-    succ = [[e.target for e in g.out_edges(v)] for v in range(n)]
+    succ = [[w for w, k in enumerate(row) if k] for row in g.incidence().entries]
 
     for root in range(n):
         if index[root] is not None:
@@ -294,12 +332,11 @@ def _has_no_exit_cycle(g: MultiGraph) -> bool:
 
     Such a cycle has no exit.  Restricting to out-degree-1 vertices gives a
     partial functional graph; a cycle there is exactly a no-exit cycle, so
-    the check is linear in vertices plus edges.
+    the check is one pass over the incidence matrix.
     """
-    succ = {}
-    for v in range(g.n):
-        if g.out_degree(v) == 1:
-            succ[v] = g.out_edges(v)[0].target
+    succ = {
+        v: row.index(1) for v, row in enumerate(g.incidence().entries) if sum(row) == 1
+    }
     state = {v: 0 for v in succ}  # 0 fresh, 1 in progress, 2 done
     for start in succ:
         if state[start]:
@@ -319,9 +356,8 @@ def _has_no_exit_cycle(g: MultiGraph) -> bool:
 
 def _reaches_all(g: MultiGraph, targets: list[set[int]]) -> bool:
     """Whether every vertex has a path into every one of the target sets."""
-    preds = [[] for _ in range(g.n)]
-    for e in g.edges:
-        preds[e.target].append(e.source)
+    m = g.incidence().entries
+    preds = [[v for v in range(g.n) if m[v][w]] for w in range(g.n)]
     for tset in targets:
         seen = set(tset)
         frontier = list(tset)
@@ -348,7 +384,8 @@ def classify_graph(g: MultiGraph) -> GraphReport:
     comps = strongly_connected_components(g)
     irreducible = len(comps) == 1
 
-    loops = {v for v in range(g.n) if any(e.target == v for e in g.out_edges(v))}
+    m = g.incidence().entries
+    loops = {v for v in range(g.n) if m[v][v]}
     cyclic_comps = [
         c for c in comps if len(c) > 1 or c[0] in loops
     ]
@@ -474,7 +511,7 @@ def is_isomorphic(a: MultiGraph, b: MultiGraph, *, max_vertices: int = _ISO_LIMI
         raise GraphError(
             f"isomorphism test limited to {max_vertices} vertices"
         )
-    if a.n != b.n or len(a.edges) != len(b.edges):
+    if a.n != b.n or a.edge_count != b.edge_count:
         return False
     return canonical_key(a) == canonical_key(b)
 
@@ -544,7 +581,7 @@ def parse_graph(text: str) -> MultiGraph:
             rows.append(row)
         return MultiGraph.from_matrix(rows)
 
-    counts: dict[tuple[int, int], int] = {}
+    rows = [[0] * n for _ in range(n)]
     for row_ln, row_toks in body:
         if len(row_toks) != 3:
             raise ParseError(row_ln, row_toks[0][0], "edge line needs 'i j k'")
@@ -558,11 +595,8 @@ def parse_graph(text: str) -> MultiGraph:
             raise ParseError(row_ln, cj, f"target {j} out of range 0..{n - 1}")
         if k < 1:
             raise ParseError(row_ln, ck, "multiplicity must be at least 1")
-        counts[(i, j)] = counts.get((i, j), 0) + k
-    edges = []
-    for (i, j), k in sorted(counts.items()):
-        edges.extend((i, j) for _ in range(k))
-    return MultiGraph(n, edges)
+        rows[i][j] += k
+    return MultiGraph(n, matrix=rows)
 
 
 def format_graph(g: MultiGraph, style: str = "edges") -> str:

@@ -8,6 +8,11 @@ import sys
 
 import pytest
 
+try:
+    import resource
+except ImportError:  # not POSIX
+    resource = None
+
 from flowinv.cli import format_move_step, main, parse_move_script
 from flowinv.flowsearch import MoveStep
 from flowinv.graph import MultiGraph, ParseError, is_isomorphic, parse_graph
@@ -77,6 +82,42 @@ def test_invariants_json_output(tmp_path, capsys):
         "det": -3,
         "pis": True,
     }
+
+
+HUGE = 99999999999999999999
+
+
+def _run_capped(argv, seconds: float, mem_bytes: int):
+    """Run the CLI in a child process under a wall budget (TimeoutExpired
+    past it) and an address-space cap, so that a regression that builds one
+    object per edge fails fast instead of hanging or exhausting memory."""
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (mem_bytes, mem_bytes))
+
+    return subprocess.run(
+        [sys.executable, "-m", "flowinv", *argv],
+        capture_output=True,
+        text=True,
+        timeout=seconds,
+        preexec_fn=cap,
+    )
+
+
+@pytest.mark.skipif(resource is None, reason="needs POSIX resource limits")
+@pytest.mark.parametrize(
+    "text", [f"matrix 1\n{HUGE}\n", f"edges 1\n0 0 {HUGE}\n"], ids=["matrix", "edges"]
+)
+def test_huge_multiplicity_answers_within_budget(tmp_path, text):
+    path = _write(tmp_path, "huge.graph", text)
+    inv = _run_capped(["invariants", path, "--json"], 2.0, 1 << 30)
+    assert inv.returncode == 0, inv.stderr
+    invariants = json.loads(inv.stdout)["invariants"]
+    assert invariants["det"] == 1 - HUGE
+    assert invariants["group"]["torsion"] == [HUGE - 1]
+    check = _run_capped(["check", path, "--json"], 2.0, 1 << 30)
+    assert check.returncode == 0, check.stderr
+    assert json.loads(check.stdout)["edges"] == HUGE
 
 
 # ---------------------------------------------------------------------------

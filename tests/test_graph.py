@@ -66,6 +66,53 @@ def test_construction_errors():
         MultiGraph.from_matrix([[1, 2], [0]])
     with pytest.raises(GraphError):
         MultiGraph.from_matrix([[-1]])
+    with pytest.raises(GraphError):
+        MultiGraph.from_matrix([[1]], labels=["a", "b"])
+    with pytest.raises(GraphError):
+        MultiGraph(1, [(0, 0)], matrix=[[1]])
+
+
+def _square_matrices(st):
+    """Hypothesis strategy: square matrices up to 6 by 6, entries 0..4."""
+    return st.integers(1, 6).flatmap(
+        lambda n: st.lists(
+            st.lists(st.integers(0, 4), min_size=n, max_size=n), min_size=n, max_size=n
+        )
+    )
+
+
+def test_matrix_built_graph_matches_eager_edge_list():
+    hyp = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hyp.settings(max_examples=150, deadline=None)
+    @hyp.given(_square_matrices(st))
+    def check(rows):
+        n = len(rows)
+        cells = [(i, j) for i in range(n) for j in range(n) for _ in range(rows[i][j])]
+        eager = MultiGraph(n, [(i, j, f"e{k}") for k, (i, j) in enumerate(cells)])
+
+        lazy = MultiGraph.from_matrix(rows)
+        assert classify_graph(lazy).to_dict() == classify_graph(eager).to_dict()
+        assert canonical_key(lazy) == canonical_key(eager)
+        assert repr(lazy) == repr(eager)
+        for v in range(n):
+            assert lazy.out_degree(v) == len(eager.out_edges(v))
+            assert lazy.in_degree(v) == len(eager.in_edges(v))
+        assert lazy.edge_count == len(eager.edges)
+        assert lazy.edges == eager.edges
+
+        # Each edge accessor, read first, derives the same edges.
+        for v in range(n):
+            assert MultiGraph.from_matrix(rows).out_edges(v) == eager.out_edges(v)
+            assert MultiGraph.from_matrix(rows).in_edges(v) == eager.in_edges(v)
+        for e in eager.edges:
+            assert MultiGraph.from_matrix(rows).edge_by_id(e.id) == e
+
+        for style in ("edges", "matrix"):
+            assert parse_graph(format_graph(eager, style)).edges == eager.edges
+
+    check()
 
 
 def test_vertex_resolution():
