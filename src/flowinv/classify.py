@@ -171,57 +171,14 @@ def decide(e: MultiGraph, f: MultiGraph, *, torsion_order_cap: int = 10_000) -> 
 def decide_transpose(g: MultiGraph, *, torsion_order_cap: int = 10_000) -> Verdict:
     """Compare a graph's algebra with its transpose's.
 
+    The verdict is ``decide(g, transpose(g))``, reason text included.  The
+    transpose is built from the transposed matrix, so, as in ``decide``, no
+    edge is built.
+
     Transposing the incidence matrix preserves the Bowen-Franks group and
     the determinant, so the two algebras are Morita equivalent whenever both
     graphs are purely infinite simple; the unit classes may still differ and
     decide the isomorphism question.
     """
-    from flowinv.graph import transpose
-
-    gt = transpose(g)
-    report = classify_graph(g)
-    report_t = classify_graph(gt)
-    if not (report.purely_infinite_simple and report_t.purely_infinite_simple):
-        return _non_pis_verdict(report.to_dict(), report_t.to_dict())
-
-    t = franks_triple(g)
-    tt = franks_triple(gt)
-    witness = {"left": t.to_dict(), "right": tt.to_dict()}
-
-    pointed = pointed_equivalent(
-        t.pointed, tt.pointed, torsion_order_cap=torsion_order_cap
-    )
-    if pointed is Ternary.YES:
-        return Verdict(
-            morita=Ternary.YES,
-            isomorphic=Ternary.YES,
-            reason_tag=TAG_TRIPLE_MATCH,
-            reason=(
-                "transposing preserves group and determinant, and the unit "
-                "classes agree"
-            ),
-            witness=witness,
-        )
-    if pointed is Ternary.NO:
-        return Verdict(
-            morita=Ternary.YES,
-            isomorphic=Ternary.NO,
-            reason_tag=TAG_UNIT_MISMATCH,
-            reason=(
-                "transposing preserves group and determinant, but no "
-                f"automorphism of {t.group} carries unit class "
-                f"{list(t.unit_class)} to {list(tt.unit_class)}"
-            ),
-            witness=witness,
-        )
-    return Verdict(
-        morita=Ternary.YES,
-        isomorphic=Ternary.UNKNOWN,
-        reason_tag=TAG_RESOURCE_CAP,
-        reason=(
-            "transposing preserves group and determinant, but the unit-class "
-            f"orbit comparison exceeded the torsion resource cap "
-            f"({torsion_order_cap})"
-        ),
-        witness=witness,
-    )
+    gt = MultiGraph(g.labels, matrix=zip(*g.incidence().entries))
+    return decide(g, gt, torsion_order_cap=torsion_order_cap)

@@ -160,12 +160,8 @@ def _partition_from_lines(g: MultiGraph, mode: str, class_lines) -> Partition:
             )
         classes[v] = [slot[i] for i in range(1, m + 1)]
     # Vertices without class lines keep their whole edge set in one class.
-    for v in range(g.n):
-        if v in classes:
-            continue
-        edges = g.in_edges(v) if mode == "in" else g.out_edges(v)
-        if edges:
-            classes[v] = [[e.id for e in edges]]
+    for v, whole in Partition.trivial(g, mode).classes.items():
+        classes.setdefault(v, whole)
     return Partition(classes)
 
 

@@ -166,13 +166,8 @@ def _split_partitions(g, v, mode, max_classes, partition_cap, stats):
     order = sorted(bundles)
     counts = tuple(len(bundles[u]) for u in order)
 
-    base = {}
-    for u in range(g.n):
-        if u == v:
-            continue
-        edges = g.in_edges(u) if mode == "in" else g.out_edges(u)
-        if edges:
-            base[u] = [[e.id for e in edges]]
+    trivial = Partition.trivial(g, mode).classes
+    base = {u: whole for u, whole in trivial.items() if u != v}
 
     emitted = 0
     for parts in _vector_partitions(counts):

@@ -6,6 +6,15 @@ out-splitting, out-amalgamation, expansion and contraction; source
 elimination, the Drinen delays, the shift move and the sign gadgets
 ``minus``/``minus1`` extend the catalogue.
 
+Mirrored moves are written once.  Out-splitting is in-splitting conjugated
+by transposition, out-amalgamation is in-amalgamation conjugated the same
+way, and the in-delay is the out-delay conjugated the same way (its chain
+labels take ``_`` where the out-delay's take ``^``).  Each pair shares one
+kernel.  The kernel works on (source, target, id) triples, or on the
+incidence rows for the amalgamations.  The mirror feeds it the reversed
+triples or the transposed matrix and reverses what it returns.  So the
+mirror keeps edge ids and edge order, and no graph is transposed.
+
 Vertex order conventions are fixed so results are reproducible: splittings
 keep the original vertex order and expand each split vertex into a
 consecutive run, labelled ``v#1 .. v#m``; appended vertices go last.
@@ -178,6 +187,49 @@ class OutSplitResult:
 # Splittings.
 
 
+def _split_triples(labels, p: Partition, triples):
+    """In-split the edges ``triples``, (source, target, id) each, by ``p``.
+
+    The kernel of both splittings: an out-splitting is this in-splitting of
+    the reversed triples, read back reversed.  Returns the new labels, the
+    blocks of new indices per vertex, the new triples in the order of the
+    old ones, and ``heads``: for each new vertex, the number of old edges
+    from each old vertex that land on it (the columns of R).
+    """
+    n = len(labels)
+    m = [p.m(v) for v in range(n)]
+    new_labels: list[str] = []
+    blocks: list[tuple[int, ...]] = []
+    taken = {labels[v] for v in range(n) if m[v] == 0}
+    for v in range(n):
+        start = len(new_labels)
+        if m[v] == 0:
+            new_labels.append(labels[v])
+        for i in range(1, m[v] + 1):
+            lab = _fresh_label(taken, f"{labels[v]}#{i}")
+            taken.add(lab)
+            new_labels.append(lab)
+        blocks.append(tuple(range(start, len(new_labels))))
+
+    class_of: dict[str, int] = {}
+    for classlist in p.classes.values():
+        for i, cls in enumerate(classlist):
+            for eid in cls:
+                class_of[eid] = i
+
+    heads = [[0] * n for _ in new_labels]
+    edges = []
+    for src, tgt, eid in triples:
+        head = blocks[tgt][class_of[eid]]
+        heads[head][src] += 1
+        if m[src] == 0:
+            edges.append((blocks[src][0], head, eid))
+        else:
+            for j, tail in enumerate(blocks[src], start=1):
+                edges.append((tail, head, f"{eid}#{j}"))
+    return new_labels, tuple(blocks), edges, heads
+
+
 def in_split(g: MultiGraph, p: Partition) -> InSplitResult:
     """Split each vertex according to a partition of its incoming edges.
 
@@ -191,62 +243,16 @@ def in_split(g: MultiGraph, p: Partition) -> InSplitResult:
     """
     p.validate(g, "in")
     n = g.n
-
-    new_index: dict[tuple[int, int], int] = {}
-    labels: list[str] = []
-    blocks: list[tuple[int, ...]] = []
-    taken = {g.label(v) for v in range(n) if p.m(v) == 0}
-    for v in range(n):
-        m = p.m(v)
-        if m == 0:
-            new_index[(v, 0)] = len(labels)
-            blocks.append((len(labels),))
-            labels.append(g.label(v))
-        else:
-            ids = []
-            for i in range(1, m + 1):
-                lab = _fresh_label(taken, f"{g.label(v)}#{i}")
-                taken.add(lab)
-                new_index[(v, i)] = len(labels)
-                ids.append(len(labels))
-                labels.append(lab)
-            blocks.append(tuple(ids))
-
-    class_of: dict[str, int] = {}
-    for v, classlist in p.classes.items():
-        for i, cls in enumerate(classlist, start=1):
-            for eid in cls:
-                class_of[eid] = i
-
-    edges = []
-    for e in g.edges:
-        tgt = new_index[(e.target, class_of[e.id])]
-        ms = p.m(e.source)
-        if ms == 0:
-            edges.append((new_index[(e.source, 0)], tgt, e.id))
-        else:
-            for j in range(1, ms + 1):
-                edges.append((new_index[(e.source, j)], tgt, f"{e.id}#{j}"))
+    labels, blocks, edges, heads = _split_triples(
+        g.labels, p, [(e.source, e.target, e.id) for e in g.edges]
+    )
     graph = MultiGraph(labels, edges)
 
-    classes_in_order = [
-        (v, i) for v in range(n) for i in range(1, p.m(v) + 1)
-    ]
+    classes = [(v, c) for v in range(n) if p.m(v) for c in blocks[v]]
     factorization = None
-    if classes_in_order:
-        src_count = {
-            (v, i): [0] * n for v, i in classes_in_order
-        }
-        for v, classlist in p.classes.items():
-            for i, cls in enumerate(classlist, start=1):
-                for eid in cls:
-                    src_count[(v, i)][g.edge_by_id(eid).source] += 1
-        r = IntMatrix.from_rows(
-            [[src_count[c][w] for c in classes_in_order] for w in range(n)]
-        )
-        s = IntMatrix.from_rows(
-            [[1 if c[0] == w else 0 for w in range(n)] for c in classes_in_order]
-        )
+    if classes:
+        r = IntMatrix.from_rows([[heads[c][w] for _, c in classes] for w in range(n)])
+        s = IntMatrix.from_rows([[int(v == w) for w in range(n)] for v, _ in classes])
         factorization = SplitFactorization(r=r, s=s)
 
     vectors = []
@@ -257,7 +263,7 @@ def in_split(g: MultiGraph, p: Partition) -> InSplitResult:
 
     return InSplitResult(
         graph=graph,
-        blocks=tuple(blocks),
+        blocks=blocks,
         class_map=VertexClassMap(tuple(vectors)),
         factorization=factorization,
     )
@@ -266,60 +272,26 @@ def in_split(g: MultiGraph, p: Partition) -> InSplitResult:
 def out_split(g: MultiGraph, p: Partition) -> OutSplitResult:
     """Split each vertex according to a partition of its outgoing edges.
 
-    Mirror of :func:`in_split`: vertex v becomes v#1..v#m(v), an edge e
-    leaving v from class i starts at v#i, and e is duplicated once for every
-    class of its target vertex.  The vertex class map sends v to the sum of
-    its copies.
+    The transpose-conjugate of :func:`in_split`: vertex v becomes
+    v#1..v#m(v), an edge e leaving v from class i starts at v#i, and e is
+    duplicated once for every class of its target vertex.  The vertex class
+    map sends v to the sum of its copies.
     """
     p.validate(g, "out")
-    n = g.n
-
-    new_index: dict[tuple[int, int], int] = {}
-    labels: list[str] = []
-    blocks: list[tuple[int, ...]] = []
-    taken = {g.label(v) for v in range(n) if p.m(v) == 0}
-    for v in range(n):
-        m = p.m(v)
-        if m == 0:
-            new_index[(v, 0)] = len(labels)
-            blocks.append((len(labels),))
-            labels.append(g.label(v))
-        else:
-            ids = []
-            for i in range(1, m + 1):
-                lab = _fresh_label(taken, f"{g.label(v)}#{i}")
-                taken.add(lab)
-                new_index[(v, i)] = len(labels)
-                ids.append(len(labels))
-                labels.append(lab)
-            blocks.append(tuple(ids))
-
-    class_of: dict[str, int] = {}
-    for v, classlist in p.classes.items():
-        for i, cls in enumerate(classlist, start=1):
-            for eid in cls:
-                class_of[eid] = i
-
-    edges = []
-    for e in g.edges:
-        src = new_index[(e.source, class_of[e.id])]
-        mt = p.m(e.target)
-        if mt == 0:
-            edges.append((src, new_index[(e.target, 0)], e.id))
-        else:
-            for j in range(1, mt + 1):
-                edges.append((src, new_index[(e.target, j)], f"{e.id}#{j}"))
-    graph = MultiGraph(labels, edges)
+    labels, blocks, edges, _ = _split_triples(
+        g.labels, p, [(e.target, e.source, e.id) for e in g.edges]
+    )
+    graph = MultiGraph(labels, [(src, tgt, eid) for tgt, src, eid in edges])
 
     vectors = []
-    for v in range(n):
+    for v in range(g.n):
         vec = [0] * graph.n
         for idx in blocks[v]:
             vec[idx] = 1
         vectors.append(tuple(vec))
 
     return OutSplitResult(
-        graph=graph, blocks=tuple(blocks), class_map=VertexClassMap(tuple(vectors))
+        graph=graph, blocks=blocks, class_map=VertexClassMap(tuple(vectors))
     )
 
 
@@ -337,39 +309,34 @@ def _normalize_blocks(g: MultiGraph, blocks) -> list[list[int]]:
     return norm
 
 
-def _block_permutation(g: MultiGraph, norm) -> tuple[int, ...]:
-    perm = [0] * g.n
-    pos = 0
-    for block in norm:
-        for v in block:
-            perm[v] = pos
-            pos += 1
-    return tuple(perm)
+_SIDES = {  # what each amalgamation compares, and the edges a class needs
+    "in": ("outgoing rows", "incoming"),
+    "out": ("incoming columns", "outgoing"),
+}
 
 
-def in_amalgamate(g: MultiGraph, blocks) -> MultiGraph:
-    """Merge the vertices of each block, undoing an in-splitting.
+def _amalgamate_rows(g: MultiGraph, blocks, m, side: str) -> MultiGraph:
+    """In-amalgamate the graph with g's labels and incidence rows ``m``.
 
-    Each block must consist of vertices with identical outgoing rows (the
-    footprint an in-splitting leaves behind); the recovered partition is
-    re-split and compared against ``g`` to certify the move.
+    The kernel of both amalgamations: an out-amalgamation is this
+    in-amalgamation of the transposed matrix, read back transposed; ``side``
+    only words the errors.  Returns the quotient in m's orientation.
     """
+    rows_word, edges_word = _SIDES[side]
     norm = _normalize_blocks(g, blocks)
-    m = g.incidence().entries
-
     for block in norm:
         first = m[block[0]]
         for v in block[1:]:
             if m[v] != first:
                 raise MoveError(
                     f"vertices {g.label(block[0])} and {g.label(v)} have "
-                    "different outgoing rows"
+                    f"different {rows_word}"
                 )
         if len(block) > 1:
             for v in block:
-                if g.in_degree(v) == 0:
+                if not any(row[v] for row in m):
                     raise MoveError(
-                        f"vertex {g.label(v)} has no incoming edges, its "
+                        f"vertex {g.label(v)} has no {edges_word} edges, its "
                         "partition class would be empty"
                     )
 
@@ -403,75 +370,33 @@ def in_amalgamate(g: MultiGraph, blocks) -> MultiGraph:
                     cls[pos].extend(ids[start : start + count])
                     cursor[bi] += count
         classes[bj] = cls
-    partition = Partition(classes)
 
-    resplit = in_split(quotient, partition).graph
-    if resplit != g.permuted(_block_permutation(g, norm)):
-        raise MoveError("grouping is not realizable as an in-splitting")
+    order = [v for block in norm for v in block]
+    resplit = in_split(quotient, Partition(classes)).graph.incidence().entries
+    if resplit != tuple(tuple(m[a][b] for b in order) for a in order):
+        raise MoveError(f"grouping is not realizable as an {side}-splitting")
     return quotient
+
+
+def in_amalgamate(g: MultiGraph, blocks) -> MultiGraph:
+    """Merge the vertices of each block, undoing an in-splitting.
+
+    Each block must consist of vertices with identical outgoing rows (the
+    footprint an in-splitting leaves behind); the recovered partition is
+    re-split and compared against ``g`` to certify the move.
+    """
+    return _amalgamate_rows(g, blocks, g.incidence().entries, "in")
 
 
 def out_amalgamate(g: MultiGraph, blocks) -> MultiGraph:
     """Merge the vertices of each block, undoing an out-splitting.
 
-    Mirror of :func:`in_amalgamate`: blocks must have identical incoming
-    columns, and the recovered out-partition is re-split to certify.
+    The transpose-conjugate of :func:`in_amalgamate`: blocks must have
+    identical incoming columns, and the recovered out-partition is re-split
+    to certify.
     """
-    norm = _normalize_blocks(g, blocks)
-    m = g.incidence().entries
-
-    for block in norm:
-        first = [m[w][block[0]] for w in range(g.n)]
-        for v in block[1:]:
-            if [m[w][v] for w in range(g.n)] != first:
-                raise MoveError(
-                    f"vertices {g.label(block[0])} and {g.label(v)} have "
-                    "different incoming columns"
-                )
-        if len(block) > 1:
-            for v in block:
-                if g.out_degree(v) == 0:
-                    raise MoveError(
-                        f"vertex {g.label(v)} has no outgoing edges, its "
-                        "partition class would be empty"
-                    )
-
-    k = len(norm)
-    qmat = [
-        [sum(m[u][norm[bj][0]] for u in norm[bi]) for bj in range(k)]
-        for bi in range(k)
-    ]
-    qlabels = []
-    for block in norm:
-        base = g.label(block[0]).rsplit("#", 1)[0]
-        qlabels.append(_fresh_label(qlabels, base))
-    quotient = MultiGraph.from_matrix(qmat, labels=qlabels)
-
-    bundle_ids: dict[tuple[int, int], list[str]] = {}
-    for e in quotient.edges:
-        bundle_ids.setdefault((e.source, e.target), []).append(e.id)
-
-    classes: dict[int, list[list[str]]] = {}
-    for bi, block in enumerate(norm):
-        if quotient.out_degree(bi) == 0:
-            continue
-        cls: list[list[str]] = [[] for _ in block]
-        cursor = {bj: 0 for bj in range(k)}
-        for pos, u in enumerate(block):
-            for bj in range(k):
-                count = m[u][norm[bj][0]]
-                if count:
-                    ids = bundle_ids[(bi, bj)]
-                    start = cursor[bj]
-                    cls[pos].extend(ids[start : start + count])
-                    cursor[bj] += count
-        classes[bi] = cls
-    partition = Partition(classes)
-
-    resplit = out_split(quotient, partition).graph
-    if resplit != g.permuted(_block_permutation(g, norm)):
-        raise MoveError("grouping is not realizable as an out-splitting")
-    return quotient
+    quotient = _amalgamate_rows(g, blocks, tuple(zip(*g.incidence().entries)), "out")
+    return MultiGraph(quotient.labels, matrix=zip(*quotient.incidence().entries))
 
 
 # ---------------------------------------------------------------------------
@@ -624,6 +549,36 @@ class DrinenVector:
         return DrinenVector.from_edges(g, "source", edges, {v: 1})
 
 
+def _delay_triples(labels, d: DrinenVector, triples, suffix: str):
+    """Out-delay the edges ``triples``, (source, target, id) each, by ``d``.
+
+    The kernel of both delays: an in-delay is this out-delay of the reversed
+    triples, read back reversed, with chain vertices labelled ``v_i`` where
+    the out-delay's are ``v^i``.  Returns the new labels and triples.
+    """
+    new_index = {}
+    new_labels = []
+    taken = set(labels)
+    for v, label in enumerate(labels):
+        for i in range(d.vertex_value(v) + 1):
+            new_index[(v, i)] = len(new_labels)
+            if i == 0:
+                new_labels.append(label)
+            else:
+                lab = _fresh_label(taken, f"{label}{suffix}{i}")
+                taken.add(lab)
+                new_labels.append(lab)
+    used = {eid for _, _, eid in triples}
+    edges = []
+    for v in range(len(labels)):
+        for i in range(1, d.vertex_value(v) + 1):
+            eid = _fresh_edge_id(used, f"d{v}.{i}")
+            edges.append((new_index[(v, i - 1)], new_index[(v, i)], eid))
+    for src, tgt, eid in triples:
+        edges.append((new_index[(src, d.edge_value(eid))], new_index[(tgt, 0)], eid))
+    return new_labels, edges
+
+
 def out_delay(g: MultiGraph, d: DrinenVector) -> MultiGraph:
     """Drinen out-delay: postpone departures along a chain at each vertex.
 
@@ -634,72 +589,23 @@ def out_delay(g: MultiGraph, d: DrinenVector) -> MultiGraph:
     if d.kind != "source":
         raise MoveError("out-delay needs a source vector")
     d.validate(g)
-    new_index = {}
-    labels = []
-    taken = set(g.labels)
-    for v in range(g.n):
-        for i in range(d.vertex_value(v) + 1):
-            new_index[(v, i)] = len(labels)
-            if i == 0:
-                labels.append(g.label(v))
-            else:
-                lab = _fresh_label(taken, f"{g.label(v)}^{i}")
-                taken.add(lab)
-                labels.append(lab)
-    used = {e.id for e in g.edges}
-    edges = []
-    for v in range(g.n):
-        for i in range(1, d.vertex_value(v) + 1):
-            eid = _fresh_edge_id(used, f"d{v}.{i}")
-            edges.append(Edge(new_index[(v, i - 1)], new_index[(v, i)], eid))
-    for e in g.edges:
-        edges.append(
-            Edge(
-                new_index[(e.source, d.edge_value(e.id))],
-                new_index[(e.target, 0)],
-                e.id,
-            )
-        )
-    return MultiGraph(labels, edges)
+    triples = [(e.source, e.target, e.id) for e in g.edges]
+    return MultiGraph(*_delay_triples(g.labels, d, triples, "^"))
 
 
 def in_delay(g: MultiGraph, d: DrinenVector) -> MultiGraph:
     """Drinen in-delay: postpone arrivals along a chain at each vertex.
 
-    Vertex v grows into a chain v_d(v) -> ... -> v_1 -> v_0 = v; an edge e
-    into v arrives at v_d(e) instead, and every edge departs from the chain
-    foot of its source.
+    The transpose-conjugate of :func:`out_delay`: vertex v grows into a chain
+    v_d(v) -> ... -> v_1 -> v_0 = v; an edge e into v arrives at v_d(e)
+    instead, and every edge departs from the chain foot of its source.
     """
     if d.kind != "range":
         raise MoveError("in-delay needs a range vector")
     d.validate(g)
-    new_index = {}
-    labels = []
-    taken = set(g.labels)
-    for v in range(g.n):
-        for i in range(d.vertex_value(v) + 1):
-            new_index[(v, i)] = len(labels)
-            if i == 0:
-                labels.append(g.label(v))
-            else:
-                lab = _fresh_label(taken, f"{g.label(v)}_{i}")
-                taken.add(lab)
-                labels.append(lab)
-    used = {e.id for e in g.edges}
-    edges = []
-    for v in range(g.n):
-        for i in range(1, d.vertex_value(v) + 1):
-            eid = _fresh_edge_id(used, f"d{v}.{i}")
-            edges.append(Edge(new_index[(v, i)], new_index[(v, i - 1)], eid))
-    for e in g.edges:
-        edges.append(
-            Edge(
-                new_index[(e.source, 0)],
-                new_index[(e.target, d.edge_value(e.id))],
-                e.id,
-            )
-        )
-    return MultiGraph(labels, edges)
+    triples = [(e.target, e.source, e.id) for e in g.edges]
+    labels, edges = _delay_triples(g.labels, d, triples, "_")
+    return MultiGraph(labels, [(src, tgt, eid) for tgt, src, eid in edges])
 
 
 def proper_in_partition_vector(g: MultiGraph, p: Partition) -> DrinenVector:

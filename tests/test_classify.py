@@ -75,11 +75,18 @@ def test_decide_unit_class_mismatch():
 
 
 def test_decide_transpose_matches_decide():
-    g = MultiGraph.from_matrix([[1, 1, 1], [0, 0, 1], [1, 0, 0]])
-    v = decide_transpose(g)
-    w = decide(g, transpose(g))
-    assert v.morita is w.morita and v.isomorphic is w.isomorphic
-    assert v.reason_tag == w.reason_tag == TAG_UNIT_MISMATCH
+    cases = [
+        ([[1, 1, 1], [0, 0, 1], [1, 0, 0]], TAG_UNIT_MISMATCH),
+        ([[1, 2], [3, 1]], TAG_TRIPLE_MATCH),
+        ([[0, 1], [0, 0]], TAG_NON_PIS),
+    ]
+    for rows, tag in cases:
+        g = MultiGraph.from_matrix(rows)
+        v = decide_transpose(g)
+        w = decide(g, transpose(g))
+        assert v.morita is w.morita and v.isomorphic is w.isomorphic
+        assert v.reason_tag == w.reason_tag == tag
+        assert v.to_dict() == w.to_dict()
 
 
 # ---------------------------------------------------------------------------

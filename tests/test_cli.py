@@ -118,6 +118,9 @@ def test_huge_multiplicity_answers_within_budget(tmp_path, text):
     check = _run_capped(["check", path, "--json"], 2.0, 1 << 30)
     assert check.returncode == 0, check.stderr
     assert json.loads(check.stdout)["edges"] == HUGE
+    mirror = _run_capped(["classify", "--transpose", path, "--json"], 2.0, 1 << 30)
+    assert mirror.returncode == 0, mirror.stderr
+    assert json.loads(mirror.stdout)["verdict"]["reason_tag"] == "franks-triple-match"
 
 
 # ---------------------------------------------------------------------------

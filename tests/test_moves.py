@@ -2,9 +2,20 @@
 
 from __future__ import annotations
 
+import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
+
+try:
+    import resource
+except ImportError:  # not POSIX
+    resource = None
+
+import flowinv
 
 from flowinv.exactla import (
     IntMatrix,
@@ -15,7 +26,7 @@ from flowinv.exactla import (
     pointed_equivalent,
     smith_diagonal,
 )
-from flowinv.graph import MultiGraph, is_isomorphic, sources, transpose
+from flowinv.graph import GraphError, MultiGraph, is_isomorphic, sources, transpose
 from flowinv.invariants import bowen_franks_matrix, franks_triple
 from flowinv.moves import (
     DrinenVector,
@@ -580,3 +591,106 @@ def test_apply_move_each_kind():
     assert apply_move(fed, "eliminate", {"vertex": 0}) == eliminate_source(fed, 0)
     with pytest.raises(MoveError):
         apply_move(g, "teleport", {})
+
+
+# ---------------------------------------------------------------------------
+# The six mirrored moves against results pinned in a file.
+
+
+def _golden_graph(spec) -> MultiGraph:
+    if "matrix" in spec:
+        return MultiGraph.from_matrix(spec["matrix"], labels=spec["labels"])
+    return MultiGraph(spec["labels"], [tuple(t) for t in spec["edges"]])
+
+
+def _edge_list(g: MultiGraph) -> dict:
+    return {
+        "labels": list(g.labels),
+        "edges": [[e.source, e.target, e.id] for e in g.edges],
+    }
+
+
+def _golden_result(case) -> dict:
+    g = _golden_graph(case["graph"])
+    move = case["move"]
+    mode = move.split("-", 1)[0]
+    if move.endswith("-split"):
+        p = Partition({int(v): cls for v, cls in case["partition"].items()})
+        res = (in_split if mode == "in" else out_split)(g, p)
+        out = _edge_list(res.graph)
+        out["blocks"] = [list(b) for b in res.blocks]
+        out["class_map"] = [list(vec) for vec in res.class_map.vectors]
+        if mode == "in":
+            fac = res.factorization
+            out["r"] = fac.r.to_lists() if fac else None
+            out["s"] = fac.s.to_lists() if fac else None
+        return out
+    if move.endswith("-amalgamate"):
+        merge = in_amalgamate if mode == "in" else out_amalgamate
+        return _edge_list(merge(g, case["blocks"]))
+    vec = case["vector"]
+    d = DrinenVector(
+        vec["kind"], {int(v): x for v, x in vec["vertices"].items()}, vec["edges"]
+    )
+    return _edge_list((in_delay if mode == "in" else out_delay)(g, d))
+
+
+def test_mirrored_moves_match_golden_file():
+    # 509 cases of in/out splits, amalgamations and delays: seeded
+    # matrix-built graphs, edge lists with ids other than e0, e1, ... in
+    # shuffled order, and labels the new labels collide with (v0 beside
+    # v0#1).  Labels, edges in order with their ids, blocks, class maps and
+    # the in-split factorization were written by the code before each mirror
+    # became the transpose-conjugate of its twin, as was the text of every
+    # MoveError and GraphError.
+    path = os.path.join(os.path.dirname(__file__), "data", "moves_golden.json")
+    with open(path, encoding="utf-8") as fh:
+        cases = json.load(fh)["cases"]
+    assert len(cases) == 509
+    for k, case in enumerate(cases):
+        try:
+            got = _golden_result(case)
+        except (MoveError, GraphError) as exc:
+            got = {"error": type(exc).__name__, "message": str(exc)}
+        assert got == case["expect"], f"case {k}: {case['move']}"
+
+
+_SPLIT_100K = """
+import sys
+from flowinv.graph import MultiGraph
+from flowinv.moves import Partition, in_split, out_split
+
+n = 8
+rows = [[0] * n for _ in range(n)]
+for i in range(n):
+    rows[i][i] = 6250
+    rows[i][(i + 1) % n] = 6250
+g = MultiGraph.from_matrix(rows)
+for mode, split in (("in", in_split), ("out", out_split)):
+    edges = g.in_edges if mode == "in" else g.out_edges
+    p = Partition({v: [[e.id for e in edges(v)][k::2] for k in (0, 1)] for v in range(n)})
+    print(mode, split(g, p).graph.edge_count)
+"""
+
+
+@pytest.mark.skipif(resource is None, reason="needs POSIX resource limits")
+def test_hundred_thousand_edge_splits_answer_within_budget():
+    # Splitting every vertex of a 1e5-edge graph in two is linear work; a
+    # split that looked up each class member by a scan over all edges took
+    # minutes.  A child process under a wall budget and a 1 GiB address-space
+    # cap fails fast instead of hanging the suite.
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(flowinv.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    run = subprocess.run(
+        [sys.executable, "-c", _SPLIT_100K],
+        capture_output=True,
+        text=True,
+        timeout=10.0,
+        preexec_fn=cap,
+        env=env,
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == ["in", "200000", "out", "200000"]
