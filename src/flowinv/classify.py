@@ -21,13 +21,11 @@ TAG_TRIPLE_MATCH = "franks-triple-match"
 TAG_UNIT_MISMATCH = "unit-class-mismatch"
 TAG_SIGN_GAP = "determinant-sign-gap"
 TAG_NON_PIS = "non-pis-input"
-TAG_RESOURCE_CAP = "pointed-resource-cap"
 
 _LEVELS = {
     (Ternary.YES, Ternary.YES): ("Isomorphic", "MoritaEquivalent"),
     (Ternary.YES, Ternary.NO): ("MoritaEquivalent", "NotIsomorphic"),
     (Ternary.NO, Ternary.NO): ("NotMoritaEquivalent", "NotIsomorphic"),
-    (Ternary.YES, Ternary.UNKNOWN): ("MoritaEquivalent", "Unknown"),
     (Ternary.UNKNOWN, Ternary.NO): ("NotIsomorphic", "Unknown"),
     (Ternary.UNKNOWN, Ternary.UNKNOWN): ("Unknown",),
 }
@@ -71,7 +69,7 @@ def _non_pis_verdict(re_dict: dict, rf_dict: dict) -> Verdict:
     )
 
 
-def decide(e: MultiGraph, f: MultiGraph, *, torsion_order_cap: int = 10_000) -> Verdict:
+def decide(e: MultiGraph, f: MultiGraph) -> Verdict:
     """Classify the two graphs' algebras up to Morita equivalence and
     isomorphism.
 
@@ -101,9 +99,7 @@ def decide(e: MultiGraph, f: MultiGraph, *, torsion_order_cap: int = 10_000) -> 
             witness=witness,
         )
 
-    pointed = pointed_equivalent(
-        te.pointed, tf.pointed, torsion_order_cap=torsion_order_cap
-    )
+    pointed = pointed_equivalent(te.pointed, tf.pointed)
 
     if te.determinant == tf.determinant:
         if pointed is Ternary.YES:
@@ -118,26 +114,14 @@ def decide(e: MultiGraph, f: MultiGraph, *, torsion_order_cap: int = 10_000) -> 
                 ),
                 witness=witness,
             )
-        if pointed is Ternary.NO:
-            return Verdict(
-                morita=Ternary.YES,
-                isomorphic=Ternary.NO,
-                reason_tag=TAG_UNIT_MISMATCH,
-                reason=(
-                    "group and determinant match, but no automorphism of "
-                    f"{te.group} carries unit class {list(te.unit_class)} "
-                    f"to {list(tf.unit_class)}"
-                ),
-                witness=witness,
-            )
         return Verdict(
             morita=Ternary.YES,
-            isomorphic=Ternary.UNKNOWN,
-            reason_tag=TAG_RESOURCE_CAP,
+            isomorphic=Ternary.NO,
+            reason_tag=TAG_UNIT_MISMATCH,
             reason=(
-                "group and determinant match, but the unit-class orbit "
-                "comparison exceeded the torsion resource cap "
-                f"({torsion_order_cap})"
+                "group and determinant match, but no automorphism of "
+                f"{te.group} carries unit class {list(te.unit_class)} "
+                f"to {list(tf.unit_class)}"
             ),
             witness=witness,
         )
@@ -168,7 +152,7 @@ def decide(e: MultiGraph, f: MultiGraph, *, torsion_order_cap: int = 10_000) -> 
     )
 
 
-def decide_transpose(g: MultiGraph, *, torsion_order_cap: int = 10_000) -> Verdict:
+def decide_transpose(g: MultiGraph) -> Verdict:
     """Compare a graph's algebra with its transpose's.
 
     The verdict is ``decide(g, transpose(g))``, reason text included.  The
@@ -181,4 +165,4 @@ def decide_transpose(g: MultiGraph, *, torsion_order_cap: int = 10_000) -> Verdi
     decide the isomorphism question.
     """
     gt = MultiGraph(g.labels, matrix=zip(*g.incidence().entries))
-    return decide(g, gt, torsion_order_cap=torsion_order_cap)
+    return decide(g, gt)

@@ -8,7 +8,6 @@ reproducible bit for bit.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -16,7 +15,12 @@ from math import gcd
 
 
 class Ternary(Enum):
-    """Verdict of a decision procedure that may hit a resource bound."""
+    """Verdict of a decision procedure.
+
+    UNKNOWN marks a question the invariants leave open (the determinant-sign
+    gap, or inputs outside the purely infinite simple class), never a
+    resource bound.
+    """
 
     YES = "yes"
     NO = "no"
@@ -369,12 +373,6 @@ class AbelianGroup:
     def is_trivial(self) -> bool:
         return not self.torsion and self.free_rank == 0
 
-    def torsion_order(self) -> int:
-        order = 1
-        for d in self.torsion:
-            order *= d
-        return order
-
     def __str__(self) -> str:
         parts = [f"Z/{d}" for d in self.torsion]
         if self.free_rank == 1:
@@ -471,66 +469,6 @@ class PointedGroup:
         return self.point[len(self.group.torsion):]
 
 
-def _factorize(n: int) -> dict[int, int]:
-    out: dict[int, int] = {}
-    m = n
-    p = 2
-    while p * p <= m:
-        while m % p == 0:
-            out[p] = out.get(p, 0) + 1
-            m //= p
-        p += 1 if p == 2 else 2
-    if m > 1:
-        out[m] = out.get(m, 0) + 1
-    return out
-
-
-def _prime_layout(torsion: tuple[int, ...]) -> dict[int, list[tuple[int, int]]]:
-    """For each prime p: list of (index into torsion, exponent of p)."""
-    layout: dict[int, list[tuple[int, int]]] = {}
-    for i, d in enumerate(torsion):
-        for p, e in _factorize(d).items():
-            layout.setdefault(p, []).append((i, e))
-    return layout
-
-
-def _height_sequence(p: int, comps: list[tuple[int, int]]) -> tuple[int, ...]:
-    """Height sequence of an element of a finite abelian p-group.
-
-    ``comps`` lists (coordinate value, exponent) pairs for the summands
-    Z/p^e.  Returns the finite heights of x, px, p^2 x, ... until the element
-    dies; the zero element gives the empty sequence.
-    """
-    values = [(c % (p ** e), e) for c, e in comps]
-    seq = []
-    while any(c for c, _ in values):
-        h = None
-        for c, e in values:
-            if c:
-                val = 0
-                while c % p == 0:
-                    c //= p
-                    val += 1
-                if h is None or val < h:
-                    h = val
-        seq.append(h)
-        values = [((c * p) % (p ** e), e) for c, e in values]
-    return tuple(seq)
-
-
-def _orbit_signature(torsion, coords, layout) -> tuple:
-    """Automorphism-orbit invariant of a torsion element.
-
-    Two elements of a finite abelian group lie in the same automorphism orbit
-    exactly when their per-prime height sequences agree.
-    """
-    sig = []
-    for p in sorted(layout):
-        comps = [(coords[i], e) for i, e in layout[p]]
-        sig.append((p, _height_sequence(p, comps)))
-    return tuple(sig)
-
-
 def _content(vec) -> int:
     c = 0
     for x in vec:
@@ -538,52 +476,110 @@ def _content(vec) -> int:
     return c
 
 
-def pointed_equivalent(
-    p: PointedGroup, q: PointedGroup, *, torsion_order_cap: int = 10_000
-) -> Ternary:
-    """Whether some isomorphism of the underlying groups maps point to point.
+def _coprime_base(numbers) -> list[int]:
+    """Pairwise coprime integers >= 2 over which every given positive integer
+    is a product of powers.
 
-    Decides exactly for purely free groups (content of the marked vector),
-    purely torsion groups and mixed groups whose marked free part vanishes
-    (per-prime height sequences), and mixed groups with small torsion
-    (orbit scan).  Returns UNKNOWN only when the marked free part is nonzero
-    and the torsion subgroup order exceeds ``torsion_order_cap``.
+    Gcd factor refinement (Bach, Driscoll and Shallit 1993): a number that
+    shares a factor g with a base element b is replaced, with b, by g, b/g
+    and its own cofactor.  The product of all the numbers held drops by g at
+    each step, so the loop ends; no number is factored into primes.
     """
-    if not group_iso(p.group, q.group):
-        return Ternary.NO
-    if p.point == q.point:
-        return Ternary.YES
+    base: list[int] = []
+    todo = [n for n in set(numbers) if n > 1]
+    while todo:
+        n = todo.pop()
+        for i, b in enumerate(base):
+            g = gcd(n, b)
+            if g > 1:
+                del base[i]
+                todo.extend(m for m in (g, b // g, n // g) if m > 1)
+                break
+        else:
+            base.append(n)
+    return base
 
+
+def _valuation(b: int, n: int) -> int:
+    """The largest v with b**v dividing n, for b >= 2 and n != 0."""
+    v = 0
+    while n % b == 0:
+        n //= b
+        v += 1
+    return v
+
+
+def _heights(b: int, es: list[int], k: int, zs: list[int]) -> list[int]:
+    """min(g_z(t), k) for t = 0 .. max(es), in b-adic valuations: ``es`` are
+    the exponents E_i and ``zs`` the coordinates gcd(z_i, d_i)."""
+    vs = [_valuation(b, z) for z in zs]
+    return [
+        min([k] + [v for v, e in zip(vs, es) if e - v > t])
+        for t in range(max(es) + 1)
+    ]
+
+
+def pointed_equivalent(p: PointedGroup, q: PointedGroup) -> Ternary:
+    """Whether some automorphism of the underlying group maps point to point.
+
+    Exact for every finitely generated abelian group, and never UNKNOWN.
+    Write the group as Z^f + T with T = Z/d_1 + ... + Z/d_r, the point of
+    ``p`` as (u, x) and that of ``q`` as (u', y), x and y in T.
+
+    *Mixed case.*  T is characteristic, so every automorphism is
+    block-triangular, (u, x) -> (A u, h(u) + s(x)) with A in GL_f(Z),
+    h in Hom(Z^f, T) and s in Aut(T).  A u runs over the vectors of the same
+    content as u, and h(u) over cT, c = content(u), because u/c extends to a
+    basis.  So (u, x) ~ (u', y) exactly when content(u) = content(u') = c and
+    y lies in Aut(T) x + cT (c = 0 when f = 0).  Both sides split over the
+    primes p of |T|: Aut(T) is the product of the Aut(T_p), and
+    cT_p = p^k T_p with k = v_p(c).
+
+    *One finite p-group.*  Let e be the exponent of T_p, cap k at e (when
+    c = 0, p^e T_p = 0 = cT_p) and take N >= 2e + k + 1.  Then s(x) = y mod
+    p^k T_p for some s in Aut(T_p) exactly when (x, p^k) and (y, p^k) are
+    automorphic in T_p + Z/p^N.  If y = s(x) + p^k b, the map
+    [[s, b], [0, 1]] is an automorphism carrying one to the other.
+    Conversely the T_p -> T_p block of any automorphism is itself one,
+    because a map T_p -> Z/p^N -> T_p lands in p^(N-e) Z/p^N first and is
+    zero when N >= 2e; and the other block moves x only by p^k T_p.
+
+    *Kaplansky-Mackey.*  Elements of a finite abelian p-group are
+    automorphic exactly when their height sequences agree (Kaplansky,
+    Infinite Abelian Groups, 1954/69).  With E_i = v_p(d_i),
+    X_i = min(v_p(x_i), E_i) (E_i when x_i = 0) and
+    g_x(t) = min{X_i : E_i - X_i > t} (infinite when no i qualifies), the
+    height of p^t x in T_p is t + g_x(t), so that of p^t (x, p^k) is
+    t + min(g_x(t), k).  The rule: min(g_x(t), k) = min(g_y(t), k) for
+    every t from 0 to e; past e both sides read k.
+
+    *No primes.*  The rule runs on b-adic valuations for each b in a coprime
+    base, built by gcd refinement, of the d_i, gcd(x_i, d_i), gcd(y_i, d_i)
+    and gcd(c, d_r): these carry the capped X_i and min(k, e).  Each prime p
+    of |T| divides exactly one such b, and v_p = v_p(b) v_b on every number
+    the base covers; that scales E, X, k and g by v_p(b) and turns t into
+    floor(t / v_p(b)), which keeps the equality unchanged.
+
+    >>> g = AbelianGroup(torsion=(2, 4), free_rank=1)
+    >>> pointed_equivalent(PointedGroup(g, (0, 1, 2)), PointedGroup(g, (1, 1, 2)))
+    <Ternary.YES: 'yes'>
+    >>> pointed_equivalent(PointedGroup(g, (0, 2, 2)), PointedGroup(g, (0, 1, 2)))
+    <Ternary.NO: 'no'>
+    """
+    c = _content(p.free_part())
+    if not group_iso(p.group, q.group) or c != _content(q.free_part()):
+        return Ternary.NO
     torsion = p.group.torsion
-    tp, tq = p.torsion_part(), q.torsion_part()
-    fp, fq = p.free_part(), q.free_part()
+    xs = [gcd(x, d) for x, d in zip(p.torsion_part(), torsion)]
+    ys = [gcd(y, d) for y, d in zip(q.torsion_part(), torsion)]
+    ck = gcd(c, torsion[-1]) if torsion else 1
 
-    c = _content(fp)
-    if c != _content(fq):
-        return Ternary.NO
-    if not torsion:
-        # Z^f orbits under GL_f(Z) are classified by the content gcd.
-        return Ternary.YES
-
-    layout = _prime_layout(torsion)
-    if c == 0:
-        sig_p = _orbit_signature(torsion, tp, layout)
-        sig_q = _orbit_signature(torsion, tq, layout)
-        return Ternary.YES if sig_p == sig_q else Ternary.NO
-
-    # Mixed case with nonzero free content c: the orbit of (u, t) consists of
-    # all (u', t') with content(u') = c and t' congruent mod c*T to some
-    # automorphic image of t.  Scan the torsion subgroup for such an image.
-    if p.group.torsion_order() > torsion_order_cap:
-        return Ternary.UNKNOWN
-    target_sig = _orbit_signature(torsion, tp, layout)
-    moduli = [gcd(c, d) for d in torsion]
-    for cand in itertools.product(*(range(d) for d in torsion)):
-        if any((a - b) % m for a, b, m in zip(cand, tq, moduli)):
-            continue
-        if _orbit_signature(torsion, cand, layout) == target_sig:
-            return Ternary.YES
-    return Ternary.NO
+    for b in _coprime_base([*torsion, *xs, *ys, ck]):
+        es = [_valuation(b, d) for d in torsion]
+        k = _valuation(b, ck)
+        if _heights(b, es, k, xs) != _heights(b, es, k, ys):
+            return Ternary.NO
+    return Ternary.YES
 
 
 def lattice_contains(a: IntMatrix, vec) -> bool:

@@ -92,22 +92,17 @@ def equiv_det_pair(s: FranksTriple, t: FranksTriple) -> bool:
     return s.determinant == t.determinant and group_iso(s.group, t.group)
 
 
-def equiv_unitary_pair(
-    s: FranksTriple, t: FranksTriple, *, torsion_order_cap: int = 10_000
-) -> Ternary:
+def equiv_unitary_pair(s: FranksTriple, t: FranksTriple) -> Ternary:
     """Whether the (group, unit class) pairs match, ignoring determinants.
 
-    Returns UNKNOWN only when the pointed comparison had to give up under
-    the torsion resource cap.
+    Exact: the answer is YES or NO, never UNKNOWN.
     """
-    return pointed_equivalent(s.pointed, t.pointed, torsion_order_cap=torsion_order_cap)
+    return pointed_equivalent(s.pointed, t.pointed)
 
 
-def equiv_triple(
-    s: FranksTriple, t: FranksTriple, *, torsion_order_cap: int = 10_000
-) -> Ternary:
+def equiv_triple(s: FranksTriple, t: FranksTriple) -> Ternary:
     """Whether group, unit class and determinant all match: the isomorphism
     test."""
     if s.determinant != t.determinant:
         return Ternary.NO
-    return equiv_unitary_pair(s, t, torsion_order_cap=torsion_order_cap)
+    return equiv_unitary_pair(s, t)

@@ -213,6 +213,20 @@ def _pointed_trivial(rng) -> None:
     _expect(got is Ternary.YES, f"expected YES, got {got.value}")
 
 
+@_check("pointed-large-torsion")
+def _pointed_large_torsion(rng) -> None:
+    # Z/(M61 M89) for the Mersenne primes M61 = 2^61 - 1 and M89 = 2^89 - 1,
+    # far past trial division: a unit multiple of M61 is in its orbit, M89
+    # (a different valuation at each prime) is not.
+    m61, m89 = 2**61 - 1, 2**89 - 1
+    group = AbelianGroup(torsion=(m61 * m89,))
+    x = PointedGroup(group, (m61,))
+    got = pointed_equivalent(x, PointedGroup(group, (m61 * (m89 - 2),)))
+    _expect(got is Ternary.YES, f"unit multiple: expected YES, got {got.value}")
+    got = pointed_equivalent(x, PointedGroup(group, (m89,)))
+    _expect(got is Ternary.NO, f"other valuation: expected NO, got {got.value}")
+
+
 @_check("eliminate-source-fed-cycle")
 def _eliminate_source_fed_cycle(rng) -> None:
     got = eliminate_source(source_example(), "v")

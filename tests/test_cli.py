@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -121,6 +122,18 @@ def test_huge_multiplicity_answers_within_budget(tmp_path, text):
     mirror = _run_capped(["classify", "--transpose", path, "--json"], 2.0, 1 << 30)
     assert mirror.returncode == 0, mirror.stderr
     assert json.loads(mirror.stdout)["verdict"]["reason_tag"] == "franks-triple-match"
+
+
+@pytest.mark.skipif(resource is None, reason="needs POSIX resource limits")
+def test_large_torsion_classify_answers_within_budget():
+    # A 40-vertex graph whose torsion has a 27-digit invariant factor: the
+    # unit-class orbit test must not factor it.
+    path = str(Path(__file__).parent / "data" / "large_torsion_n40.graph")
+    done = _run_capped(["classify", "--transpose", path, "--json"], 2.0, 1 << 30)
+    assert done.returncode == 0, done.stderr
+    verdict = json.loads(done.stdout)["verdict"]
+    assert verdict["morita"] == "yes"
+    assert verdict["isomorphic"] != "unknown"
 
 
 # ---------------------------------------------------------------------------

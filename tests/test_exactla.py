@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import itertools
 import random
+import subprocess
+import sys
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 import pytest
 
@@ -510,12 +512,120 @@ def test_pointed_mixed_free_and_torsion():
     assert pointed_equivalent(PointedGroup(mixed, (0, 2)), PointedGroup(mixed, (1, 2))) is Ternary.NO
 
 
-def test_pointed_resource_cap_yields_unknown():
-    big = AbelianGroup(torsion=(2, 2), free_rank=1)
-    p = PointedGroup(big, (1, 0, 1))
-    q = PointedGroup(big, (0, 1, 1))
-    assert pointed_equivalent(p, q, torsion_order_cap=3) is Ternary.UNKNOWN
-    assert pointed_equivalent(p, q) is Ternary.YES
+def _chains(max_order: int) -> list[tuple[int, ...]]:
+    """Every nontrivial invariant-factor chain d_1 | d_2 | ... (each d_i >= 2)
+    whose product is at most ``max_order``."""
+    out = []
+
+    def extend(chain, order):
+        step = chain[-1] if chain else 1
+        for d in range(max(2, step), max_order // order + 1, step):
+            out.append(chain + (d,))
+            extend(chain + (d,), order * d)
+
+    extend((), 1)
+    return out
+
+
+def _automorphisms(torsion: tuple[int, ...]) -> list[list[tuple[int, ...]]]:
+    """Every automorphism of T = Z/d_1 + ... + Z/d_r, by exhaustive search.
+
+    Generator j goes to an element whose order divides d_j, and the map must
+    stay injective on the span of the generators placed so far; on all of T,
+    injective means bijective.  An automorphism is given as the list of the
+    images of the elements of T, in ``itertools.product`` order.
+    """
+    elements = list(itertools.product(*(range(d) for d in torsion)))
+    # Partial maps: the images of the span of the generators placed so far.
+    spans = [[tuple(0 for _ in torsion)]]
+    for d in torsion:
+        targets = [t for t in elements if not any(d * x % m for x, m in zip(t, torsion))]
+        grown = []
+        for span in spans:
+            for t in targets:
+                images = [
+                    tuple((x + n * y) % m for x, y, m in zip(s, t, torsion))
+                    for s in span
+                    for n in range(d)
+                ]
+                if len(set(images)) == len(images):
+                    grown.append(images)
+        spans = grown
+    return spans
+
+
+def test_pointed_matches_automorphism_oracle():
+    """Exhaustive over every chain of order <= 16 and free content c in 0..8:
+    (x, u) ~ (y, u') in T + Z with content(u) = content(u') = c exactly when
+    y lies in Aut(T) x + cT, by the block-triangular form of Aut(T + Z)."""
+    # The oracle itself: |Aut(Z/n)| = phi(n), |Aut((Z/2)^3)| = |GL_3(F_2)|.
+    assert len(_automorphisms((12,))) == 4
+    assert len(_automorphisms((2, 2, 2))) == 168
+    assert len(_automorphisms((2, 4))) == 8
+    assert 9 * sum(prod(t) ** 2 for t in _chains(16)) == 25_992  # (x, y, c) triples
+    for torsion in _chains(16):
+        elements = list(itertools.product(*(range(d) for d in torsion)))
+        auts = _automorphisms(torsion)
+        orbits = [{aut[i] for aut in auts} for i in range(len(elements))]
+        mixed = AbelianGroup(torsion=torsion, free_rank=1)
+        pure = AbelianGroup(torsion=torsion)
+        for c in range(9):
+            ct = {tuple(c * x % m for x, m in zip(t, torsion)) for t in elements}
+            for x, orbit in zip(elements, orbits):
+                reach = {
+                    tuple((a + b) % m for a, b, m in zip(s, h, torsion))
+                    for s in orbit
+                    for h in ct
+                }
+                for y in elements:
+                    want = Ternary.YES if y in reach else Ternary.NO
+                    got = pointed_equivalent(
+                        PointedGroup(mixed, x + (c,)), PointedGroup(mixed, y + (c,))
+                    )
+                    assert got is want, (torsion, c, x, y)
+                    if c == 0:
+                        got = pointed_equivalent(PointedGroup(pure, x), PointedGroup(pure, y))
+                        assert got is want, (torsion, x, y)
+
+
+# Answers that follow by construction, on groups built from the Mersenne
+# primes M61 = 2^61 - 1 and M89 = 2^89 - 1, far past trial division.
+_LARGE_TORSION_CASES = """
+from flowinv.exactla import AbelianGroup, PointedGroup, pointed_equivalent
+M61, M89 = 2**61 - 1, 2**89 - 1
+d = M61 * M89
+pure = AbelianGroup(torsion=(d,))
+mixed = AbelianGroup(torsion=(d,), free_rank=1)
+cases = [
+    # unit multiples: 2 is a unit mod the odd d
+    ((pure, (1,)), (pure, (2,))),
+    ((pure, (M61,)), (pure, (2 * M61,))),
+    # different valuations at both primes
+    ((pure, (M61,)), (pure, (M89,))),
+    # content M61: (t, u) -> (t + u, u) and (t, u) -> (2t, u)
+    ((mixed, (0, M61)), (mixed, (M61, M61))),
+    ((mixed, (1, M61)), (mixed, (M61 + 1, M61))),
+    ((mixed, (1, M61)), (mixed, (2, M61))),
+    # x lies in cT, so its orbit is cT, which y is not in
+    ((mixed, (M61, M61)), (mixed, (M89, M61))),
+    ((mixed, (0, M89)), (mixed, (M61, M89))),
+]
+for (g, x), (h, y) in cases:
+    print(pointed_equivalent(PointedGroup(g, x), PointedGroup(h, y)).value)
+"""
+
+
+def test_pointed_large_torsion_answers_without_factoring():
+    # Run in a child process, so that a factoring regression times out
+    # instead of hanging the suite.
+    done = subprocess.run(
+        [sys.executable, "-c", _LARGE_TORSION_CASES],
+        capture_output=True,
+        text=True,
+        timeout=10,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["yes", "yes", "no", "yes", "yes", "yes", "no", "no"]
 
 
 def test_pointed_reflexive_and_symmetric():
