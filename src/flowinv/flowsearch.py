@@ -5,13 +5,15 @@ single-vertex in-/out-splittings and single-block in-/out-amalgamations
 (plus source elimination, which never fires on the essential graphs the
 search admits).  Every one of these moves has its inverse in the catalogue,
 so the relation is symmetric and a meet-in-the-middle frontier search from
-both endpoints is sound: the backward half of a discovered path is replayed
-forward by re-enumerating neighbors and matching canonical keys.
+both endpoints is sound.  The forward half of a discovered path is the
+steps the search recorded as it went; only the backward half is replayed
+forward, by re-enumerating neighbors and matching canonical keys.
 
 Graphs are identified up to isomorphism via canonical keys, so a found
 sequence ends at a graph isomorphic to the goal.  The search is bounded
-(depth, vertex count, entry size, partitions per vertex) and reports which
-bound was the reason when nothing is found.
+(depth, vertex count, entry size, partitions per vertex); splittings into
+more classes than the vertex bound allows are never generated.  When
+nothing is found it reports the work done and the cuts the bounds made.
 """
 
 from __future__ import annotations
@@ -42,7 +44,14 @@ DEFAULT_PARTITION_CAP = 512
 
 @dataclass
 class SearchStats:
-    """Counters describing how much work a search did and what it skipped."""
+    """Counters describing how much work a search did and what it skipped.
+
+    ``expanded`` counts the graphs whose neighbors were enumerated.
+    ``pruned`` counts neighbors cut by the vertex cap (expansions) or the
+    entry cap; splittings into more classes than the vertex cap allows are
+    never generated, so they are not counted.  ``partition_capped`` counts
+    vertices whose splittings were cut off at the partition cap.
+    """
 
     expanded: int = 0
     pruned: int = 0
@@ -61,7 +70,9 @@ class NotFoundWithinBounds(Exception):
 
     ``invariant-mismatch`` means the Bowen-Franks pair already separates the
     graphs, so no sequence exists at any depth; ``bounds-exhausted`` means
-    the bounded search space was used up without meeting.
+    the bounded search space was used up without meeting.  ``stats`` holds
+    the :class:`SearchStats` of the search; its ``pruned`` counts only
+    vertex-cap and entry-cap cuts.
     """
 
     def __init__(self, reason: str, stats: SearchStats):
@@ -123,35 +134,52 @@ def verify_sequence(seq: MoveSequence) -> bool:
 # Neighbor enumeration.
 
 
-def _vector_partitions(total):
-    """Multisets of nonzero vectors summing to ``total``.
+def _vector_partitions(total, max_parts):
+    """Multisets of at most ``max_parts`` (>= 1) nonzero vectors summing to
+    ``total``.
 
     Parts are emitted in lexicographically non-increasing order, so each
     multiset appears exactly once; used to enumerate edge partitions up to
-    the interchange of parallel edges.
+    the interchange of parallel edges.  Only what fits is built: each part
+    is drawn, in descending order, from the vectors within what remains and
+    not above the previous part, and it must cover the first nonzero
+    coordinate of what remains, since no later part, being no larger, could.
+    The last allowed part is all that remains.
     """
 
     def candidates(remaining, bound):
-        ranges = [range(r + 1) for r in remaining]
-        out = [x for x in itertools.product(*ranges) if any(x) and x <= bound]
-        out.sort(reverse=True)
-        return out
+        lead = next(i for i, r in enumerate(remaining) if r)
+        out = [((), True)]  # (prefix, prefix equals the bound's prefix)
+        for i, r in enumerate(remaining):
+            low = 1 if i == lead else 0
+            nxt = []
+            for x, tight in out:
+                top = bound[i] if tight and bound[i] < r else r
+                for c in range(top, low - 1, -1):
+                    nxt.append((x + (c,), tight and c == bound[i]))
+            out = nxt
+        return [x for x, _ in out]
 
-    def rec(remaining, bound):
+    def rec(remaining, bound, slots):
         if not any(remaining):
             yield []
             return
+        if slots == 1:
+            if remaining <= bound:
+                yield [remaining]
+            return
         for part in candidates(remaining, bound):
             rest = tuple(r - p for r, p in zip(remaining, part))
-            for tail in rec(rest, part):
+            for tail in rec(rest, part, slots - 1):
                 yield [part] + tail
 
     total = tuple(total)
-    yield from rec(total, total)
+    yield from rec(total, total, max_parts)
 
 
-def _split_partitions(g, v, mode, max_classes, partition_cap, stats):
-    """Partitions of v's in- or out-edges into >= 2 classes, as Partitions.
+def _split_partitions(g, v, mode, trivial, max_classes, partition_cap, stats):
+    """Partitions of v's in- or out-edges into 2..max_classes classes, as
+    Partitions; ``trivial`` holds every other vertex's single class.
 
     Bundles of parallel edges are treated as interchangeable, so each
     emitted partition represents a distinct result graph up to isomorphism.
@@ -165,16 +193,11 @@ def _split_partitions(g, v, mode, max_classes, partition_cap, stats):
         bundles.setdefault(other, []).append(e.id)
     order = sorted(bundles)
     counts = tuple(len(bundles[u]) for u in order)
-
-    trivial = Partition.trivial(g, mode).classes
     base = {u: whole for u, whole in trivial.items() if u != v}
 
     emitted = 0
-    for parts in _vector_partitions(counts):
+    for parts in _vector_partitions(counts, max_classes):
         if len(parts) < 2:
-            continue
-        if len(parts) > max_classes:
-            stats.pruned += 1
             continue
         if partition_cap is not None and emitted >= partition_cap:
             stats.partition_capped += 1
@@ -241,12 +264,13 @@ def _neighbors(g, *, max_vertices, entry_cap, partition_cap, stats):
                 contract(g, v, vs),
             )
 
+    max_classes = max_vertices - g.n + 1
     for mode, name, split in (("in", "in-split", in_split), ("out", "out-split", out_split)):
+        if max_classes < 2:
+            continue
+        trivial = Partition.trivial(g, mode).classes
         for v in range(g.n):
-            max_classes = max_vertices - g.n + 1
-            if max_classes < 2:
-                continue
-            for p in _split_partitions(g, v, mode, max_classes, partition_cap, stats):
+            for p in _split_partitions(g, v, mode, trivial, max_classes, partition_cap, stats):
                 h = split(g, p).graph
                 if _max_entry(h) > entry_cap:
                     stats.pruned += 1
@@ -324,9 +348,11 @@ def find_sequence(
     if key_src == key_dst:
         return MoveSequence(start=src, steps=())
 
-    # visited maps canonical key -> (graph, parent key); roots have parent None.
-    visited_f = {key_src: (src, None)}
-    visited_b = {key_dst: (dst, None)}
+    # visited maps canonical key -> (graph, parent key, step); roots have
+    # parent None.  A forward entry's step is the move that reached it from
+    # its parent: the first neighbor, in enumeration order, with that key.
+    visited_f = {key_src: (src, None, None)}
+    visited_b = {key_dst: (dst, None, None)}
     frontier_f = [key_src]
     frontier_b = [key_dst]
     dist_f = dist_b = 0
@@ -334,8 +360,8 @@ def find_sequence(
     def chain(visited, key):
         out = []
         while key is not None:
-            graph, key = visited[key]
-            out.append(graph)
+            out.append(visited[key])
+            key = out[-1][1]
         return out
 
     while dist_f + dist_b < max_depth and frontier_f and frontier_b:
@@ -347,7 +373,7 @@ def find_sequence(
         for key in frontier:
             graph = visited[key][0]
             stats.expanded += 1
-            for _kind, _args, h in _neighbors(
+            for kind, args, h in _neighbors(
                 graph,
                 max_vertices=max_vertices,
                 entry_cap=entry_cap,
@@ -357,13 +383,15 @@ def find_sequence(
                 hkey = canonical_key(h)
                 if hkey in visited:
                     continue
-                visited[hkey] = (h, key)
+                step = MoveStep(kind=kind, args=args, graph=h) if forward else None
+                visited[hkey] = (h, key, step)
                 if hkey in other:
-                    toward_src = chain(visited_f, hkey)
-                    toward_dst = chain(visited_b, hkey)
-                    graphs = toward_src[::-1] + toward_dst[1:]
+                    toward_src = chain(visited_f, hkey)[:-1]  # the root has no step
+                    toward_dst = chain(visited_b, hkey)[1:]
                     return _replay(
-                        graphs,
+                        src,
+                        [step for _, _, step in reversed(toward_src)],
+                        [graph for graph, _, _ in toward_dst],
                         max_vertices=max_vertices,
                         entry_cap=entry_cap,
                         partition_cap=partition_cap,
@@ -379,21 +407,31 @@ def find_sequence(
     raise NotFoundWithinBounds("bounds-exhausted", stats)
 
 
-def _replay(graphs, *, max_vertices, entry_cap, partition_cap) -> MoveSequence:
-    """Turn a chain of graphs into concrete steps by re-finding each move.
+def _replay(start, forward, backward, *, max_vertices, entry_cap, partition_cap) -> MoveSequence:
+    """Join the recorded forward steps and the backward half of a path.
 
-    Forward-half links were discovered by capped enumeration, so they are
-    found again; backward-half links are inverses of discovered moves, which
-    always exist in the catalogue but may sit past the partition cap, hence
-    the uncapped second pass.
+    ``forward`` holds the steps that carried ``start`` to the meeting graph,
+    as the search recorded them.  ``backward`` lists the graphs from the
+    meeting graph's backward parent to the goal; each link was discovered as
+    the inverse of a move, so it is found again by enumerating neighbors and
+    matching canonical keys.  The inverse always exists in the catalogue but
+    may sit past the partition cap, hence the uncapped second pass.  Every
+    step, forward and backward, is checked not to drift the invariants.
     """
-    b0 = bowen_franks_matrix(graphs[0])
+    b0 = bowen_franks_matrix(start)
     group0, _ = cokernel(b0)
     det0 = det(b0)
 
-    steps = []
-    cur = graphs[0]
-    for nxt in graphs[1:]:
+    def checked(step):
+        bh = bowen_franks_matrix(step.graph)
+        gh, _ = cokernel(bh)
+        if det(bh) != det0 or not group_iso(gh, group0):
+            raise RuntimeError("internal error: a step drifted the invariants")
+        return step
+
+    steps = [checked(step) for step in forward]
+    cur = steps[-1].graph if steps else start
+    for nxt in backward:
         want = canonical_key(nxt)
         found = None
         for cap in (partition_cap, None):
@@ -405,17 +443,12 @@ def _replay(graphs, *, max_vertices, entry_cap, partition_cap) -> MoveSequence:
                 stats=SearchStats(),
             ):
                 if canonical_key(h) == want:
-                    found = (kind, args, h)
+                    found = MoveStep(kind=kind, args=args, graph=h)
                     break
             if found:
                 break
         if not found:
             raise RuntimeError("internal error: discovered step could not be replayed")
-        kind, args, h = found
-        bh = bowen_franks_matrix(h)
-        gh, _ = cokernel(bh)
-        if det(bh) != det0 or not group_iso(gh, group0):
-            raise RuntimeError("internal error: replayed step drifted the invariants")
-        steps.append(MoveStep(kind=kind, args=args, graph=h))
-        cur = h
-    return MoveSequence(start=graphs[0], steps=tuple(steps))
+        steps.append(checked(found))
+        cur = found.graph
+    return MoveSequence(start=start, steps=tuple(steps))

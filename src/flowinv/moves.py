@@ -321,6 +321,18 @@ def _amalgamate_rows(g: MultiGraph, blocks, m, side: str) -> MultiGraph:
     The kernel of both amalgamations: an out-amalgamation is this
     in-amalgamation of the transposed matrix, read back transposed; ``side``
     only words the errors.  Returns the quotient in m's orientation.
+
+    The two checks make the move exact, so the quotient needs no re-split to
+    certify it.  Write first(b) for the first vertex of block b; the quotient
+    has Q[bi][bj] = sum over u in bj of m[first(bi)][u].  The recovered
+    in-partition puts, at block bj, one class per member u, holding the
+    m[first(bi)][u] edges from each bi.  When bj has two or more members,
+    every member's column is nonzero, so every class is nonempty and bj
+    splits into exactly |bj| copies, one per member; a one-member block
+    stays one vertex either way.  Re-splitting Q by this partition sends,
+    from the copy of each member w of bi, the m[first(bi)][u] edges of class
+    u to the copy of u, and m[first(bi)][u] = m[w][u] because the rows of a
+    block are equal.  So the re-split is m with its vertices in block order.
     """
     rows_word, edges_word = _SIDES[side]
     norm = _normalize_blocks(g, blocks)
@@ -351,30 +363,6 @@ def _amalgamate_rows(g: MultiGraph, blocks, m, side: str) -> MultiGraph:
         qlabels.append(_fresh_label(qlabels, base))
     quotient = MultiGraph.from_matrix(qmat, labels=qlabels)
 
-    bundle_ids: dict[tuple[int, int], list[str]] = {}
-    for e in quotient.edges:
-        bundle_ids.setdefault((e.source, e.target), []).append(e.id)
-
-    classes: dict[int, list[list[str]]] = {}
-    for bj, block in enumerate(norm):
-        if quotient.in_degree(bj) == 0:
-            continue
-        cls: list[list[str]] = [[] for _ in block]
-        cursor = {bi: 0 for bi in range(k)}
-        for pos, u in enumerate(block):
-            for bi in range(k):
-                count = m[norm[bi][0]][u]
-                if count:
-                    ids = bundle_ids[(bi, bj)]
-                    start = cursor[bi]
-                    cls[pos].extend(ids[start : start + count])
-                    cursor[bi] += count
-        classes[bj] = cls
-
-    order = [v for block in norm for v in block]
-    resplit = in_split(quotient, Partition(classes)).graph.incidence().entries
-    if resplit != tuple(tuple(m[a][b] for b in order) for a in order):
-        raise MoveError(f"grouping is not realizable as an {side}-splitting")
     return quotient
 
 
@@ -382,8 +370,10 @@ def in_amalgamate(g: MultiGraph, blocks) -> MultiGraph:
     """Merge the vertices of each block, undoing an in-splitting.
 
     Each block must consist of vertices with identical outgoing rows (the
-    footprint an in-splitting leaves behind); the recovered partition is
-    re-split and compared against ``g`` to certify the move.
+    footprint an in-splitting leaves behind), and in a block of two or more
+    every vertex must have an incoming edge.  Then re-splitting the quotient
+    by the recovered partition gives back ``g`` exactly, with its vertices
+    in block order.
     """
     return _amalgamate_rows(g, blocks, g.incidence().entries, "in")
 
@@ -392,8 +382,8 @@ def out_amalgamate(g: MultiGraph, blocks) -> MultiGraph:
     """Merge the vertices of each block, undoing an out-splitting.
 
     The transpose-conjugate of :func:`in_amalgamate`: blocks must have
-    identical incoming columns, and the recovered out-partition is re-split
-    to certify.
+    identical incoming columns, and in a block of two or more every vertex
+    must have an outgoing edge.
     """
     quotient = _amalgamate_rows(g, blocks, tuple(zip(*g.incidence().entries)), "out")
     return MultiGraph(quotient.labels, matrix=zip(*quotient.incidence().entries))

@@ -2,15 +2,24 @@
 
 from __future__ import annotations
 
+import hashlib
+import itertools
+import json
+import os
 import random
 
 import pytest
 
+from flowinv.cli import format_move_step, main
 from flowinv.flowsearch import (
+    DEFAULT_PARTITION_CAP,
     MoveSequence,
     MoveStep,
     NotFoundWithinBounds,
     SearchStats,
+    _max_entry,
+    _neighbors,
+    _vector_partitions,
     find_sequence,
     verify_sequence,
 )
@@ -35,8 +44,6 @@ def _rand_pis_graph(rng: random.Random, max_n: int = 3) -> MultiGraph:
 
 
 def _scramble(rng: random.Random, g: MultiGraph, moves: int) -> MultiGraph:
-    from flowinv.flowsearch import _neighbors
-
     cur = g
     for _ in range(moves):
         nbrs = list(
@@ -193,3 +200,157 @@ def test_move_sequence_end_property():
     )
     assert one.end == h and len(one) == 1
     assert verify_sequence(one)
+
+
+# ---------------------------------------------------------------------------
+# Equivalence with the search that built every partition and replayed every
+# step, pinned in a file and checked against oracles kept here.
+
+
+def _all_vector_partitions(total):
+    """Every multiset partition of ``total``, in the bounded generator's
+    order: the enumeration the search once filtered by the number of parts."""
+
+    def candidates(remaining, bound):
+        ranges = [range(r + 1) for r in remaining]
+        out = [x for x in itertools.product(*ranges) if any(x) and x <= bound]
+        out.sort(reverse=True)
+        return out
+
+    def rec(remaining, bound):
+        if not any(remaining):
+            yield []
+            return
+        for part in candidates(remaining, bound):
+            rest = tuple(r - p for r, p in zip(remaining, part))
+            for tail in rec(rest, part):
+                yield [part] + tail
+
+    total = tuple(total)
+    yield from rec(total, total)
+
+
+def test_bounded_partitions_match_generate_then_filter():
+    for k in range(4):
+        for total in itertools.product(range(5), repeat=k):
+            every = list(_all_vector_partitions(total))
+            for max_parts in range(1, 7):
+                want = [parts for parts in every if len(parts) <= max_parts]
+                assert list(_vector_partitions(total, max_parts)) == want, (total, max_parts)
+
+
+def _replay_by_enumeration(seq, *, max_vertices, entry_cap, partition_cap):
+    """Re-find every step of ``seq`` as the first neighbor, in enumeration
+    order, with the next graph's key: capped first, then uncapped."""
+    steps = []
+    cur = seq.start
+    for step in seq.steps:
+        want = canonical_key(step.graph)
+        found = None
+        for cap in (partition_cap, None):
+            found = next(
+                (
+                    MoveStep(kind=kind, args=args, graph=h)
+                    for kind, args, h in _neighbors(
+                        cur,
+                        max_vertices=max_vertices,
+                        entry_cap=entry_cap,
+                        partition_cap=cap,
+                        stats=SearchStats(),
+                    )
+                    if canonical_key(h) == want
+                ),
+                None,
+            )
+            if found:
+                break
+        assert found is not None
+        steps.append(found)
+        cur = found.graph
+    return steps
+
+
+def _script(seq) -> list[str]:
+    lines, prev = [], seq.start
+    for step in seq.steps:
+        lines.extend(format_move_step(prev, step))
+        prev = step.graph
+    return lines
+
+
+def _digest(lines) -> str:
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def _search_golden() -> dict:
+    path = os.path.join(os.path.dirname(__file__), "data", "search_golden.json")
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def test_found_scripts_match_golden_file():
+    # Criterion 9's 25 scrambles, drawn the same way: the goals pin the
+    # neighbor order, the script digests pin every found step.  Each step
+    # must also be what enumerating all neighbors again would pick.
+    golden = _search_golden()["scrambles"]
+    assert len(golden) == 25
+    rng = random.Random(1009)
+    for case in golden:
+        base = _rand_pis_graph(rng)
+        goal = base
+        for _ in range(3):
+            nbrs = list(
+                _neighbors(
+                    goal,
+                    max_vertices=6,
+                    entry_cap=9,
+                    partition_cap=64,
+                    stats=SearchStats(),
+                )
+            )
+            _, _, goal = rng.choice(nbrs)
+        assert base.incidence().to_lists() == case["start"]
+        assert goal.incidence().to_lists() == case["goal"]
+
+        seq = find_sequence(base, goal, max_depth=6)
+        assert len(seq) == case["moves"]
+        assert _digest(_script(seq)) == case["script_sha256"]
+        entry_cap = max(9, _max_entry(base), _max_entry(goal))
+        replayed = _replay_by_enumeration(
+            seq, max_vertices=8, entry_cap=entry_cap, partition_cap=DEFAULT_PARTITION_CAP
+        )
+        assert [s.graph for s in replayed] == [s.graph for s in seq.steps]
+        assert _script(MoveSequence(start=base, steps=tuple(replayed))) == _script(seq)
+
+
+def _graph_file(path, rows) -> str:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"matrix {len(rows)}\n")
+        for row in rows:
+            fh.write(" ".join(map(str, row)) + "\n")
+    return str(path)
+
+
+def test_cli_search_scripts_match_golden_file(tmp_path, capsys):
+    for k, case in enumerate(_search_golden()["cli"]):
+        start = _graph_file(tmp_path / f"start{k}.graph", case["start"])
+        goal = _graph_file(tmp_path / f"goal{k}.graph", case["goal"])
+        assert main(["search", start, goal, "--json", *case["options"]]) == 0
+        got = json.loads(capsys.readouterr().out)
+        assert got["found"] and got["moves"] == case["moves"]
+        assert _digest(got["script"]) == case["script_sha256"], k
+
+
+def test_exhausted_searches_match_golden_file():
+    # Over-bound partitions are no longer generated, so ``pruned`` shrank;
+    # the graphs expanded and the cap hits must not move.
+    for case in _search_golden()["exhausted"]:
+        with pytest.raises(NotFoundWithinBounds) as exc:
+            find_sequence(
+                MultiGraph.from_matrix(case["start"]),
+                MultiGraph.from_matrix(case["goal"]),
+                **case["bounds"],
+            )
+        assert exc.value.reason == case["reason"]
+        assert exc.value.stats.expanded == case["expanded"]
+        assert exc.value.stats.partition_capped == case["partition_capped"]

@@ -655,6 +655,104 @@ def test_mirrored_moves_match_golden_file():
         assert got == case["expect"], f"case {k}: {case['move']}"
 
 
+def _resplit(g: MultiGraph, blocks, mode: str):
+    """Re-split the amalgamation of ``g`` by its recovered partition.
+
+    The certification the amalgamations once ran on every quotient, kept as
+    an oracle: returns the re-split matrix and g's matrix with its vertices
+    in block order, both in the orientation of an in-amalgamation (columns
+    for rows on the out side).
+    """
+    merge = in_amalgamate if mode == "in" else out_amalgamate
+    rows = g.incidence().entries
+    quotient = merge(g, blocks).incidence().entries
+    if mode == "out":
+        rows, quotient = tuple(zip(*rows)), tuple(zip(*quotient))
+    quotient = MultiGraph.from_matrix(quotient)
+    norm = [[g.vertex(v) for v in block] for block in blocks]
+    bundle_ids: dict[tuple[int, int], list[str]] = {}
+    for e in quotient.edges:
+        bundle_ids.setdefault((e.source, e.target), []).append(e.id)
+    classes = {}
+    for bj, block in enumerate(norm):
+        if quotient.in_degree(bj) == 0:
+            continue
+        cls = [[] for _ in block]
+        cursor = [0] * len(norm)
+        for pos, u in enumerate(block):
+            for bi in range(len(norm)):
+                count = rows[norm[bi][0]][u]
+                ids = bundle_ids.get((bi, bj), [])
+                cls[pos].extend(ids[cursor[bi] : cursor[bi] + count])
+                cursor[bi] += count
+        classes[bj] = cls
+    order = [v for block in norm for v in block]
+    resplit = in_split(quotient, Partition(classes)).graph.incidence().entries
+    return resplit, tuple(tuple(rows[a][b] for b in order) for a in order)
+
+
+def _equal_signature_groupings(rng: random.Random, g: MultiGraph, mode: str):
+    """A random grouping of g's vertices into blocks of equal rows (in) or
+    equal columns (out)."""
+    rows = g.incidence().entries
+    if mode == "out":
+        rows = tuple(zip(*rows))
+    groups: dict[tuple, list[int]] = {}
+    for v in range(g.n):
+        groups.setdefault(tuple(rows[v]), []).append(v)
+    blocks = []
+    for members in groups.values():
+        members = list(members)
+        rng.shuffle(members)
+        while members:
+            take = rng.randint(1, len(members))
+            blocks.append(members[:take])
+            members = members[take:]
+    rng.shuffle(blocks)
+    return blocks
+
+
+def test_amalgamation_resplit_reproduces_the_graph():
+    # Once an amalgamation's block rows match and no member of a larger
+    # block is unfed, re-splitting the quotient by the recovered partition
+    # gives back g's matrix in block order; this is why the move needs no
+    # re-split of its own.  Checked on every golden amalgamation that
+    # succeeds and on random groupings of vertices with equal rows or
+    # columns, among them split graphs, where such vertices abound.
+    path = os.path.join(os.path.dirname(__file__), "data", "moves_golden.json")
+    with open(path, encoding="utf-8") as fh:
+        cases = [c for c in json.load(fh)["cases"] if c["move"].endswith("-amalgamate")]
+    assert len(cases) == 242
+    checked = 0
+    for case in cases:
+        if "error" in case["expect"]:
+            continue
+        g = _golden_graph(case["graph"])
+        resplit, want = _resplit(g, case["blocks"], case["move"].split("-", 1)[0])
+        assert resplit == want, case
+        checked += 1
+    assert checked > 100
+
+    rng = random.Random(4242)
+    merged = 0
+    for _ in range(300):
+        g = _rand_graph(rng, max_n=4, max_mult=2)
+        mode = rng.choice(("in", "out"))
+        if rng.random() < 0.7 and g.edges:
+            split = in_split if rng.random() < 0.5 else out_split
+            side = "in" if split is in_split else "out"
+            g = split(g, _rand_partition(rng, g, side)).graph
+        blocks = _equal_signature_groupings(rng, g, mode)
+        try:
+            resplit, want = _resplit(g, blocks, mode)
+        except MoveError as exc:
+            assert "partition class would be empty" in str(exc)
+            continue
+        assert resplit == want, (g.incidence().to_lists(), blocks, mode)
+        merged += any(len(block) > 1 for block in blocks)
+    assert merged > 100
+
+
 _SPLIT_100K = """
 import sys
 from flowinv.graph import MultiGraph
