@@ -397,6 +397,7 @@ def _cmd_search(ns) -> int:
                 "found": True,
                 "moves": len(sequence),
                 "script": lines,
+                "stats": sequence.stats.to_dict(),
             }
         )
         return 0

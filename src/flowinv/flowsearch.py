@@ -5,9 +5,15 @@ single-vertex in-/out-splittings and single-block in-/out-amalgamations
 (plus source elimination, which never fires on the essential graphs the
 search admits).  Every one of these moves has its inverse in the catalogue,
 so the relation is symmetric and a meet-in-the-middle frontier search from
-both endpoints is sound.  The forward half of a discovered path is the
-steps the search recorded as it went; only the backward half is replayed
-forward, by re-enumerating neighbors and matching canonical keys.
+both endpoints is sound.
+
+Neighbors are enumerated as incidence rows and keyed from their rows alone
+(:func:`flowinv.graph.canonical_rows_key`); each visited key keeps its
+parent and a recipe for the move that reached it.  A graph, with its edges,
+labels and script arguments, is built from its recipe by the move itself
+only when it is popped for expansion or lies on the forward half of a found
+path.  The backward half is replayed forward by re-enumerating the rows of
+each graph on it and building only the neighbor whose key matches.
 
 Graphs are identified up to isomorphism via canonical keys, so a found
 sequence ends at a graph isomorphic to the goal.  The search is bounded
@@ -22,7 +28,13 @@ import itertools
 from dataclasses import dataclass, field
 
 from flowinv.exactla import cokernel, det, group_iso
-from flowinv.graph import GraphError, MultiGraph, canonical_key, classify_graph
+from flowinv.graph import (
+    GraphError,
+    MultiGraph,
+    canonical_key,
+    canonical_rows_key,
+    classify_graph,
+)
 from flowinv.invariants import bowen_franks_matrix, equiv_det_pair, franks_triple
 from flowinv.moves import (
     MoveError,
@@ -47,21 +59,29 @@ class SearchStats:
     """Counters describing how much work a search did and what it skipped.
 
     ``expanded`` counts the graphs whose neighbors were enumerated.
-    ``pruned`` counts neighbors cut by the vertex cap (expansions) or the
-    entry cap; splittings into more classes than the vertex cap allows are
-    never generated, so they are not counted.  ``partition_capped`` counts
+    ``vertex_capped`` counts the neighbors the vertex cap cut (expansions)
+    and ``entry_capped`` those the entry cap cut; ``pruned`` is their sum.
+    Splittings into more classes than the vertex cap allows are never
+    generated, so they are not counted.  ``partition_capped`` counts
     vertices whose splittings were cut off at the partition cap.
     """
 
     expanded: int = 0
-    pruned: int = 0
+    vertex_capped: int = 0
+    entry_capped: int = 0
     partition_capped: int = 0
+
+    @property
+    def pruned(self) -> int:
+        return self.vertex_capped + self.entry_capped
 
     def to_dict(self) -> dict:
         return {
             "expanded": self.expanded,
             "pruned": self.pruned,
             "partition_capped": self.partition_capped,
+            "vertex_capped": self.vertex_capped,
+            "entry_capped": self.entry_capped,
         }
 
 
@@ -71,8 +91,7 @@ class NotFoundWithinBounds(Exception):
     ``invariant-mismatch`` means the Bowen-Franks pair already separates the
     graphs, so no sequence exists at any depth; ``bounds-exhausted`` means
     the bounded search space was used up without meeting.  ``stats`` holds
-    the :class:`SearchStats` of the search; its ``pruned`` counts only
-    vertex-cap and entry-cap cuts.
+    the :class:`SearchStats` of the search.
     """
 
     def __init__(self, reason: str, stats: SearchStats):
@@ -103,10 +122,12 @@ class MoveStep:
 
 @dataclass(frozen=True)
 class MoveSequence:
-    """A start graph and the chain of steps applied to it."""
+    """A start graph and the chain of steps applied to it; a found sequence
+    carries the :class:`SearchStats` of the search that found it."""
 
     start: MultiGraph
     steps: tuple[MoveStep, ...]
+    stats: SearchStats = field(default_factory=SearchStats, compare=False)
 
     @property
     def end(self) -> MultiGraph:
@@ -177,24 +198,22 @@ def _vector_partitions(total, max_parts):
     yield from rec(total, total, max_parts)
 
 
-def _split_partitions(g, v, mode, trivial, max_classes, partition_cap, stats):
-    """Partitions of v's in- or out-edges into 2..max_classes classes, as
-    Partitions; ``trivial`` holds every other vertex's single class.
+def _split_rows(m, v, max_classes, partition_cap, stats):
+    """In-splittings of vertex v of the incidence rows ``m`` into
+    2..max_classes classes, as (parts, rows) pairs.
 
-    Bundles of parallel edges are treated as interchangeable, so each
-    emitted partition represents a distinct result graph up to isomorphism.
+    The in-edges of v are bundled by source, and bundles of parallel edges
+    are interchangeable, so each vector partition of the bundle sizes (one
+    part per class, over the sorted sources of v) is one result up to
+    isomorphism.  Its rows are m with column v replaced by one column per
+    part and row v repeated once per part: every copy of v keeps v's
+    out-edges, and copy i receives part i.  This is the incidence of
+    :func:`in_split` by the matching partition, vertex order included.
     """
-    incident = g.in_edges(v) if mode == "in" else g.out_edges(v)
-    if len(incident) < 2:
+    order = [u for u, row in enumerate(m) if row[v]]
+    counts = tuple(m[u][v] for u in order)
+    if sum(counts) < 2:
         return
-    bundles: dict[int, list[str]] = {}
-    for e in incident:
-        other = e.source if mode == "in" else e.target
-        bundles.setdefault(other, []).append(e.id)
-    order = sorted(bundles)
-    counts = tuple(len(bundles[u]) for u in order)
-    base = {u: whole for u, whole in trivial.items() if u != v}
-
     emitted = 0
     for parts in _vector_partitions(counts, max_classes):
         if len(parts) < 2:
@@ -203,25 +222,23 @@ def _split_partitions(g, v, mode, trivial, max_classes, partition_cap, stats):
             stats.partition_capped += 1
             break
         emitted += 1
-        queues = {u: list(bundles[u]) for u in order}
-        classes = []
-        for part in parts:
-            cls = []
-            for u, take in zip(order, part):
-                if take:
-                    cls.extend(queues[u][:take])
-                    del queues[u][:take]
-            classes.append(cls)
-        yield Partition({**base, v: classes})
+        split_col = [(0,) * len(parts)] * len(m)
+        for i, u in enumerate(order):
+            split_col[u] = tuple(part[i] for part in parts)
+        rows = []
+        for u, row in enumerate(m):
+            new = row[:v] + split_col[u] + row[v + 1 :]
+            rows.extend([new] * (len(parts) if u == v else 1))
+        yield parts, tuple(rows)
 
 
-def _amalgam_blocks(g, mode):
-    """Single-block groupings of vertices with identical rows or columns."""
-    m = g.incidence().entries
+def _amalgam_blocks(m, mode):
+    """Single-block groupings of vertices with identical rows (``in``) or
+    columns (``out``) of the incidence rows ``m``."""
+    n = len(m)
     groups: dict[tuple, list[int]] = {}
-    for v in range(g.n):
-        sig = tuple(m[v]) if mode == "in" else tuple(m[w][v] for w in range(g.n))
-        groups.setdefault(sig, []).append(v)
+    for v, sig in enumerate(m if mode == "in" else zip(*m)):
+        groups.setdefault(tuple(sig), []).append(v)
     for members in groups.values():
         if len(members) < 2:
             continue
@@ -229,7 +246,7 @@ def _amalgam_blocks(g, mode):
             for subset in itertools.combinations(members, size):
                 chosen = set(subset)
                 blocks = []
-                for v in range(g.n):
+                for v in range(n):
                     if v == subset[0]:
                         blocks.append(list(subset))
                     elif v not in chosen:
@@ -241,56 +258,114 @@ def _max_entry(g) -> int:
     return max((max(row) for row in g.incidence().entries), default=0)
 
 
+def _drop(row, v):
+    return row[:v] + row[v + 1 :]
+
+
 def _neighbors(g, *, max_vertices, entry_cap, partition_cap, stats):
-    """All admissible one-move neighbors of g, in a fixed order."""
-    for v in range(g.n):
-        if g.in_degree(v) == 0 and g.n >= 2:
-            yield ("eliminate", {"vertex": g.label(v)}, eliminate_source(g, v))
+    """All admissible one-move neighbors of g, in a fixed order, as
+    (kind, rows, recipe) triples.
 
-    if g.n + 1 <= max_vertices:
-        for v in range(g.n):
-            yield ("expand", {"vertex": g.label(v)}, expand(g, v))
+    ``rows`` is the neighbor's incidence matrix, computed from g's rows
+    without building the graph: a splitting edits rows and columns (see
+    :func:`_split_rows`; an out-splitting is the in-splitting of the
+    transpose), expansion, contraction and elimination edit rows directly,
+    and an amalgamation is the move itself, whose quotient is a matrix-only
+    graph.  The entry cap is read from the rows.  ``recipe`` is what
+    :func:`_realize` needs to build the graph and the script arguments
+    through the move itself: the vertex (expand, eliminate), the vertex and
+    its star (contract), the vertex and the vector partition (splittings),
+    or the blocks (amalgamations).
+    """
+    m = g.incidence().entries
+    n = len(m)
+    cols = tuple(zip(*m))
+
+    if n >= 2:
+        for v in range(n):
+            if not any(cols[v]):
+                yield "eliminate", tuple(_drop(m[u], v) for u in range(n) if u != v), v
+
+    if n + 1 <= max_vertices:
+        for v in range(n):
+            rows = [row + (0,) for row in m]
+            rows[v] = (0,) * n + (1,)
+            rows.append(m[v] + (0,))
+            yield "expand", tuple(rows), v
     else:
-        stats.pruned += g.n
+        stats.vertex_capped += n
 
-    for v in range(g.n):
-        if g.out_degree(v) != 1:
+    for v in range(n):
+        if sum(m[v]) != 1:
             continue
-        vs = g.out_edges(v)[0].target
-        if vs != v and g.in_degree(vs) == 1:
-            yield (
-                "contract",
-                {"vertex": g.label(v), "star": g.label(vs)},
-                contract(g, v, vs),
-            )
+        vs = m[v].index(1)
+        if vs != v and sum(cols[vs]) == 1:
+            rows = tuple(_drop(m[vs] if u == v else m[u], vs) for u in range(n) if u != vs)
+            yield "contract", rows, (v, vs)
 
-    max_classes = max_vertices - g.n + 1
-    for mode, name, split in (("in", "in-split", in_split), ("out", "out-split", out_split)):
-        if max_classes < 2:
-            continue
-        trivial = Partition.trivial(g, mode).classes
-        for v in range(g.n):
-            for p in _split_partitions(g, v, mode, trivial, max_classes, partition_cap, stats):
-                h = split(g, p).graph
-                if _max_entry(h) > entry_cap:
-                    stats.pruned += 1
-                    continue
-                yield (name, {"partition": p}, h)
+    max_classes = max_vertices - n + 1
+    if max_classes >= 2:
+        for kind, oriented in (("in-split", m), ("out-split", cols)):
+            for v in range(n):
+                for parts, rows in _split_rows(oriented, v, max_classes, partition_cap, stats):
+                    if max(map(max, rows)) > entry_cap:
+                        stats.entry_capped += 1
+                        continue
+                    if kind == "out-split":
+                        rows = tuple(zip(*rows))
+                    yield kind, rows, (v, parts)
 
-    for mode, name, amalgamate in (
-        ("in", "in-amalgamate", in_amalgamate),
-        ("out", "out-amalgamate", out_amalgamate),
+    for kind, mode, amalgamate in (
+        ("in-amalgamate", "in", in_amalgamate),
+        ("out-amalgamate", "out", out_amalgamate),
     ):
-        for blocks in _amalgam_blocks(g, mode):
+        for blocks in _amalgam_blocks(m, mode):
             try:
-                h = amalgamate(g, blocks)
+                rows = amalgamate(g, blocks).incidence().entries
             except MoveError:
                 continue
-            if _max_entry(h) > entry_cap:
-                stats.pruned += 1
+            if max(map(max, rows)) > entry_cap:
+                stats.entry_capped += 1
                 continue
-            labeled = [[g.label(v) for v in block] for block in blocks]
-            yield (name, {"blocks": labeled}, h)
+            yield kind, rows, blocks
+
+
+def _realize(g, kind, recipe):
+    """Build the neighbor of g that :func:`_neighbors` described by ``kind``
+    and ``recipe``, through the move itself: returns (script args, graph).
+
+    A splitting's partition puts, in class i at its vertex, the first
+    part-i-many edges of each bundle in g's edge order; every other vertex
+    keeps its single class.
+    """
+    if kind == "expand":
+        return {"vertex": g.label(recipe)}, expand(g, recipe)
+    if kind == "eliminate":
+        return {"vertex": g.label(recipe)}, eliminate_source(g, recipe)
+    if kind == "contract":
+        v, vs = recipe
+        return {"vertex": g.label(v), "star": g.label(vs)}, contract(g, v, vs)
+    if kind in ("in-split", "out-split"):
+        v, parts = recipe
+        mode = "in" if kind == "in-split" else "out"
+        bundles: dict[int, list[str]] = {}
+        for e in g.in_edges(v) if mode == "in" else g.out_edges(v):
+            bundles.setdefault(e.source if mode == "in" else e.target, []).append(e.id)
+        queues = [bundles[u] for u in sorted(bundles)]
+        classes = []
+        for part in parts:
+            cls = []
+            for queue, take in zip(queues, part):
+                cls.extend(queue[:take])
+                del queue[:take]
+            classes.append(cls)
+        trivial = Partition.trivial(g, mode).classes
+        p = Partition({**{u: c for u, c in trivial.items() if u != v}, v: classes})
+        split = in_split if mode == "in" else out_split
+        return {"partition": p}, split(g, p).graph
+    amalgamate = in_amalgamate if kind == "in-amalgamate" else out_amalgamate
+    labeled = [[g.label(v) for v in block] for block in recipe]
+    return {"blocks": labeled}, amalgamate(g, recipe)
 
 
 # ---------------------------------------------------------------------------
@@ -346,56 +421,69 @@ def find_sequence(
     entry_cap = max(9, _max_entry(src), _max_entry(dst))
     key_src, key_dst = canonical_key(src), canonical_key(dst)
     if key_src == key_dst:
-        return MoveSequence(start=src, steps=())
+        return MoveSequence(start=src, steps=(), stats=stats)
 
-    # visited maps canonical key -> (graph, parent key, step); roots have
-    # parent None.  A forward entry's step is the move that reached it from
-    # its parent: the first neighbor, in enumeration order, with that key.
-    visited_f = {key_src: (src, None, None)}
-    visited_b = {key_dst: (dst, None, None)}
+    # visited maps canonical key -> (parent key, kind, recipe); roots have
+    # parent None.  An entry describes the first neighbor, in enumeration
+    # order, with that key.  built maps the keys realized so far to their
+    # (script args, graph): the roots, the graphs popped for expansion and
+    # the forward half of a found path.
+    visited_f = {key_src: (None, None, None)}
+    visited_b = {key_dst: (None, None, None)}
+    built_f = {key_src: (None, src)}
+    built_b = {key_dst: (None, dst)}
     frontier_f = [key_src]
     frontier_b = [key_dst]
     dist_f = dist_b = 0
 
+    def realize(visited, built, key):
+        if key not in built:
+            parent, kind, recipe = visited[key]
+            built[key] = _realize(realize(visited, built, parent)[1], kind, recipe)
+        return built[key]
+
     def chain(visited, key):
         out = []
         while key is not None:
-            out.append(visited[key])
-            key = out[-1][1]
+            out.append(key)
+            key = visited[key][0]
         return out
 
     while dist_f + dist_b < max_depth and frontier_f and frontier_b:
         forward = len(frontier_f) <= len(frontier_b)
         frontier = frontier_f if forward else frontier_b
-        visited = visited_f if forward else visited_b
+        visited, built = (visited_f, built_f) if forward else (visited_b, built_b)
         other = visited_b if forward else visited_f
         next_frontier = []
         for key in frontier:
-            graph = visited[key][0]
+            graph = realize(visited, built, key)[1]
             stats.expanded += 1
-            for kind, args, h in _neighbors(
+            for kind, rows, recipe in _neighbors(
                 graph,
                 max_vertices=max_vertices,
                 entry_cap=entry_cap,
                 partition_cap=partition_cap,
                 stats=stats,
             ):
-                hkey = canonical_key(h)
+                hkey = canonical_rows_key(rows)
                 if hkey in visited:
                     continue
-                step = MoveStep(kind=kind, args=args, graph=h) if forward else None
-                visited[hkey] = (h, key, step)
+                visited[hkey] = (key, kind, recipe)
                 if hkey in other:
                     toward_src = chain(visited_f, hkey)[:-1]  # the root has no step
-                    toward_dst = chain(visited_b, hkey)[1:]
-                    return _replay(
+                    forward_steps = [
+                        MoveStep(visited_f[k][1], *realize(visited_f, built_f, k))
+                        for k in reversed(toward_src)
+                    ]
+                    steps = _replay(
                         src,
-                        [step for _, _, step in reversed(toward_src)],
-                        [graph for graph, _, _ in toward_dst],
+                        forward_steps,
+                        chain(visited_b, hkey)[1:],
                         max_vertices=max_vertices,
                         entry_cap=entry_cap,
                         partition_cap=partition_cap,
                     )
+                    return MoveSequence(start=src, steps=steps, stats=stats)
                 next_frontier.append(hkey)
         if forward:
             frontier_f = next_frontier
@@ -407,16 +495,18 @@ def find_sequence(
     raise NotFoundWithinBounds("bounds-exhausted", stats)
 
 
-def _replay(start, forward, backward, *, max_vertices, entry_cap, partition_cap) -> MoveSequence:
-    """Join the recorded forward steps and the backward half of a path.
+def _replay(start, forward, backward, *, max_vertices, entry_cap, partition_cap):
+    """Join the recorded forward steps and the backward half of a path;
+    returns the steps.
 
     ``forward`` holds the steps that carried ``start`` to the meeting graph,
-    as the search recorded them.  ``backward`` lists the graphs from the
-    meeting graph's backward parent to the goal; each link was discovered as
-    the inverse of a move, so it is found again by enumerating neighbors and
-    matching canonical keys.  The inverse always exists in the catalogue but
-    may sit past the partition cap, hence the uncapped second pass.  Every
-    step, forward and backward, is checked not to drift the invariants.
+    realized from the search's recipes.  ``backward`` lists the canonical
+    keys from the meeting graph's backward parent to the goal; each link was
+    discovered as the inverse of a move, so it is found again by enumerating
+    the neighbors' rows and matching their keys, and only the match is
+    built.  The inverse always exists in the catalogue but may sit past the
+    partition cap, hence the uncapped second pass.  Every step, forward and
+    backward, is checked not to drift the invariants.
     """
     b0 = bowen_franks_matrix(start)
     group0, _ = cokernel(b0)
@@ -431,24 +521,29 @@ def _replay(start, forward, backward, *, max_vertices, entry_cap, partition_cap)
 
     steps = [checked(step) for step in forward]
     cur = steps[-1].graph if steps else start
-    for nxt in backward:
-        want = canonical_key(nxt)
+    for want in backward:
         found = None
         for cap in (partition_cap, None):
-            for kind, args, h in _neighbors(
-                cur,
-                max_vertices=max_vertices,
-                entry_cap=entry_cap,
-                partition_cap=cap,
-                stats=SearchStats(),
-            ):
-                if canonical_key(h) == want:
-                    found = MoveStep(kind=kind, args=args, graph=h)
-                    break
+            found = next(
+                (
+                    (kind, recipe)
+                    for kind, rows, recipe in _neighbors(
+                        cur,
+                        max_vertices=max_vertices,
+                        entry_cap=entry_cap,
+                        partition_cap=cap,
+                        stats=SearchStats(),
+                    )
+                    if canonical_rows_key(rows) == want
+                ),
+                None,
+            )
             if found:
                 break
         if not found:
             raise RuntimeError("internal error: discovered step could not be replayed")
-        steps.append(checked(found))
-        cur = found.graph
-    return MoveSequence(start=start, steps=tuple(steps))
+        kind, recipe = found
+        step = MoveStep(kind, *_realize(cur, kind, recipe))
+        steps.append(checked(step))
+        cur = step.graph
+    return tuple(steps)

@@ -423,85 +423,85 @@ def classify_graph(g: MultiGraph) -> GraphReport:
 _ISO_LIMIT = 8
 
 
-def _refinement_cells(g: MultiGraph) -> list[list[int]]:
-    """Partition vertices into isomorphism-invariant cells.
+def _refinement_cells(m) -> list[list[int]]:
+    """Partition the vertices of the square rows ``m`` into
+    isomorphism-invariant cells.
 
-    Iterated degree refinement: start from (loop count, sorted out-profile,
-    sorted in-profile) and re-color by the multiset of (neighbor color,
-    multiplicities) until stable.  Cell order is determined by the invariant
+    Colour refinement, the first step of McKay–Piperno's
+    individualization-refinement: start from (loop count, sorted pairs of
+    out- and in-multiplicities) and re-colour each vertex by its colour and
+    the sorted (neighbour colour, out-multiplicity, in-multiplicity) triples
+    of its row and column until the number of colours stops growing or every
+    cell is a singleton.  Each round reads every row and column once and
+    ranks the signatures through a dict.  Colours are the ranks of sorted
     signatures, so isomorphic graphs refine to matching cell sequences.
     """
-    n = g.n
-    m = g.incidence().entries
+    n = len(m)
+    cols = tuple(zip(*m))
 
     def rank(sigs):
-        order = sorted(set(sigs))
-        return [order.index(s) for s in sigs], len(order)
+        index = {s: i for i, s in enumerate(sorted(set(sigs)))}
+        return [index[s] for s in sigs], len(index)
 
-    sigs = [
-        (
-            m[v][v],
-            tuple(sorted(m[v][w] for w in range(n) if w != v)),
-            tuple(sorted(m[w][v] for w in range(n) if w != v)),
+    colors, count = rank(
+        [(m[v][v], tuple(sorted(zip(m[v], cols[v])))) for v in range(n)]
+    )
+    while count < n:
+        colors, new_count = rank(
+            [
+                (colors[v], tuple(sorted(zip(colors, m[v], cols[v]))))
+                for v in range(n)
+            ]
         )
-        for v in range(n)
-    ]
-    colors, count = rank(sigs)
-    while True:
-        sigs = [
-            (
-                colors[v],
-                tuple(
-                    sorted((colors[w], m[v][w], m[w][v]) for w in range(n) if w != v)
-                ),
-            )
-            for v in range(n)
-        ]
-        colors, new_count = rank(sigs)
         if new_count == count:
             break
         count = new_count
-    cells: dict[int, list[int]] = {}
-    for v in range(n):
-        cells.setdefault(colors[v], []).append(v)
-    return [cells[c] for c in sorted(cells)]
+    cells: list[list[int]] = [[] for _ in range(count)]
+    for v, c in enumerate(colors):
+        cells[c].append(v)
+    return cells
+
+
+def _canonical_order(m):
+    """The cell-respecting vertex order whose permuted rows are smallest,
+    and those rows."""
+    cells = _refinement_cells(m)
+    best = best_order = None
+    for parts in itertools.product(*(itertools.permutations(c) for c in cells)):
+        order = [v for part in parts for v in part]
+        rows = [tuple([m[i][j] for j in order]) for i in order]
+        if best is None or rows < best:
+            best, best_order = rows, order
+    return best_order, tuple(best)
+
+
+def canonical_rows_key(m):
+    """Canonical key of the graph with square incidence rows ``m``.
+
+    Among all vertex orders that respect the refinement cells, the one whose
+    permuted rows are smallest, compared row by row (which is row-major
+    order), is chosen; the key is those rows.  So two matrices get equal
+    keys exactly when a permutation carries one onto the other.
+    """
+    return _canonical_order(m)[1]
 
 
 def canonical_permutation(g: MultiGraph) -> tuple[int, ...]:
-    """A permutation sending g to its canonical representative.
-
-    Among all orderings that respect the refinement cells, the one whose
-    row-major incidence matrix is smallest is chosen; isomorphic graphs end
-    up with identical canonical matrices.
-    """
-    n = g.n
-    m = g.incidence().entries
-    cells = _refinement_cells(g)
-    best = None
-    best_order = None
-    for parts in itertools.product(*(itertools.permutations(c) for c in cells)):
-        order = [v for part in parts for v in part]
-        flat = tuple(m[i][j] for i in order for j in order)
-        if best is None or flat < best:
-            best = flat
-            best_order = order
-    perm = [0] * n
-    for pos, old in enumerate(best_order):
+    """A permutation sending g to its canonical representative: old vertex
+    i goes to position perm[i] of the order :func:`canonical_rows_key`
+    picks."""
+    order, _ = _canonical_order(g.incidence().entries)
+    perm = [0] * g.n
+    for pos, old in enumerate(order):
         perm[old] = pos
     return tuple(perm)
 
 
 def canonical_key(g: MultiGraph):
-    """Hashable isomorphism invariant: two graphs get equal keys iff isomorphic."""
+    """Hashable isomorphism invariant: two graphs get equal keys iff
+    isomorphic.  Computed once per graph by :func:`canonical_rows_key`."""
     if g._canon is None:
-        n = g.n
-        m = g.incidence().entries
-        perm = canonical_permutation(g)
-        order = [0] * n
-        for old, pos in enumerate(perm):
-            order[pos] = old
-        flat = tuple(m[i][j] for i in order for j in order)
-        g._canon = (n, flat)
+        g._canon = canonical_rows_key(g.incidence().entries)
     return g._canon
 
 

@@ -244,7 +244,7 @@ def test_criterion_8_transpose_duality(capsys):
 
 
 def test_criterion_9_search_recovers_scrambles(capsys):
-    from flowinv.flowsearch import _neighbors
+    from flowinv.flowsearch import _neighbors, _realize
 
     started = time.monotonic()
     rng = random.Random(1009)
@@ -261,7 +261,8 @@ def test_criterion_9_search_recovers_scrambles(capsys):
                     stats=SearchStats(),
                 )
             )
-            _, _, goal = rng.choice(nbrs)
+            kind, _, recipe = rng.choice(nbrs)
+            _, goal = _realize(goal, kind, recipe)
         seq = find_sequence(base, goal, max_depth=6)
         assert verify_sequence(seq)
         assert is_isomorphic(seq.end, goal)

@@ -295,7 +295,13 @@ def test_search_invariant_mismatch_is_data(tmp_path, capsys):
     payload = json.loads(out)
     assert payload["found"] is False
     assert payload["reason"] == "invariant-mismatch"
-    assert list(payload["stats"]) == ["expanded", "pruned", "partition_capped"]
+    assert list(payload["stats"]) == [
+        "expanded",
+        "pruned",
+        "partition_capped",
+        "vertex_capped",
+        "entry_capped",
+    ]
 
 
 def test_search_bounds_exhausted_is_data(tmp_path, capsys):

@@ -10,8 +10,10 @@ import random
 
 import pytest
 
+from flowinv import flowsearch
 from flowinv.cli import format_move_step, main
 from flowinv.flowsearch import (
+    DEFAULT_MAX_VERTICES,
     DEFAULT_PARTITION_CAP,
     MoveSequence,
     MoveStep,
@@ -19,11 +21,19 @@ from flowinv.flowsearch import (
     SearchStats,
     _max_entry,
     _neighbors,
+    _realize,
     _vector_partitions,
     find_sequence,
     verify_sequence,
 )
-from flowinv.graph import GraphError, MultiGraph, canonical_key, classify_graph, is_isomorphic
+from flowinv.graph import (
+    GraphError,
+    MultiGraph,
+    canonical_key,
+    canonical_rows_key,
+    classify_graph,
+    is_isomorphic,
+)
 from flowinv.invariants import equiv_det_pair, franks_triple
 from flowinv.moves import MoveError, expand, minus
 
@@ -55,7 +65,8 @@ def _scramble(rng: random.Random, g: MultiGraph, moves: int) -> MultiGraph:
                 stats=SearchStats(),
             )
         )
-        _, _, cur = rng.choice(nbrs)
+        kind, _, recipe = rng.choice(nbrs)
+        _, cur = _realize(cur, kind, recipe)
     return cur
 
 
@@ -149,7 +160,7 @@ def test_bounds_exhausted_reports_stats():
     assert exc.value.reason == "bounds-exhausted"
     assert exc.value.stats.expanded >= 1
     d = exc.value.stats.to_dict()
-    assert list(d) == ["expanded", "pruned", "partition_capped"]
+    assert list(d) == ["expanded", "pruned", "partition_capped", "vertex_capped", "entry_capped"]
 
 
 def test_search_rejects_unsuitable_graphs():
@@ -251,13 +262,14 @@ def _replay_by_enumeration(seq, *, max_vertices, entry_cap, partition_cap):
             found = next(
                 (
                     MoveStep(kind=kind, args=args, graph=h)
-                    for kind, args, h in _neighbors(
+                    for kind, _, recipe in _neighbors(
                         cur,
                         max_vertices=max_vertices,
                         entry_cap=entry_cap,
                         partition_cap=cap,
                         stats=SearchStats(),
                     )
+                    for args, h in [_realize(cur, kind, recipe)]
                     if canonical_key(h) == want
                 ),
                 None,
@@ -308,7 +320,8 @@ def test_found_scripts_match_golden_file():
                     stats=SearchStats(),
                 )
             )
-            _, _, goal = rng.choice(nbrs)
+            kind, _, recipe = rng.choice(nbrs)
+            _, goal = _realize(goal, kind, recipe)
         assert base.incidence().to_lists() == case["start"]
         assert goal.incidence().to_lists() == case["goal"]
 
@@ -354,3 +367,116 @@ def test_exhausted_searches_match_golden_file():
         assert exc.value.reason == case["reason"]
         assert exc.value.stats.expanded == case["expanded"]
         assert exc.value.stats.partition_capped == case["partition_capped"]
+
+
+# ---------------------------------------------------------------------------
+# Neighbors as rows: what the search keys and what it builds.
+
+
+def _check_neighbor_rows(g, stats, **bounds):
+    """Every neighbor's rows are exactly the incidence of the graph its
+    recipe builds, and their key is that graph's canonical key."""
+    for kind, rows, recipe in _neighbors(g, stats=stats, **bounds):
+        _, h = _realize(g, kind, recipe)
+        assert h.incidence().entries == rows, (kind, recipe)
+        if h.n <= DEFAULT_MAX_VERTICES:  # keys of larger graphs can be factorial
+            assert canonical_rows_key(rows) == canonical_key(h), (kind, recipe)
+
+
+def test_neighbor_rows_match_realized_golden_graphs():
+    path = os.path.join(os.path.dirname(__file__), "data", "moves_golden.json")
+    with open(path, encoding="utf-8") as fh:
+        specs = {json.dumps(c["graph"], sort_keys=True): c["graph"] for c in json.load(fh)["cases"]}
+    stats = SearchStats()
+    checked = 0
+    for spec in specs.values():
+        if "matrix" in spec:
+            g = MultiGraph.from_matrix(spec["matrix"], labels=spec["labels"])
+        else:
+            ids = {e[2] for e in spec["edges"]}
+            if any(eid.rsplit("#", 1)[0] in ids for eid in ids if "#" in eid):
+                # A splitting names the copies of edge a "a#1", "a#2", ...,
+                # which clash with an edge already called "a#1".
+                continue
+            g = MultiGraph(spec["labels"], [tuple(t) for t in spec["edges"]])
+        # Uncapped only where that stays small; the search never expands a
+        # graph above DEFAULT_MAX_VERTICES.
+        caps = (1, None) if g.n <= 3 else (2,) if g.n <= 8 else (1,)
+        for cap in caps:
+            _check_neighbor_rows(
+                g, stats, max_vertices=g.n + 2, entry_cap=4, partition_cap=cap
+            )
+        checked += 1
+    assert checked > 140
+    assert stats.partition_capped and stats.entry_capped
+
+
+def test_neighbor_rows_match_realized_random_graphs():
+    hyp = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    seen = SearchStats()
+
+    @hyp.settings(max_examples=100, deadline=None)
+    @hyp.given(
+        st.integers(1, 5).flatmap(
+            lambda n: st.lists(
+                st.lists(st.integers(0, 2), min_size=n, max_size=n), min_size=n, max_size=n
+            )
+        ),
+        st.integers(0, 2),
+        st.sampled_from([1, 3, None]),
+        st.integers(1, 9),
+    )
+    def check(rows, extra, cap, entry_cap):
+        g = MultiGraph.from_matrix(rows)
+        stats = SearchStats()
+        _check_neighbor_rows(
+            g, stats, max_vertices=g.n + extra, entry_cap=entry_cap, partition_cap=cap
+        )
+        for name in ("partition_capped", "vertex_capped", "entry_capped"):
+            setattr(seen, name, getattr(seen, name) + getattr(stats, name))
+
+    check()
+    # Every cap was both hit and missed among the drawn graphs.
+    assert seen.partition_capped and seen.vertex_capped and seen.entry_capped
+
+
+def test_search_builds_only_expanded_graphs_and_the_path(monkeypatch):
+    # Realizing a neighbor goes through the moves; count the splits and
+    # expansions.  Each expanded graph but the roots was built once, and so
+    # was each step of the found path; every other neighbor was only keyed.
+    built = []
+
+    def counted(move):
+        def build(*args):
+            built.append(move.__name__)
+            return move(*args)
+
+        return build
+
+    for name in ("in_split", "out_split", "expand"):
+        monkeypatch.setattr(flowsearch, name, counted(getattr(flowsearch, name)))
+
+    # pruned as the search counted it before it split the counter by cause;
+    # the golden file predates that count.
+    pruned = {88: 70, 419: 1404}
+    for case in _search_golden()["exhausted"]:
+        built.clear()
+        with pytest.raises(NotFoundWithinBounds) as exc:
+            find_sequence(
+                MultiGraph.from_matrix(case["start"]),
+                MultiGraph.from_matrix(case["goal"]),
+                **case["bounds"],
+            )
+        stats = exc.value.stats
+        assert stats.expanded == case["expanded"]
+        assert stats.partition_capped == case["partition_capped"]
+        assert stats.pruned == stats.vertex_capped + stats.entry_capped == pruned[stats.expanded]
+        assert len(built) <= stats.expanded
+
+    for case in _search_golden()["scrambles"]:
+        built.clear()
+        start = MultiGraph.from_matrix(case["start"])
+        seq = find_sequence(start, MultiGraph.from_matrix(case["goal"]), max_depth=6)
+        assert len(seq) == case["moves"]
+        assert len(built) <= seq.stats.expanded + len(seq)

@@ -12,6 +12,7 @@ from flowinv.graph import (
     MultiGraph,
     ParseError,
     canonical_key,
+    canonical_rows_key,
     classify_graph,
     format_graph,
     incidence_matrix,
@@ -338,3 +339,61 @@ def test_canonical_key_agrees_with_isomorphism():
         a = _rand_graph(rng, max_n=3)
         b = _rand_graph(rng, max_n=3)
         assert (canonical_key(a) == canonical_key(b)) == is_isomorphic(a, b)
+
+
+def _brute_form(m):
+    """Smallest row-major matrix over every vertex permutation: the
+    brute-force canonical form, sharing no code with the refinement."""
+    n = len(m)
+    return min(
+        tuple(m[p[i]][p[j]] for i in range(n) for j in range(n))
+        for p in itertools.permutations(range(n))
+    )
+
+
+def _permute(m, p):
+    n = len(m)
+    return [[m[p[i]][p[j]] for j in range(n)] for i in range(n)]
+
+
+def test_canonical_key_matches_brute_force_oracle():
+    # Exhaustively up to 3 vertices with entries 0..1: equal keys exactly
+    # when the brute-force forms agree.
+    for n in range(1, 4):
+        classes = {}
+        for flat in itertools.product(range(2), repeat=n * n):
+            m = [list(flat[i * n : (i + 1) * n]) for i in range(n)]
+            classes.setdefault(_brute_form(m), set()).add(canonical_rows_key(tuple(map(tuple, m))))
+        assert all(len(keys) == 1 for keys in classes.values())
+        assert len(set().union(*classes.values())) == len(classes)
+
+    # Regular graphs that colour refinement cannot tell apart.
+    c6 = [[int(j == (i + 1) % 6) for j in range(6)] for i in range(6)]
+    two_c3 = [[int(j == 3 * (i // 3) + (i + 1) % 3) for j in range(6)] for i in range(6)]
+    assert canonical_rows_key(c6) != canonical_rows_key(two_c3)
+
+    hyp = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hyp.settings(max_examples=120, deadline=None)
+    @hyp.given(_square_matrices(st), st.data())
+    def check(a, data):
+        n = len(a)
+        perm = data.draw(st.permutations(range(n)))
+        b = _permute(a, perm)
+        assert canonical_rows_key(b) == canonical_rows_key(a)
+        # A switch keeps every row and column sum, so refinement starts from
+        # the same degrees; then permute, and compare with the oracle.
+        i, j, k, l = (data.draw(st.integers(0, n - 1)) for _ in range(4))
+        if b[i][j] and b[k][l]:
+            b[i][j] -= 1
+            b[k][l] -= 1
+            b[i][l] += 1
+            b[k][j] += 1
+        b = _permute(b, data.draw(st.permutations(range(n))))
+        same = canonical_rows_key(b) == canonical_rows_key(a)
+        assert same == (_brute_form(b) == _brute_form(a))
+        g = MultiGraph.from_matrix(b)
+        assert canonical_key(g) == canonical_rows_key(b)
+
+    check()
