@@ -7,13 +7,13 @@ search admits).  Every one of these moves has its inverse in the catalogue,
 so the relation is symmetric and a meet-in-the-middle frontier search from
 both endpoints is sound.
 
-Neighbors are enumerated as incidence rows and keyed from their rows alone
-(:func:`flowinv.graph.canonical_rows_key`); each visited key keeps its
-parent and a recipe for the move that reached it.  A graph, with its edges,
-labels and script arguments, is built from its recipe by the move itself
-only when it is popped for expansion or lies on the forward half of a found
-path.  The backward half is replayed forward by re-enumerating the rows of
-each graph on it and building only the neighbor whose key matches.
+The search is a function of incidence rows until it returns.  Neighbors are
+enumerated as rows straight from their parent's rows and keyed from them
+alone (:func:`flowinv.graph.canonical_rows_key`); each visited key keeps
+only its parent's key.  Graphs, with their edges, labels and script
+arguments, are built only for the steps of a found path: :func:`_replay`
+walks the key chain from the start, enumerates each graph's rows again and
+builds, through the move itself, only the neighbor whose key matches.
 
 Graphs are identified up to isomorphism via canonical keys, so a found
 sequence ends at a graph isomorphic to the goal.  The search is bounded
@@ -47,6 +47,7 @@ from flowinv.moves import (
     in_split,
     out_amalgamate,
     out_split,
+    quotient_rows,
 )
 
 DEFAULT_MAX_DEPTH = 6
@@ -232,16 +233,23 @@ def _split_rows(m, v, max_classes, partition_cap, stats):
         yield parts, tuple(rows)
 
 
-def _amalgam_blocks(m, mode):
-    """Single-block groupings of vertices with identical rows (``in``) or
-    columns (``out``) of the incidence rows ``m``."""
+def _amalgam_blocks(m):
+    """Single-block groupings of vertices with identical rows of ``m``: the
+    in-amalgamations of m that are moves (an out-amalgamation is the
+    in-amalgamation of the transpose).
+
+    A vertex with a zero column would leave its partition class empty, so it
+    is dropped from its group of identical rows; groups keep the order of
+    their first members, so the groupings come in the same order as if every
+    subset were formed and the unfed ones skipped.
+    """
     n = len(m)
+    fed = [any(col) for col in zip(*m)]
     groups: dict[tuple, list[int]] = {}
-    for v, sig in enumerate(m if mode == "in" else zip(*m)):
-        groups.setdefault(tuple(sig), []).append(v)
+    for v, row in enumerate(m):
+        groups.setdefault(row, []).append(v)
     for members in groups.values():
-        if len(members) < 2:
-            continue
+        members = [v for v in members if fed[v]]
         for size in range(2, len(members) + 1):
             for subset in itertools.combinations(members, size):
                 chosen = set(subset)
@@ -262,22 +270,21 @@ def _drop(row, v):
     return row[:v] + row[v + 1 :]
 
 
-def _neighbors(g, *, max_vertices, entry_cap, partition_cap, stats):
-    """All admissible one-move neighbors of g, in a fixed order, as
-    (kind, rows, recipe) triples.
+def _neighbors(m, *, max_vertices, entry_cap, partition_cap, stats):
+    """All admissible one-move neighbors of the graph with incidence rows
+    ``m``, in a fixed order, as (kind, rows, recipe) triples.
 
-    ``rows`` is the neighbor's incidence matrix, computed from g's rows
-    without building the graph: a splitting edits rows and columns (see
-    :func:`_split_rows`; an out-splitting is the in-splitting of the
-    transpose), expansion, contraction and elimination edit rows directly,
-    and an amalgamation is the move itself, whose quotient is a matrix-only
-    graph.  The entry cap is read from the rows.  ``recipe`` is what
-    :func:`_realize` needs to build the graph and the script arguments
-    through the move itself: the vertex (expand, eliminate), the vertex and
-    its star (contract), the vertex and the vector partition (splittings),
-    or the blocks (amalgamations).
+    ``rows`` is the neighbor's incidence matrix, computed from ``m`` alone:
+    a splitting edits rows and columns (see :func:`_split_rows`), an
+    amalgamation is :func:`flowinv.moves.quotient_rows` (see
+    :func:`_amalgam_blocks`), and expansion, contraction and elimination
+    edit rows directly; out-moves are the in-moves of the transpose.  The
+    entry cap is read from the rows.  ``recipe`` is what :func:`_realize`
+    needs to build the graph and the script arguments through the move
+    itself: the vertex (expand, eliminate), the vertex and its star
+    (contract), the vertex and the vector partition (splittings), or the
+    blocks (amalgamations).
     """
-    m = g.incidence().entries
     n = len(m)
     cols = tuple(zip(*m))
 
@@ -315,18 +322,14 @@ def _neighbors(g, *, max_vertices, entry_cap, partition_cap, stats):
                         rows = tuple(zip(*rows))
                     yield kind, rows, (v, parts)
 
-    for kind, mode, amalgamate in (
-        ("in-amalgamate", "in", in_amalgamate),
-        ("out-amalgamate", "out", out_amalgamate),
-    ):
-        for blocks in _amalgam_blocks(m, mode):
-            try:
-                rows = amalgamate(g, blocks).incidence().entries
-            except MoveError:
-                continue
+    for kind, oriented in (("in-amalgamate", m), ("out-amalgamate", cols)):
+        for blocks in _amalgam_blocks(oriented):
+            rows = quotient_rows(oriented, blocks)
             if max(map(max, rows)) > entry_cap:
                 stats.entry_capped += 1
                 continue
+            if kind == "out-amalgamate":
+                rows = tuple(zip(*rows))
             yield kind, rows, blocks
 
 
@@ -399,7 +402,6 @@ def find_sequence(
     *,
     max_depth: int = DEFAULT_MAX_DEPTH,
     max_vertices: int = DEFAULT_MAX_VERTICES,
-    partition_cap: int | None = DEFAULT_PARTITION_CAP,
 ) -> MoveSequence:
     """Search for a move sequence carrying ``src`` to a graph isomorphic to
     ``dst``.
@@ -407,84 +409,60 @@ def find_sequence(
     Both graphs must be essential, irreducible and nontrivial.  If the
     Bowen-Franks pair already separates them the search refuses immediately
     (``invariant-mismatch``); otherwise a meet-in-the-middle frontier search
-    runs up to ``max_depth`` total moves and raises
+    runs up to ``max_depth`` total moves, cutting splittings at
+    ``DEFAULT_PARTITION_CAP`` partitions per vertex, and raises
     :class:`NotFoundWithinBounds` with ``bounds-exhausted`` on failure.
     """
     _require_search_ready(src, "start", max_vertices)
     _require_search_ready(dst, "goal", max_vertices)
     stats = SearchStats()
 
-    bs, bd = bowen_franks_matrix(src), bowen_franks_matrix(dst)
-    if det(bs) != det(bd) or not equiv_det_pair(franks_triple(src), franks_triple(dst)):
+    want = franks_triple(src)
+    if not equiv_det_pair(want, franks_triple(dst)):
         raise NotFoundWithinBounds("invariant-mismatch", stats)
 
     entry_cap = max(9, _max_entry(src), _max_entry(dst))
+    bounds = dict(
+        max_vertices=max_vertices, entry_cap=entry_cap, partition_cap=DEFAULT_PARTITION_CAP
+    )
     key_src, key_dst = canonical_key(src), canonical_key(dst)
     if key_src == key_dst:
         return MoveSequence(start=src, steps=(), stats=stats)
 
-    # visited maps canonical key -> (parent key, kind, recipe); roots have
-    # parent None.  An entry describes the first neighbor, in enumeration
-    # order, with that key.  built maps the keys realized so far to their
-    # (script args, graph): the roots, the graphs popped for expansion and
-    # the forward half of a found path.
-    visited_f = {key_src: (None, None, None)}
-    visited_b = {key_dst: (None, None, None)}
-    built_f = {key_src: (None, src)}
-    built_b = {key_dst: (None, dst)}
-    frontier_f = [key_src]
-    frontier_b = [key_dst]
+    # visited maps canonical key -> parent key; the roots have parent None.
+    # A key's parent is the graph that first reached it.  Frontiers hold
+    # (key, rows) pairs.
+    visited_f = {key_src: None}
+    visited_b = {key_dst: None}
+    frontier_f = [(key_src, src.incidence().entries)]
+    frontier_b = [(key_dst, dst.incidence().entries)]
     dist_f = dist_b = 0
-
-    def realize(visited, built, key):
-        if key not in built:
-            parent, kind, recipe = visited[key]
-            built[key] = _realize(realize(visited, built, parent)[1], kind, recipe)
-        return built[key]
 
     def chain(visited, key):
         out = []
         while key is not None:
             out.append(key)
-            key = visited[key][0]
+            key = visited[key]
         return out
 
     while dist_f + dist_b < max_depth and frontier_f and frontier_b:
         forward = len(frontier_f) <= len(frontier_b)
         frontier = frontier_f if forward else frontier_b
-        visited, built = (visited_f, built_f) if forward else (visited_b, built_b)
-        other = visited_b if forward else visited_f
+        visited, other = (visited_f, visited_b) if forward else (visited_b, visited_f)
         next_frontier = []
-        for key in frontier:
-            graph = realize(visited, built, key)[1]
+        for key, m in frontier:
             stats.expanded += 1
-            for kind, rows, recipe in _neighbors(
-                graph,
-                max_vertices=max_vertices,
-                entry_cap=entry_cap,
-                partition_cap=partition_cap,
-                stats=stats,
-            ):
+            for _, rows, _ in _neighbors(m, stats=stats, **bounds):
                 hkey = canonical_rows_key(rows)
                 if hkey in visited:
                     continue
-                visited[hkey] = (key, kind, recipe)
+                visited[hkey] = key
                 if hkey in other:
-                    toward_src = chain(visited_f, hkey)[:-1]  # the root has no step
-                    forward_steps = [
-                        MoveStep(visited_f[k][1], *realize(visited_f, built_f, k))
-                        for k in reversed(toward_src)
-                    ]
-                    steps = _replay(
-                        src,
-                        forward_steps,
-                        chain(visited_b, hkey)[1:],
-                        max_vertices=max_vertices,
-                        entry_cap=entry_cap,
-                        partition_cap=partition_cap,
-                    )
+                    # The root of each chain has no step.
+                    keys = chain(visited_f, hkey)[-2::-1] + chain(visited_b, hkey)[1:]
+                    steps = _replay(src, keys, want, **bounds)
                     return MoveSequence(start=src, steps=steps, stats=stats)
-                next_frontier.append(hkey)
+                next_frontier.append((hkey, rows))
         if forward:
             frontier_f = next_frontier
             dist_f += 1
@@ -495,55 +473,46 @@ def find_sequence(
     raise NotFoundWithinBounds("bounds-exhausted", stats)
 
 
-def _replay(start, forward, backward, *, max_vertices, entry_cap, partition_cap):
-    """Join the recorded forward steps and the backward half of a path;
-    returns the steps.
+def _replay(start, keys, want, *, max_vertices, entry_cap, partition_cap):
+    """Build the path from ``start`` through the canonical ``keys``; returns
+    the steps.
 
-    ``forward`` holds the steps that carried ``start`` to the meeting graph,
-    realized from the search's recipes.  ``backward`` lists the canonical
-    keys from the meeting graph's backward parent to the goal; each link was
-    discovered as the inverse of a move, so it is found again by enumerating
-    the neighbors' rows and matching their keys, and only the match is
-    built.  The inverse always exists in the catalogue but may sit past the
-    partition cap, hence the uncapped second pass.  Every step, forward and
-    backward, is checked not to drift the invariants.
+    Each link is found again by enumerating the current graph's neighbor
+    rows and matching their keys, and only the match is built, through
+    :func:`_realize`.  A link the search made forward is the first neighbor,
+    in enumeration order, with its key, so the capped pass finds that very
+    step.  A link it made backward was discovered as the inverse of a move;
+    the inverse always exists in the catalogue but may sit past the
+    partition cap, hence the uncapped second pass.  Every step is checked
+    not to drift the (group, det) pair of ``want``, the start's
+    :class:`flowinv.invariants.FranksTriple`.
     """
-    b0 = bowen_franks_matrix(start)
-    group0, _ = cokernel(b0)
-    det0 = det(b0)
-
-    def checked(step):
-        bh = bowen_franks_matrix(step.graph)
-        gh, _ = cokernel(bh)
-        if det(bh) != det0 or not group_iso(gh, group0):
-            raise RuntimeError("internal error: a step drifted the invariants")
-        return step
-
-    steps = [checked(step) for step in forward]
-    cur = steps[-1].graph if steps else start
-    for want in backward:
-        found = None
+    steps = []
+    cur = start
+    for key in keys:
         for cap in (partition_cap, None):
             found = next(
                 (
                     (kind, recipe)
                     for kind, rows, recipe in _neighbors(
-                        cur,
+                        cur.incidence().entries,
                         max_vertices=max_vertices,
                         entry_cap=entry_cap,
                         partition_cap=cap,
                         stats=SearchStats(),
                     )
-                    if canonical_rows_key(rows) == want
+                    if canonical_rows_key(rows) == key
                 ),
                 None,
             )
             if found:
                 break
-        if not found:
+        else:
             raise RuntimeError("internal error: discovered step could not be replayed")
-        kind, recipe = found
-        step = MoveStep(kind, *_realize(cur, kind, recipe))
-        steps.append(checked(step))
+        step = MoveStep(found[0], *_realize(cur, *found))
+        b = bowen_franks_matrix(step.graph)
+        if det(b) != want.determinant or not group_iso(cokernel(b)[0], want.group):
+            raise RuntimeError("internal error: a step drifted the invariants")
+        steps.append(step)
         cur = step.graph
     return tuple(steps)

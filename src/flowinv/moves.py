@@ -195,6 +195,9 @@ def _split_triples(labels, p: Partition, triples):
     blocks of new indices per vertex, the new triples in the order of the
     old ones, and ``heads``: for each new vertex, the number of old edges
     from each old vertex that land on it (the columns of R).
+
+    The j-th copy of edge e is named ``e#j``, unless an edge that is not
+    copied already has that id; then the copy gets a fresh one.
     """
     n = len(labels)
     m = [p.m(v) for v in range(n)]
@@ -217,6 +220,7 @@ def _split_triples(labels, p: Partition, triples):
             for eid in cls:
                 class_of[eid] = i
 
+    kept = {eid for src, _, eid in triples if m[src] == 0}
     heads = [[0] * n for _ in new_labels]
     edges = []
     for src, tgt, eid in triples:
@@ -226,7 +230,10 @@ def _split_triples(labels, p: Partition, triples):
             edges.append((blocks[src][0], head, eid))
         else:
             for j, tail in enumerate(blocks[src], start=1):
-                edges.append((tail, head, f"{eid}#{j}"))
+                copy = f"{eid}#{j}"
+                if copy in kept:
+                    copy = _fresh_edge_id(kept, copy)
+                edges.append((tail, head, copy))
     return new_labels, tuple(blocks), edges, heads
 
 
@@ -315,24 +322,35 @@ _SIDES = {  # what each amalgamation compares, and the edges a class needs
 }
 
 
-def _amalgamate_rows(g: MultiGraph, blocks, m, side: str) -> MultiGraph:
+def quotient_rows(m, blocks) -> tuple[tuple[int, ...], ...]:
+    """Incidence rows of the in-amalgamation of the rows ``m`` by ``blocks``
+    (lists of vertex indices): Q[bi][bj] = sum over u in bj of
+    m[first(bi)][u], where first(b) is the first vertex of block b.
+
+    The rows of a block are assumed equal; :func:`in_amalgamate` checks
+    that, and the search only forms such blocks.
+    """
+    return tuple(tuple(sum(m[bi[0]][u] for u in bj) for bj in blocks) for bi in blocks)
+
+
+def _amalgamate_rows(g: MultiGraph, blocks, m, side: str):
     """In-amalgamate the graph with g's labels and incidence rows ``m``.
 
     The kernel of both amalgamations: an out-amalgamation is this
     in-amalgamation of the transposed matrix, read back transposed; ``side``
-    only words the errors.  Returns the quotient in m's orientation.
+    only words the errors.  Returns the quotient's labels and its rows
+    (:func:`quotient_rows`) in m's orientation.
 
     The two checks make the move exact, so the quotient needs no re-split to
-    certify it.  Write first(b) for the first vertex of block b; the quotient
-    has Q[bi][bj] = sum over u in bj of m[first(bi)][u].  The recovered
-    in-partition puts, at block bj, one class per member u, holding the
-    m[first(bi)][u] edges from each bi.  When bj has two or more members,
-    every member's column is nonzero, so every class is nonempty and bj
-    splits into exactly |bj| copies, one per member; a one-member block
-    stays one vertex either way.  Re-splitting Q by this partition sends,
-    from the copy of each member w of bi, the m[first(bi)][u] edges of class
-    u to the copy of u, and m[first(bi)][u] = m[w][u] because the rows of a
-    block are equal.  So the re-split is m with its vertices in block order.
+    certify it.  The recovered in-partition puts, at block bj, one class per
+    member u, holding the m[first(bi)][u] edges from each bi.  When bj has
+    two or more members, every member's column is nonzero, so every class is
+    nonempty and bj splits into exactly |bj| copies, one per member; a
+    one-member block stays one vertex either way.  Re-splitting Q by this
+    partition sends, from the copy of each member w of bi, the
+    m[first(bi)][u] edges of class u to the copy of u, and m[first(bi)][u] =
+    m[w][u] because the rows of a block are equal.  So the re-split is m
+    with its vertices in block order.
     """
     rows_word, edges_word = _SIDES[side]
     norm = _normalize_blocks(g, blocks)
@@ -352,18 +370,11 @@ def _amalgamate_rows(g: MultiGraph, blocks, m, side: str) -> MultiGraph:
                         "partition class would be empty"
                     )
 
-    k = len(norm)
-    qmat = [
-        [sum(m[norm[bi][0]][u] for u in norm[bj]) for bj in range(k)]
-        for bi in range(k)
-    ]
     qlabels = []
     for block in norm:
         base = g.label(block[0]).rsplit("#", 1)[0]
         qlabels.append(_fresh_label(qlabels, base))
-    quotient = MultiGraph.from_matrix(qmat, labels=qlabels)
-
-    return quotient
+    return qlabels, quotient_rows(m, norm)
 
 
 def in_amalgamate(g: MultiGraph, blocks) -> MultiGraph:
@@ -375,7 +386,8 @@ def in_amalgamate(g: MultiGraph, blocks) -> MultiGraph:
     by the recovered partition gives back ``g`` exactly, with its vertices
     in block order.
     """
-    return _amalgamate_rows(g, blocks, g.incidence().entries, "in")
+    labels, rows = _amalgamate_rows(g, blocks, g.incidence().entries, "in")
+    return MultiGraph(labels, matrix=rows)
 
 
 def out_amalgamate(g: MultiGraph, blocks) -> MultiGraph:
@@ -385,8 +397,8 @@ def out_amalgamate(g: MultiGraph, blocks) -> MultiGraph:
     identical incoming columns, and in a block of two or more every vertex
     must have an outgoing edge.
     """
-    quotient = _amalgamate_rows(g, blocks, tuple(zip(*g.incidence().entries)), "out")
-    return MultiGraph(quotient.labels, matrix=zip(*quotient.incidence().entries))
+    labels, rows = _amalgamate_rows(g, blocks, tuple(zip(*g.incidence().entries)), "out")
+    return MultiGraph(labels, matrix=zip(*rows))
 
 
 # ---------------------------------------------------------------------------
@@ -715,16 +727,11 @@ def minus1(g: MultiGraph, at=None) -> MultiGraph:
     det(I - A^t) changes sign.
     """
     at = _attach_vertex(g, at)
-    a, b, c = g.n, g.n + 1, g.n + 2
-    labels = list(g.labels)
-    labels.append(_fresh_label(labels, "w0"))
-    labels.append(_fresh_label(labels, "w1"))
+    h = minus(g, at)
+    labels = list(h.labels)
     labels.append(_fresh_label(labels, "w2"))
-    used = {e.id for e in g.edges}
-    edges = list(g.edges)
-    for src, tgt in [(at, a), (a, at), (a, a), (a, b), (b, a), (b, b), (c, at)]:
-        edges.append(Edge(src, tgt, _fresh_edge_id(used, "m")))
-    return MultiGraph(labels, edges)
+    used = {e.id for e in h.edges}
+    return MultiGraph(labels, [*h.edges, Edge(h.n, at, _fresh_edge_id(used, "m"))])
 
 
 # ---------------------------------------------------------------------------

@@ -254,7 +254,7 @@ def test_criterion_9_search_recovers_scrambles(capsys):
         for _ in range(3):
             nbrs = list(
                 _neighbors(
-                    goal,
+                    goal.incidence().entries,
                     max_vertices=6,
                     entry_cap=9,
                     partition_cap=64,

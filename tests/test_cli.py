@@ -197,6 +197,48 @@ def test_move_rejects_invalid_application(tmp_path, capsys):
     assert "not a source" in err
 
 
+@pytest.mark.parametrize(
+    "script, message",
+    [
+        ("move in-split\nclass v0 1 e0\n", "expected 'class <vertex> <i>: <edge>"),
+        ("move out-delay\ndelay e0\n", "expected 'delay <edge> <k>'"),
+        ("move in-split\nclass v0 0: e0,e1\n", "class index must be at least 1, got 0"),
+        ("move in-split\nclass v0 1: e0\nclass v0 1: e1\n", "class 1 at v0 given twice"),
+        ("move in-split\nclass v0 2: e0,e1\n", "must be numbered 1..2 without gaps"),
+        ("move in-split v0\nclass v0 1: e0,e1\n", "in-split takes class lines, not inline"),
+        ("move out-split\n", "out-split needs class lines"),
+        ("move in-split\nclass v0 1: e0,e1\ndelay e0 1\n", "delay lines only follow a delay"),
+        ("move expand v0\nclass v0 1: e0,e1\n", "class lines only follow in-split/out-split"),
+        ("move expand v0\ndelay e0 1\n", "delay lines only follow a delay move"),
+        ("move out-amalgamate\n", "out-amalgamate needs at least one block"),
+        ("move contract v0\n", "move contract takes 2 to 2 arguments, got 1"),
+        ("# nothing but a comment\n", "contains no moves"),
+    ],
+)
+def test_move_script_errors_exit_2(tmp_path, capsys, script, message):
+    graph = _write(tmp_path, "rose.graph", "matrix 1\n2\n")
+    path = _write(tmp_path, "bad.script", script)
+    code, out, err = _run(capsys, ["move", "--script", path, graph])
+    assert code == 2 and not out
+    assert message in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--script", "S", "G", "G"], "with --script, give exactly one graph file"),
+        (["G"], "usage: move <name> [args...] <graph>"),
+    ],
+)
+def test_move_usage_errors_exit_2(tmp_path, capsys, argv, message):
+    graph = _write(tmp_path, "rose.graph", "matrix 1\n2\n")
+    script = _write(tmp_path, "ok.script", "move expand v0\n")
+    argv = [{"G": graph, "S": script}.get(a, a) for a in argv]
+    code, out, err = _run(capsys, ["move", *argv])
+    assert code == 2 and not out
+    assert message in err
+
+
 # ---------------------------------------------------------------------------
 # classify.
 
@@ -435,6 +477,21 @@ def test_format_move_step_round_trips():
     )
     steps = parse_move_script("\n".join(lines) + "\n")
     assert apply_script_step(shift_base, steps[0]) == applied
+
+    expanded = apply_move(g, "expand", {"vertex": "v"})
+    args = {"vertex": "v", "star": "v*"}
+    lines = format_move_step(expanded, MoveStep(kind="contract", args=args, graph=g))
+    assert lines == ["move contract v v*"]
+    assert apply_script_step(expanded, parse_move_script(lines[0] + "\n")[0]) == g
+
+    # A vertex without edges on the delayed side is pinned by "delay @v".
+    fed = MultiGraph(["s", "v"], [(0, 1, "a"), (1, 1, "b")])
+    vector = DrinenVector.from_edges(fed, "range", {"b": 1}, {0: 2})
+    applied = apply_move(fed, "in-delay", {"vector": vector})
+    lines = format_move_step(fed, MoveStep(kind="in-delay", args={"vector": vector}, graph=applied))
+    assert lines == ["move in-delay", "delay b 1", "delay @s 2"]
+    steps = parse_move_script("\n".join(lines) + "\n")
+    assert apply_script_step(fed, steps[0]) == applied
 
 
 def test_format_amalgamate_step_round_trips():

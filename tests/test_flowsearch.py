@@ -35,7 +35,7 @@ from flowinv.graph import (
     is_isomorphic,
 )
 from flowinv.invariants import equiv_det_pair, franks_triple
-from flowinv.moves import MoveError, expand, minus
+from flowinv.moves import MoveError, expand, in_amalgamate, minus, out_amalgamate
 
 
 def _rose(petals: int) -> MultiGraph:
@@ -58,7 +58,7 @@ def _scramble(rng: random.Random, g: MultiGraph, moves: int) -> MultiGraph:
     for _ in range(moves):
         nbrs = list(
             _neighbors(
-                cur,
+                cur.incidence().entries,
                 max_vertices=6,
                 entry_cap=9,
                 partition_cap=64,
@@ -263,7 +263,7 @@ def _replay_by_enumeration(seq, *, max_vertices, entry_cap, partition_cap):
                 (
                     MoveStep(kind=kind, args=args, graph=h)
                     for kind, _, recipe in _neighbors(
-                        cur,
+                        cur.incidence().entries,
                         max_vertices=max_vertices,
                         entry_cap=entry_cap,
                         partition_cap=cap,
@@ -313,7 +313,7 @@ def test_found_scripts_match_golden_file():
         for _ in range(3):
             nbrs = list(
                 _neighbors(
-                    goal,
+                    goal.incidence().entries,
                     max_vertices=6,
                     entry_cap=9,
                     partition_cap=64,
@@ -352,6 +352,12 @@ def test_cli_search_scripts_match_golden_file(tmp_path, capsys):
         got = json.loads(capsys.readouterr().out)
         assert got["found"] and got["moves"] == case["moves"]
         assert _digest(got["script"]) == case["script_sha256"], k
+        # The script replays, through the move command, to the goal.
+        script = tmp_path / f"found{k}.script"
+        script.write_text("\n".join(got["script"]) + "\n", encoding="utf-8")
+        assert main(["move", "--script", str(script), start, "--json"]) == 0
+        end = MultiGraph.from_matrix(json.loads(capsys.readouterr().out)["matrix"])
+        assert is_isomorphic(end, MultiGraph.from_matrix(case["goal"])), k
 
 
 def test_exhausted_searches_match_golden_file():
@@ -376,7 +382,7 @@ def test_exhausted_searches_match_golden_file():
 def _check_neighbor_rows(g, stats, **bounds):
     """Every neighbor's rows are exactly the incidence of the graph its
     recipe builds, and their key is that graph's canonical key."""
-    for kind, rows, recipe in _neighbors(g, stats=stats, **bounds):
+    for kind, rows, recipe in _neighbors(g.incidence().entries, stats=stats, **bounds):
         _, h = _realize(g, kind, recipe)
         assert h.incidence().entries == rows, (kind, recipe)
         if h.n <= DEFAULT_MAX_VERTICES:  # keys of larger graphs can be factorial
@@ -393,11 +399,6 @@ def test_neighbor_rows_match_realized_golden_graphs():
         if "matrix" in spec:
             g = MultiGraph.from_matrix(spec["matrix"], labels=spec["labels"])
         else:
-            ids = {e[2] for e in spec["edges"]}
-            if any(eid.rsplit("#", 1)[0] in ids for eid in ids if "#" in eid):
-                # A splitting names the copies of edge a "a#1", "a#2", ...,
-                # which clash with an edge already called "a#1".
-                continue
             g = MultiGraph(spec["labels"], [tuple(t) for t in spec["edges"]])
         # Uncapped only where that stays small; the search never expands a
         # graph above DEFAULT_MAX_VERTICES.
@@ -443,8 +444,8 @@ def test_neighbor_rows_match_realized_random_graphs():
 
 def test_search_builds_only_expanded_graphs_and_the_path(monkeypatch):
     # Realizing a neighbor goes through the moves; count the splits and
-    # expansions.  Each expanded graph but the roots was built once, and so
-    # was each step of the found path; every other neighbor was only keyed.
+    # expansions.  The search expands rows, so a graph is built only for a
+    # step of the found path, and an exhausted search builds none.
     built = []
 
     def counted(move):
@@ -472,11 +473,99 @@ def test_search_builds_only_expanded_graphs_and_the_path(monkeypatch):
         assert stats.expanded == case["expanded"]
         assert stats.partition_capped == case["partition_capped"]
         assert stats.pruned == stats.vertex_capped + stats.entry_capped == pruned[stats.expanded]
-        assert len(built) <= stats.expanded
+        assert not built
 
     for case in _search_golden()["scrambles"]:
         built.clear()
         start = MultiGraph.from_matrix(case["start"])
         seq = find_sequence(start, MultiGraph.from_matrix(case["goal"]), max_depth=6)
         assert len(seq) == case["moves"]
-        assert len(built) <= seq.stats.expanded + len(seq)
+        assert len(built) <= len(seq)
+
+
+def test_replay_takes_a_link_past_the_partition_cap():
+    # The rose with three petals in-splits into the all-ones 3x3 matrix only
+    # by its second vector partition, (1), (1), (1); with partition_cap=1 the
+    # capped pass yields only (2), (1), so the uncapped pass must find it.
+    rose = _rose(3)
+    goal = MultiGraph.from_matrix([[1] * 3] * 3)
+    key = canonical_key(goal)
+    bounds = dict(max_vertices=3, entry_cap=9)
+    capped = _neighbors(
+        rose.incidence().entries, partition_cap=1, stats=SearchStats(), **bounds
+    )
+    assert key not in {canonical_rows_key(rows) for _, rows, _ in capped}
+    steps = flowsearch._replay(rose, [key], franks_triple(rose), partition_cap=1, **bounds)
+    assert [s.kind for s in steps] == ["in-split"]
+    assert steps[0].graph == goal
+    assert steps[0].args["partition"].classes == {0: (("e0",), ("e1",), ("e2",))}
+    assert verify_sequence(MoveSequence(start=rose, steps=steps))
+
+
+def _accepted_single_blocks(g, amalgamate):
+    """Every grouping with one block of two or more vertices that the move
+    accepts, in the form the search writes it: the block in the place of its
+    first vertex, every other vertex alone."""
+    out = []
+    for size in range(2, g.n + 1):
+        for block in itertools.combinations(range(g.n), size):
+            blocks = [list(block) if v == block[0] else [v] for v in range(g.n)
+                      if v == block[0] or v not in block]
+            try:
+                amalgamate(g, blocks)
+            except MoveError:
+                continue
+            out.append(blocks)
+    return out
+
+
+def _check_amalgamation_groupings(g):
+    yielded = {"in-amalgamate": [], "out-amalgamate": []}
+    for kind, _, recipe in _neighbors(
+        g.incidence().entries,
+        max_vertices=g.n,
+        entry_cap=10**9,
+        partition_cap=1,
+        stats=SearchStats(),
+    ):
+        if kind in yielded:
+            yielded[kind].append(recipe)
+    for kind, amalgamate in (("in-amalgamate", in_amalgamate), ("out-amalgamate", out_amalgamate)):
+        assert sorted(yielded[kind]) == sorted(_accepted_single_blocks(g, amalgamate)), kind
+    return sum(map(len, yielded.values()))
+
+
+def test_amalgamation_neighbors_are_the_accepted_groupings_golden():
+    # Graphs above ten vertices are left out: the oracle tries every subset.
+    path = os.path.join(os.path.dirname(__file__), "data", "moves_golden.json")
+    with open(path, encoding="utf-8") as fh:
+        specs = {json.dumps(c["graph"], sort_keys=True): c["graph"] for c in json.load(fh)["cases"]}
+    found = 0
+    for spec in specs.values():
+        if "matrix" in spec:
+            g = MultiGraph.from_matrix(spec["matrix"], labels=spec["labels"])
+        else:
+            g = MultiGraph(spec["labels"], [tuple(t) for t in spec["edges"]])
+        if g.n <= 10:
+            found += _check_amalgamation_groupings(g)
+    assert found > 100
+
+
+def test_amalgamation_neighbors_are_the_accepted_groupings_random():
+    hyp = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hyp.settings(max_examples=200, deadline=None)
+    @hyp.given(
+        st.integers(1, 6).flatmap(
+            lambda n: st.lists(
+                st.lists(st.integers(0, 1), min_size=n, max_size=n), min_size=n, max_size=n
+            )
+        )
+    )
+    def check(rows):
+        found.append(_check_amalgamation_groupings(MultiGraph.from_matrix(rows)))
+
+    found = []
+    check()
+    assert any(found)

@@ -12,6 +12,7 @@ from flowinv.graph import (
     MultiGraph,
     ParseError,
     canonical_key,
+    canonical_permutation,
     canonical_rows_key,
     classify_graph,
     format_graph,
@@ -325,6 +326,18 @@ def test_canonical_key_is_permutation_invariant():
         perm = list(range(g.n))
         rng.shuffle(perm)
         assert canonical_key(g.permuted(perm)) == canonical_key(g)
+
+
+def test_canonical_permutation_gives_the_key_rows():
+    rng = random.Random(29)
+    # Random graphs, plus graphs whose refinement leaves ties to break.
+    graphs = [_rand_graph(rng) for _ in range(50)]
+    graphs.append(MultiGraph.from_matrix([[1] * 4] * 4))
+    graphs.append(MultiGraph.from_matrix([[0, 1, 0], [0, 0, 1], [1, 0, 0]]))
+    for g in graphs:
+        perm = canonical_permutation(g)
+        assert sorted(perm) == list(range(g.n))
+        assert g.permuted(perm).incidence().entries == canonical_key(g)
 
 
 def test_canonical_key_separates_non_isomorphic_pairs():

@@ -499,6 +499,58 @@ def test_minus1_flips_det_and_keeps_pointed_pair():
         assert pointed_equivalent(ta.pointed, tb.pointed) is Ternary.YES
 
 
+_TRIANGLE = MultiGraph(["w0", "w2", "x"], [(0, 1, "m"), (1, 0, "m.0"), (1, 2, "e"), (2, 2, "m.2")])
+
+
+@pytest.mark.parametrize(
+    "g, at, labels, added",
+    [
+        (
+            MultiGraph.from_matrix([[2]]),
+            None,
+            ["v0", "w0", "w1", "w2"],
+            [(0, 1, "m"), (1, 0, "m.0"), (1, 1, "m.1"), (1, 2, "m.2"), (2, 1, "m.3"),
+             (2, 2, "m.4"), (3, 0, "m.5")],
+        ),
+        (
+            MultiGraph.from_matrix([[1, 1], [1, 0]]),
+            None,
+            ["v0", "v1", "w0", "w1", "w2"],
+            [(1, 2, "m"), (2, 1, "m.0"), (2, 2, "m.1"), (2, 3, "m.2"), (3, 2, "m.3"),
+             (3, 3, "m.4"), (4, 1, "m.5")],
+        ),
+        (
+            MultiGraph.from_matrix([[1, 1], [1, 0]]),
+            0,
+            ["v0", "v1", "w0", "w1", "w2"],
+            [(0, 2, "m"), (2, 0, "m.0"), (2, 2, "m.1"), (2, 3, "m.2"), (3, 2, "m.3"),
+             (3, 3, "m.4"), (4, 0, "m.5")],
+        ),
+        (
+            _TRIANGLE,
+            None,
+            ["w0", "w2", "x", "w00", "w1", "w20"],
+            [(2, 3, "m.1"), (3, 2, "m.3"), (3, 3, "m.4"), (3, 4, "m.5"), (4, 3, "m.6"),
+             (4, 4, "m.7"), (5, 2, "m.8")],
+        ),
+        (
+            _TRIANGLE,
+            "w0",
+            ["w0", "w2", "x", "w00", "w1", "w20"],
+            [(0, 3, "m.1"), (3, 0, "m.3"), (3, 3, "m.4"), (3, 4, "m.5"), (4, 3, "m.6"),
+             (4, 4, "m.7"), (5, 0, "m.8")],
+        ),
+    ],
+)
+def test_minus1_labels_and_edges_are_pinned(g, at, labels, added):
+    # Written by the gadget code before minus1 became minus plus its source:
+    # fresh labels and edge ids dodge the ones the graph already has.
+    out = minus1(g, at)
+    assert list(out.labels) == labels
+    kept = [(e.source, e.target, e.id) for e in g.edges]
+    assert [(e.source, e.target, e.id) for e in out.edges] == kept + added
+
+
 def test_minus1_eliminates_to_minus():
     g = MultiGraph.from_matrix([[1, 1], [1, 1]])
     bigger = minus1(g, 1)
@@ -642,7 +694,8 @@ def test_mirrored_moves_match_golden_file():
     # v0#1).  Labels, edges in order with their ids, blocks, class maps and
     # the in-split factorization were written by the code before each mirror
     # became the transpose-conjugate of its twin, as was the text of every
-    # MoveError and GraphError.
+    # MoveError and GraphError.  The three splits of a graph with edges
+    # "a#1" and "a" pin the fresh id "a#1.0" of the copy that would clash.
     path = os.path.join(os.path.dirname(__file__), "data", "moves_golden.json")
     with open(path, encoding="utf-8") as fh:
         cases = json.load(fh)["cases"]
