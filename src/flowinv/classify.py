@@ -84,8 +84,8 @@ def decide(e: MultiGraph, f: MultiGraph) -> Verdict:
     if not (report_e.purely_infinite_simple and report_f.purely_infinite_simple):
         return _non_pis_verdict(report_e.to_dict(), report_f.to_dict())
 
-    te = franks_triple(e)
-    tf = franks_triple(f)
+    te = franks_triple(e, report=report_e)
+    tf = franks_triple(f, report=report_f)
     witness = {"left": te.to_dict(), "right": tf.to_dict()}
 
     if not group_iso(te.group, tf.group):

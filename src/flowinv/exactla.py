@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from math import gcd
+from math import gcd, prod
 
 
 class Ternary(Enum):
@@ -138,6 +138,9 @@ class IntMatrix:
 def det(a: IntMatrix) -> int:
     """Determinant by the Bareiss fraction-free elimination, exact.
 
+    The quickest way to det alone; ``cokernel`` also returns det, from its
+    Smith elimination, as ``project.det``.
+
     Examples
     --------
     >>> det(IntMatrix.from_rows([[-3]]))
@@ -207,21 +210,32 @@ def _replay_rows(log, n: int) -> list[list[int]]:
 def _eliminate(a: IntMatrix, want_v: bool):
     """Reduce ``a`` to Smith normal form S.
 
-    Returns ``(diagonal, log, v)``: the diagonal of S, the row operations in
-    the order they were made (U is their product), and the column transform V
-    when ``want_v`` is set, else None.  Row operations are only logged, so no
-    U is built here.
+    Returns ``(diagonal, log, v, det)``: the diagonal of S, the row operations
+    in the order they were made (U is their product), the column transform V
+    when ``want_v`` is set, else None, and det(a) when ``a`` is square, else
+    None.  Row operations are only logged, so no U is built here.
 
     Pivoting always selects the nonzero entry of least absolute value in the
     remaining submatrix (ties broken by smallest row, then smallest column
     index), making the decomposition deterministic.  Finished rows and columns
     are zero off the diagonal, so the operations at pivot k touch only rows and
     columns from k on.
+
+    *Determinant.*  Each step is a row or column swap, which negates the
+    determinant, or adds a multiple of one row (column) to another, which
+    keeps it.  A step at pivot k skips only entries before k, and those are
+    zero in both rows (columns) it involves, so it is the whole elementary
+    operation.  Hence det(a) = (-1)^swaps * det(D), D the matrix when the loop
+    ends, before its diagonal is made non-negative.  D is diagonal: finished
+    pivot rows and columns are zero off the diagonal, and a loop that stops
+    early does so because the rest of the matrix is zero.  So det(a) is the
+    swap sign times the signed diagonal product, and 0 after an early stop.
     """
     nr, nc = a.rows, a.cols
     s = [list(row) for row in a.entries]
     v = [[int(i == j) for j in range(nc)] for i in range(nc)] if want_v else None
     log: list[RowOp] = []
+    swaps = 0
 
     def row_sub(i, j, q, k):
         # row i -= q * row j, on the columns from k on
@@ -229,30 +243,18 @@ def _eliminate(a: IntMatrix, want_v: bool):
         si[k:] = [x - q * y for x, y in zip(si[k:], sj[k:])]
         log.append((i, j, q))
 
-    def col_sub(i, j, q, k):
-        # col i -= q * col j
-        for row in s[k:]:
-            x = row[j]
-            if x:
-                row[i] -= q * x
-        if v is not None:
-            for row in v:
-                row[i] -= q * row[j]
-
     def find_pivot(k):
         best = None
         best_abs = 0
         for i in range(k, nr):
-            row = s[i]
-            for j in range(k, nc):
-                e = row[j]
-                if e:
-                    m = e if e > 0 else -e
-                    if best is None or m < best_abs:
-                        best, best_abs = (i, j), m
-                        if m == 1:
-                            # Nothing is strictly smaller: the first 1 wins.
-                            return best
+            tail = s[i][k:]
+            m = min(map(abs, filter(None, tail)), default=0)
+            if m and (best is None or m < best_abs):
+                # The first entry of least magnitude in the row.
+                best, best_abs = (i, k + list(map(abs, tail)).index(m)), m
+                if m == 1:
+                    # Nothing is strictly smaller: the first 1 wins.
+                    return best
         return best
 
     k = 0
@@ -264,6 +266,7 @@ def _eliminate(a: IntMatrix, want_v: bool):
         if piv[0] != k:
             s[k], s[piv[0]] = s[piv[0]], s[k]
             log.append((k, piv[0], None))
+            swaps += 1
         if piv[1] != k:
             p = piv[1]
             for row in s[k:]:
@@ -271,39 +274,51 @@ def _eliminate(a: IntMatrix, want_v: bool):
             if v is not None:
                 for row in v:
                     row[k], row[p] = row[p], row[k]
+            swaps += 1
         pivot = s[k][k]
         dirty = False
-        for i in range(k, nr):
-            if i != k and s[i][k]:
+        for i in range(k + 1, nr):
+            if s[i][k]:
                 q = s[i][k] // pivot
                 if q:
                     row_sub(i, k, q, k)
                 if s[i][k]:
                     dirty = True
-        for j in range(k, nc):
-            if j != k and s[k][j]:
-                q = s[k][j] // pivot
+        # Column k stays fixed while the other columns are reduced against it,
+        # so only the rows with a nonzero entry there change.
+        active = [row for row in s[k:] if row[k]]
+        row_k = s[k]
+        for j in range(k + 1, nc):
+            if row_k[j]:
+                q = row_k[j] // pivot
                 if q:
-                    col_sub(j, k, q, k)
-                if s[k][j]:
+                    # col j -= q * col k
+                    for row in active:
+                        row[j] -= q * row[k]
+                    if v is not None:
+                        for row in v:
+                            row[j] -= q * row[k]
+                if row_k[j]:
                     dirty = True
         if dirty:
             continue
-        offender = None
-        for i in range(k + 1, nr):
-            row = s[i]
-            for j in range(k + 1, nc):
-                if row[j] % pivot:
-                    offender = i
-                    break
+        if pivot != 1 and pivot != -1:
+            # Every entry must be divisible by the pivot; a unit divides all.
+            offender = next(
+                (i for i in range(k + 1, nr) if any(x % pivot for x in s[i][k + 1:])),
+                None,
+            )
             if offender is not None:
-                break
-        if offender is not None:
-            # Pull the non-divisible row up next to the pivot and reduce again.
-            row_sub(k, offender, -1, k)
-            continue
+                # Pull the non-divisible row up next to the pivot and reduce again.
+                row_sub(k, offender, -1, k)
+                continue
         k += 1
 
+    determinant = None
+    if nr == nc:
+        determinant = 0
+        if k == limit:
+            determinant = (-1) ** swaps * prod(s[i][i] for i in range(nr))
     diagonal = []
     for i in range(limit):
         d = s[i][i]
@@ -313,7 +328,7 @@ def _eliminate(a: IntMatrix, want_v: bool):
                 for row in v:
                     row[i] = -row[i]
         diagonal.append(d)
-    return tuple(diagonal), log, v
+    return tuple(diagonal), log, v, determinant
 
 
 def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
@@ -328,7 +343,7 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
     diagonal or the cokernel use ``smith_diagonal`` or ``cokernel``, which
     build neither U nor V.
     """
-    diagonal, log, v = _eliminate(a, want_v=True)
+    diagonal, log, v, _ = _eliminate(a, want_v=True)
     s = [[0] * a.cols for _ in range(a.rows)]
     for i, d in enumerate(diagonal):
         s[i][i] = d
@@ -389,11 +404,13 @@ class CokernelProjection:
     Coordinates follow the group's invariant factors: one residue per torsion
     factor, then one integer per free summand.  The projection keeps the row
     operations of the Smith elimination of A and replays them on each vector
-    it is given, so U is never formed unless ``u`` is read.
+    it is given, so U is never formed unless ``u`` is read.  ``det`` is
+    det(A) for a square A, read off the same elimination, and None otherwise.
     """
 
     log: tuple[RowOp, ...]
     diagonal: tuple[int, ...]
+    det: int | None = None
 
     @cached_property
     def u(self) -> IntMatrix:
@@ -412,27 +429,28 @@ class CokernelProjection:
 
 def _quotient(a: IntMatrix) -> tuple[AbelianGroup, CokernelProjection]:
     """Z^rows modulo the column lattice of ``a``, for any shape of ``a``."""
-    diagonal, log, _ = _eliminate(a, want_v=False)
+    diagonal, log, _, determinant = _eliminate(a, want_v=False)
     # Rows past the last column have no pivot: each adds a free summand.
     diagonal += (0,) * (a.rows - len(diagonal))
     group = AbelianGroup(
         torsion=tuple(d for d in diagonal if d >= 2),
         free_rank=sum(1 for d in diagonal if d == 0),
     )
-    return group, CokernelProjection(tuple(log), diagonal)
+    return group, CokernelProjection(tuple(log), diagonal, determinant)
 
 
 def cokernel(a: IntMatrix) -> tuple[AbelianGroup, CokernelProjection]:
     """Cokernel Z^n / A Z^n of a square integer matrix.
 
     One Smith elimination, which builds neither U nor V: the projection
-    replays its row operations.
+    replays its row operations, and carries det(A) from the same pass as
+    ``project.det``, so a caller that needs both makes no second elimination.
 
     Examples
     --------
     >>> group, project = cokernel(IntMatrix.from_rows([[-3]]))
-    >>> str(group), project([1])
-    ('Z/3', (1,))
+    >>> str(group), project([1]), project.det
+    ('Z/3', (1,), -3)
     """
     if not a.is_square:
         raise ValueError("cokernel requires a square matrix")

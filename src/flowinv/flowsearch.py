@@ -27,9 +27,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from flowinv.exactla import cokernel, det, group_iso
+# det is unused here but stays importable: bench/tracing.py wraps flowsearch.det.
+from flowinv.exactla import cokernel, det, group_iso  # noqa: F401
 from flowinv.graph import (
     GraphError,
+    GraphReport,
     MultiGraph,
     canonical_key,
     canonical_rows_key,
@@ -375,7 +377,9 @@ def _realize(g, kind, recipe):
 # Bidirectional search.
 
 
-def _require_search_ready(g: MultiGraph, side: str, max_vertices: int) -> None:
+def _require_search_ready(g: MultiGraph, side: str, max_vertices: int) -> GraphReport:
+    """The structural report of ``g``; raises GraphError unless ``g`` is
+    essential, irreducible, nontrivial and within the vertex cap."""
     report = classify_graph(g)
     problems = []
     if not report.essential:
@@ -394,6 +398,7 @@ def _require_search_ready(g: MultiGraph, side: str, max_vertices: int) -> None:
             f"the {side} graph has {g.n} vertices, above the search cap "
             f"{max_vertices}"
         )
+    return report
 
 
 def find_sequence(
@@ -413,12 +418,12 @@ def find_sequence(
     ``DEFAULT_PARTITION_CAP`` partitions per vertex, and raises
     :class:`NotFoundWithinBounds` with ``bounds-exhausted`` on failure.
     """
-    _require_search_ready(src, "start", max_vertices)
-    _require_search_ready(dst, "goal", max_vertices)
+    report_src = _require_search_ready(src, "start", max_vertices)
+    report_dst = _require_search_ready(dst, "goal", max_vertices)
     stats = SearchStats()
 
-    want = franks_triple(src)
-    if not equiv_det_pair(want, franks_triple(dst)):
+    want = franks_triple(src, report=report_src)
+    if not equiv_det_pair(want, franks_triple(dst, report=report_dst)):
         raise NotFoundWithinBounds("invariant-mismatch", stats)
 
     entry_cap = max(9, _max_entry(src), _max_entry(dst))
@@ -510,8 +515,8 @@ def _replay(start, keys, want, *, max_vertices, entry_cap, partition_cap):
         else:
             raise RuntimeError("internal error: discovered step could not be replayed")
         step = MoveStep(found[0], *_realize(cur, *found))
-        b = bowen_franks_matrix(step.graph)
-        if det(b) != want.determinant or not group_iso(cokernel(b)[0], want.group):
+        group, proj = cokernel(bowen_franks_matrix(step.graph))
+        if proj.det != want.determinant or not group_iso(group, want.group):
             raise RuntimeError("internal error: a step drifted the invariants")
         steps.append(step)
         cur = step.graph

@@ -17,7 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from flowinv.exactla import (
+# det is unused here but stays importable: bench/tracing.py wraps invariants.det.
+from flowinv.exactla import (  # noqa: F401
     IntMatrix,
     PointedGroup,
     Ternary,
@@ -26,7 +27,7 @@ from flowinv.exactla import (
     group_iso,
     pointed_equivalent,
 )
-from flowinv.graph import MultiGraph, classify_graph
+from flowinv.graph import GraphReport, MultiGraph, classify_graph
 
 
 def bowen_franks_matrix(g: MultiGraph) -> IntMatrix:
@@ -37,7 +38,15 @@ def bowen_franks_matrix(g: MultiGraph) -> IntMatrix:
     [[-3]]
     """
     n = g.n
-    return IntMatrix.identity(n) - g.incidence().transpose()
+    # Column i of A is row i of A^t; the entries are already ints.
+    return IntMatrix(
+        n,
+        n,
+        tuple(
+            tuple((i == j) - x for j, x in enumerate(col))
+            for i, col in enumerate(zip(*g.incidence().entries))
+        ),
+    )
 
 
 @dataclass(frozen=True)
@@ -68,21 +77,27 @@ class FranksTriple:
         }
 
 
-def franks_triple(g: MultiGraph) -> FranksTriple:
+def franks_triple(
+    g: MultiGraph, *, report: GraphReport | None = None
+) -> FranksTriple:
     """Compute the full invariant triple of a graph.
+
+    One Smith elimination of I - A^t gives the group, the unit class and the
+    determinant.  ``report`` is ``classify_graph(g)`` when the caller already
+    has it; otherwise it is computed here.
 
     >>> from flowinv.graph import MultiGraph
     >>> t = franks_triple(MultiGraph(1, [(0, 0)] * 4))
     >>> str(t.group), t.unit_class, t.determinant, t.pis
     ('Z/3', (1,), -3, True)
     """
-    b = bowen_franks_matrix(g)
-    group, proj = cokernel(b)
+    group, proj = cokernel(bowen_franks_matrix(g))
     point = proj([1] * g.n)
-    report = classify_graph(g)
+    if report is None:
+        report = classify_graph(g)
     return FranksTriple(
         pointed=PointedGroup(group, point),
-        determinant=det(b),
+        determinant=proj.det,
         pis=report.purely_infinite_simple,
     )
 

@@ -110,6 +110,23 @@ def test_decide_refuses_non_pis_input():
     assert v.witness["right_report"]["purely_infinite_simple"]
 
 
+def test_decide_reports_each_graph_once(monkeypatch):
+    calls = []
+
+    def counted(g):
+        calls.append(g)
+        return classify_graph(g)
+
+    monkeypatch.setattr("flowinv.classify.classify_graph", counted)
+    monkeypatch.setattr("flowinv.invariants.classify_graph", counted)
+    e, f = _rose(4), MultiGraph.from_matrix([[1, 1], [3, 2]])
+    assert decide(e, f).reason_tag == TAG_TRIPLE_MATCH
+    assert calls == [e, f]
+    calls.clear()
+    assert decide(MultiGraph.from_matrix([[0, 1], [0, 0]]), e).reason_tag == TAG_NON_PIS
+    assert len(calls) == 2
+
+
 def test_decide_transpose_refuses_non_pis_input():
     v = decide_transpose(MultiGraph.from_matrix([[0, 1], [0, 0]]))
     assert v.reason_tag == TAG_NON_PIS

@@ -13,6 +13,8 @@ import pytest
 
 from flowinv.exactla import (
     AbelianGroup,
+    _eliminate,
+    _quotient,
     IntMatrix,
     PointedGroup,
     Ternary,
@@ -261,6 +263,178 @@ def test_snf_is_deterministic():
     first = smith_normal_form(m)
     second = smith_normal_form(m)
     assert first.u == second.u and first.s == second.s and first.v == second.v
+
+
+# ---------------------------------------------------------------------------
+# The Smith pass against a reference kernel, and the det it returns.
+
+
+def _eliminate_reference(a: IntMatrix, want_v: bool):
+    """The Smith elimination before it returned det: a plain loop pivot
+    search, a column pass over every row and an offender scan at every pivot.
+    Returns ``(diagonal, log, v)``."""
+    nr, nc = a.rows, a.cols
+    s = [list(row) for row in a.entries]
+    v = [[int(i == j) for j in range(nc)] for i in range(nc)] if want_v else None
+    log = []
+
+    def row_sub(i, j, q, k):
+        si, sj = s[i], s[j]
+        si[k:] = [x - q * y for x, y in zip(si[k:], sj[k:])]
+        log.append((i, j, q))
+
+    def col_sub(i, j, q, k):
+        for row in s[k:]:
+            x = row[j]
+            if x:
+                row[i] -= q * x
+        if v is not None:
+            for row in v:
+                row[i] -= q * row[j]
+
+    def find_pivot(k):
+        best = None
+        best_abs = 0
+        for i in range(k, nr):
+            row = s[i]
+            for j in range(k, nc):
+                e = row[j]
+                if e:
+                    m = e if e > 0 else -e
+                    if best is None or m < best_abs:
+                        best, best_abs = (i, j), m
+                        if m == 1:
+                            return best
+        return best
+
+    k = 0
+    limit = min(nr, nc)
+    while k < limit:
+        piv = find_pivot(k)
+        if piv is None:
+            break
+        if piv[0] != k:
+            s[k], s[piv[0]] = s[piv[0]], s[k]
+            log.append((k, piv[0], None))
+        if piv[1] != k:
+            p = piv[1]
+            for row in s[k:]:
+                row[k], row[p] = row[p], row[k]
+            if v is not None:
+                for row in v:
+                    row[k], row[p] = row[p], row[k]
+        pivot = s[k][k]
+        dirty = False
+        for i in range(k, nr):
+            if i != k and s[i][k]:
+                q = s[i][k] // pivot
+                if q:
+                    row_sub(i, k, q, k)
+                if s[i][k]:
+                    dirty = True
+        for j in range(k, nc):
+            if j != k and s[k][j]:
+                q = s[k][j] // pivot
+                if q:
+                    col_sub(j, k, q, k)
+                if s[k][j]:
+                    dirty = True
+        if dirty:
+            continue
+        offender = None
+        for i in range(k + 1, nr):
+            row = s[i]
+            for j in range(k + 1, nc):
+                if row[j] % pivot:
+                    offender = i
+                    break
+            if offender is not None:
+                break
+        if offender is not None:
+            row_sub(k, offender, -1, k)
+            continue
+        k += 1
+
+    diagonal = []
+    for i in range(limit):
+        d = s[i][i]
+        if d < 0:
+            d = -d
+            if v is not None:
+                for row in v:
+                    row[i] = -row[i]
+        diagonal.append(d)
+    return tuple(diagonal), log, v
+
+
+def _assert_same_pass(m: IntMatrix) -> int | None:
+    """The pass makes the reference's pivots and operations; returns its det."""
+    for want_v in (False, True):
+        *ops, determinant = _eliminate(m, want_v)
+        assert tuple(ops) == _eliminate_reference(m, want_v)
+    return determinant
+
+
+def _singular(rng: random.Random, n: int) -> IntMatrix:
+    """A random n x n matrix, n >= 2, whose last row combines the others."""
+    rows = _rand_matrix(rng, n).to_lists()
+    coeffs = [rng.randint(-2, 2) for _ in range(n - 1)]
+    rows[-1] = [sum(c * row[j] for c, row in zip(coeffs, rows)) for j in range(n)]
+    return IntMatrix.from_rows(rows)
+
+
+def test_smith_pass_matches_reference_on_square_matrices():
+    rng = random.Random(31)
+    for _ in range(300):
+        n = rng.randint(1, 9)
+        lo, hi = rng.choice([(-9, 9), (-2, 2), (0, 3), (-1, 1)])
+        m = _rand_matrix(rng, n, lo, hi)
+        assert _assert_same_pass(m) == det(m)
+
+
+def test_smith_pass_matches_reference_on_singular_matrices():
+    rng = random.Random(32)
+    for _ in range(150):
+        m = _singular(rng, rng.randint(2, 8))
+        assert _assert_same_pass(m) == 0
+    assert _assert_same_pass(IntMatrix.zeros(3, 3)) == 0
+
+
+def test_smith_pass_matches_reference_on_non_square_matrices():
+    # [C | B] with B square, the shape moves.py reduces, and a few wide and
+    # tall blocks; none of them has a determinant.
+    rng = random.Random(33)
+    for _ in range(150):
+        n = rng.randint(1, 7)
+        b = _rand_matrix(rng, n, -3, 3)
+        c = _rand_matrix(rng, n, 0, 2)
+        assert _assert_same_pass(c.hstack(b)) is None
+        tall = IntMatrix.from_rows(b.to_lists() + [[rng.randint(-3, 3)] * n])
+        assert _assert_same_pass(tall) is None
+        assert _assert_same_pass(tall.transpose()) is None
+    _, project = _quotient(IntMatrix.from_rows([[2, 0, 1], [0, 3, 1]]))
+    assert project.det is None
+
+
+def test_smith_pass_matches_reference_on_dense_bowen_franks_matrices():
+    rng = random.Random(34)
+    for n in (8, 16, 24, 32, 48, 64):
+        a = [[rng.randint(0, 3) for _ in range(n)] for _ in range(n)]
+        b = IntMatrix.from_rows([[(i == j) - a[j][i] for j in range(n)] for i in range(n)])
+        *ops, determinant = _eliminate(b, want_v=True)
+        assert tuple(ops) == _eliminate_reference(b, want_v=True)
+        assert determinant == det(b)
+
+
+def test_smith_pass_det_matches_fraction_oracle():
+    rng = random.Random(35)
+    for _ in range(200):
+        n = rng.randint(1, 6)
+        m = _rand_matrix(rng, n) if rng.random() < 0.7 else _singular(rng, max(n, 2))
+        group, project = cokernel(m)
+        assert project.det == _eliminate(m, want_v=False)[3] == _det_fractions(m)
+        # |det| is the order of the group, 0 exactly when it has a free part.
+        assert abs(project.det) == (prod(group.torsion) if not group.free_rank else 0)
 
 
 # ---------------------------------------------------------------------------

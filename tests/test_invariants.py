@@ -6,7 +6,7 @@ import json
 import os
 import random
 
-from flowinv.exactla import AbelianGroup, Ternary
+from flowinv.exactla import AbelianGroup, IntMatrix, Ternary, det
 from flowinv.graph import MultiGraph, transpose
 from flowinv.invariants import (
     bowen_franks_matrix,
@@ -32,6 +32,22 @@ def _rand_graph(rng: random.Random, max_n: int = 4, max_mult: int = 2) -> MultiG
 def test_bowen_franks_matrix_is_i_minus_a_transpose():
     g = MultiGraph.from_matrix([[1, 2], [3, 4]])
     assert bowen_franks_matrix(g).to_lists() == [[0, -3], [-2, -3]]
+
+
+def test_bowen_franks_matrix_equals_the_matrix_arithmetic():
+    rng = random.Random(13)
+    for _ in range(50):
+        g = _rand_graph(rng, max_n=9, max_mult=3)
+        b = bowen_franks_matrix(g)
+        assert b == IntMatrix.identity(g.n) - g.incidence().transpose()
+        assert all(type(x) is int for row in b.entries for x in row)
+
+
+def test_triple_det_is_the_bareiss_det():
+    rng = random.Random(14)
+    for _ in range(80):
+        g = _rand_graph(rng, max_n=7, max_mult=3)
+        assert franks_triple(g).determinant == det(bowen_franks_matrix(g))
 
 
 def test_triple_of_the_four_petal_rose():
