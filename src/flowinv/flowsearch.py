@@ -417,7 +417,10 @@ def find_sequence(
     runs up to ``max_depth`` total moves, cutting splittings at
     ``DEFAULT_PARTITION_CAP`` partitions per vertex, and raises
     :class:`NotFoundWithinBounds` with ``bounds-exhausted`` on failure.
+    A negative ``max_depth`` raises GraphError.
     """
+    if max_depth < 0:
+        raise GraphError(f"max_depth must be non-negative, got {max_depth}")
     report_src = _require_search_ready(src, "start", max_vertices)
     report_dst = _require_search_ready(dst, "goal", max_vertices)
     stats = SearchStats()

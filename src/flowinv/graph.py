@@ -51,7 +51,7 @@ class MultiGraph:
     edges, ids and order as given.
     """
 
-    __slots__ = ("_labels", "_edges", "_matrix", "_out", "_in", "_canon")
+    __slots__ = ("_labels", "_edges", "_matrix", "_out", "_in")
 
     def __init__(self, vertices, edges=(), *, matrix=None):
         if isinstance(vertices, int):
@@ -62,7 +62,6 @@ class MultiGraph:
             raise GraphError("graph must have at least one vertex")
         n = len(labels)
         self._labels = labels
-        self._canon = None
 
         if matrix is not None:
             if edges:
@@ -327,49 +326,10 @@ class GraphReport:
         }
 
 
-def _has_no_exit_cycle(g: MultiGraph) -> bool:
-    """Detect a cycle all of whose vertices have out-degree exactly 1.
-
-    Such a cycle has no exit.  Restricting to out-degree-1 vertices gives a
-    partial functional graph; a cycle there is exactly a no-exit cycle, so
-    the check is one pass over the incidence matrix.
-    """
-    succ = {
-        v: row.index(1) for v, row in enumerate(g.incidence().entries) if sum(row) == 1
-    }
-    state = {v: 0 for v in succ}  # 0 fresh, 1 in progress, 2 done
-    for start in succ:
-        if state[start]:
-            continue
-        path = []
-        v = start
-        while v in succ and state[v] == 0:
-            state[v] = 1
-            path.append(v)
-            v = succ[v]
-        if v in succ and state[v] == 1:
-            return True
-        for w in path:
-            state[w] = 2
-    return False
-
-
-def _reaches_all(g: MultiGraph, targets: list[set[int]]) -> bool:
-    """Whether every vertex has a path into every one of the target sets."""
-    m = g.incidence().entries
-    preds = [[v for v in range(g.n) if m[v][w]] for w in range(g.n)]
-    for tset in targets:
-        seen = set(tset)
-        frontier = list(tset)
-        while frontier:
-            v = frontier.pop()
-            for w in preds[v]:
-                if w not in seen:
-                    seen.add(w)
-                    frontier.append(w)
-        if len(seen) != g.n:
-            return False
-    return True
+def is_cyclic_component(g: MultiGraph, comp: list[int]) -> bool:
+    """Whether the strongly connected component ``comp`` of ``g`` contains a
+    cycle: it has two or more vertices, or one vertex with a loop."""
+    return len(comp) > 1 or g.incidence().entries[comp[0]][comp[0]] > 0
 
 
 def classify_graph(g: MultiGraph) -> GraphReport:
@@ -378,42 +338,47 @@ def classify_graph(g: MultiGraph) -> GraphReport:
     ``simple_lpa`` holds when every cycle has an exit and every vertex has a
     path to every cycle and to every sink; adding the existence of a cycle
     gives ``purely_infinite_simple``.
+
+    Every predicate is read off one pass of
+    :func:`strongly_connected_components` and the vertex degrees:
+
+    * Each vertex of a cycle without an exit has out-degree 1, its edge on
+      the cycle, so no path leaves the cycle: its vertices form a whole
+      cyclic component whose vertices all have out-degree 1.  Conversely,
+      in such a component each vertex's one edge stays inside (the vertex
+      must reach the rest of the component), so the component is a single
+      cycle without an exit.  Hence ``every_cycle_has_exit`` fails exactly
+      when some cyclic component has out-degree 1 throughout.
+    * Following edges from any vertex either ends at a sink or repeats a
+      vertex, entering a cyclic component; so each vertex reaches at least
+      one target (a sink or a cyclic component).  Distinct targets are
+      distinct components and cannot reach each other both ways, so every
+      vertex reaches every target exactly when there is one target.
+    * ``trivial`` (one component, a single cycle) is an irreducible graph
+      with a cycle without an exit, by the first point.
     """
-    src = sources(g)
-    snk = sinks(g)
-    comps = strongly_connected_components(g)
-    irreducible = len(comps) == 1
-
     m = g.incidence().entries
-    loops = {v for v in range(g.n) if m[v][v]}
-    cyclic_comps = [
-        c for c in comps if len(c) > 1 or c[0] in loops
-    ]
-    has_cycle = bool(cyclic_comps)
+    out_deg = [sum(row) for row in m]
+    comps = strongly_connected_components(g)
+    cyclic = [c for c in comps if is_cyclic_component(g, c)]
+    irreducible = len(comps) == 1
+    has_sources = any(not any(col) for col in zip(*m))
+    sink_count = out_deg.count(0)
 
-    essential = not src and not snk
-    trivial = (
-        irreducible
-        and all(g.out_degree(v) == 1 for v in range(g.n))
-        and all(g.in_degree(v) == 1 for v in range(g.n))
-    )
-
-    cycle_exits = not _has_no_exit_cycle(g)
-    targets = [set(c) for c in cyclic_comps] + [{v} for v in snk]
-    reaches = _reaches_all(g, targets)
+    cycle_exits = not any(all(out_deg[v] == 1 for v in c) for c in cyclic)
+    reaches = len(cyclic) + sink_count == 1
     simple = cycle_exits and reaches
-    pis = simple and has_cycle
 
     return GraphReport(
-        has_sources=bool(src),
-        has_sinks=bool(snk),
+        has_sources=has_sources,
+        has_sinks=sink_count > 0,
         irreducible=irreducible,
-        essential=essential,
-        trivial=trivial,
+        essential=not has_sources and not sink_count,
+        trivial=irreducible and not cycle_exits,
         every_cycle_has_exit=cycle_exits,
         every_vertex_reaches_cycle_or_sink=reaches,
         simple_lpa=simple,
-        purely_infinite_simple=pis,
+        purely_infinite_simple=simple and bool(cyclic),
     )
 
 
@@ -499,10 +464,8 @@ def canonical_permutation(g: MultiGraph) -> tuple[int, ...]:
 
 def canonical_key(g: MultiGraph):
     """Hashable isomorphism invariant: two graphs get equal keys iff
-    isomorphic.  Computed once per graph by :func:`canonical_rows_key`."""
-    if g._canon is None:
-        g._canon = canonical_rows_key(g.incidence().entries)
-    return g._canon
+    isomorphic; :func:`canonical_rows_key` of the incidence rows."""
+    return canonical_rows_key(g.incidence().entries)
 
 
 def is_isomorphic(a: MultiGraph, b: MultiGraph, *, max_vertices: int = _ISO_LIMIT) -> bool:

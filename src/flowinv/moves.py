@@ -25,7 +25,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from flowinv.exactla import IntMatrix, cokernel, group_iso, smith_diagonal
-from flowinv.graph import Edge, GraphError, MultiGraph, strongly_connected_components
+from flowinv.graph import (
+    Edge,
+    GraphError,
+    MultiGraph,
+    is_cyclic_component,
+    strongly_connected_components,
+)
 from flowinv.invariants import bowen_franks_matrix
 
 
@@ -677,19 +683,13 @@ def shift(g: MultiGraph, v, w) -> MultiGraph:
 # Determinant sign gadgets.
 
 
-def _cycle_vertices(g: MultiGraph) -> set[int]:
-    out = set()
-    for comp in strongly_connected_components(g):
-        if len(comp) > 1:
-            out.update(comp)
-    for v in range(g.n):
-        if any(e.target == v for e in g.out_edges(v)):
-            out.add(v)
-    return out
-
-
 def _attach_vertex(g: MultiGraph, at) -> int:
-    cyclic = _cycle_vertices(g)
+    cyclic = {
+        v
+        for comp in strongly_connected_components(g)
+        if is_cyclic_component(g, comp)
+        for v in comp
+    }
     if at is None:
         if not cyclic:
             raise MoveError("graph has no vertex on a cycle")

@@ -329,6 +329,14 @@ def test_search_script_replays(tmp_path, capsys):
     assert is_isomorphic(parse_graph(out), parse_graph(COMPANION))
 
 
+def test_search_negative_depth_exits_2(tmp_path, capsys):
+    rose = _write(tmp_path, "rose.graph", ROSE4)
+    comp = _write(tmp_path, "comp.graph", COMPANION)
+    code, out, err = _run(capsys, ["search", rose, comp, "--depth", "-1"])
+    assert code == 2 and not out
+    assert "max_depth" in err
+
+
 def test_search_invariant_mismatch_is_data(tmp_path, capsys):
     rose4 = _write(tmp_path, "rose4.graph", ROSE4)
     rose3 = _write(tmp_path, "rose3.graph", "edges 1\n0 0 3\n")

@@ -153,6 +153,13 @@ def test_bounds_exhausted_at_depth_zero():
     assert "within bounds" in str(exc.value)
 
 
+def test_negative_depth_is_rejected():
+    companion = MultiGraph.from_matrix([[1, 1], [3, 2]])
+    for goal in (companion, _rose(4)):
+        with pytest.raises(GraphError, match="max_depth"):
+            find_sequence(_rose(4), goal, max_depth=-1)
+
+
 def test_bounds_exhausted_reports_stats():
     companion = MultiGraph.from_matrix([[1, 1], [3, 2]])
     with pytest.raises(NotFoundWithinBounds) as exc:

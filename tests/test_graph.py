@@ -24,6 +24,7 @@ from flowinv.graph import (
     strongly_connected_components,
     transpose,
 )
+from flowinv.moves import MoveError, minus, minus1
 
 
 def _rose(petals: int) -> MultiGraph:
@@ -237,6 +238,160 @@ def test_classification_is_relabel_invariant():
         perm = list(range(g.n))
         rng.shuffle(perm)
         assert classify_graph(g.permuted(perm)) == classify_graph(g)
+
+
+# ---------------------------------------------------------------------------
+# Report oracle: the three traversals classify_graph used before it read
+# every predicate off one strongly connected component pass.
+
+
+def _has_no_exit_cycle_reference(g: MultiGraph) -> bool:
+    succ = {
+        v: row.index(1) for v, row in enumerate(g.incidence().entries) if sum(row) == 1
+    }
+    state = {v: 0 for v in succ}  # 0 fresh, 1 in progress, 2 done
+    for start in succ:
+        if state[start]:
+            continue
+        path = []
+        v = start
+        while v in succ and state[v] == 0:
+            state[v] = 1
+            path.append(v)
+            v = succ[v]
+        if v in succ and state[v] == 1:
+            return True
+        for w in path:
+            state[w] = 2
+    return False
+
+
+def _reaches_all_reference(g: MultiGraph, targets: list[set[int]]) -> bool:
+    m = g.incidence().entries
+    preds = [[v for v in range(g.n) if m[v][w]] for w in range(g.n)]
+    for tset in targets:
+        seen = set(tset)
+        frontier = list(tset)
+        while frontier:
+            v = frontier.pop()
+            for w in preds[v]:
+                if w not in seen:
+                    seen.add(w)
+                    frontier.append(w)
+        if len(seen) != g.n:
+            return False
+    return True
+
+
+def _cycle_vertices_reference(g: MultiGraph) -> set[int]:
+    out = set()
+    for comp in strongly_connected_components(g):
+        if len(comp) > 1:
+            out.update(comp)
+    for v in range(g.n):
+        if any(e.target == v for e in g.out_edges(v)):
+            out.add(v)
+    return out
+
+
+def _report_reference(g: MultiGraph) -> dict:
+    src = sources(g)
+    snk = sinks(g)
+    comps = strongly_connected_components(g)
+    irreducible = len(comps) == 1
+    m = g.incidence().entries
+    cyclic_comps = [c for c in comps if len(c) > 1 or m[c[0]][c[0]]]
+    trivial = (
+        irreducible
+        and all(g.out_degree(v) == 1 for v in range(g.n))
+        and all(g.in_degree(v) == 1 for v in range(g.n))
+    )
+    cycle_exits = not _has_no_exit_cycle_reference(g)
+    targets = [set(c) for c in cyclic_comps] + [{v} for v in snk]
+    reaches = _reaches_all_reference(g, targets)
+    simple = cycle_exits and reaches
+    return {
+        "has_sources": bool(src),
+        "has_sinks": bool(snk),
+        "irreducible": irreducible,
+        "essential": not src and not snk,
+        "trivial": trivial,
+        "every_cycle_has_exit": cycle_exits,
+        "every_vertex_reaches_cycle_or_sink": reaches,
+        "simple_lpa": simple,
+        "purely_infinite_simple": simple and bool(cyclic_comps),
+    }
+
+
+def _check_against_reference(rows) -> None:
+    g = MultiGraph.from_matrix(rows)
+    assert classify_graph(g).to_dict() == _report_reference(g), rows
+
+
+def test_report_matches_reference_on_all_small_graphs():
+    # Every matrix with n <= 3 and entries 0..2: 3 + 81 + 19,683 graphs.
+    count = 0
+    for n in (1, 2, 3):
+        for combo in itertools.product(range(3), repeat=n * n):
+            _check_against_reference([list(combo[i * n : (i + 1) * n]) for i in range(n)])
+            count += 1
+    assert count == 19_767
+
+
+def _sparse_matrices(st):
+    # Rows that are empty, a single edge, or mostly zero, so that sinks,
+    # cycles without exits and many components come up often.
+    def row(n):
+        return st.one_of(
+            st.just([0] * n),
+            st.integers(0, n - 1).map(lambda j: [int(i == j) for i in range(n)]),
+            st.lists(st.sampled_from((0, 0, 0, 0, 1, 2)), min_size=n, max_size=n),
+        )
+
+    return st.integers(1, 8).flatmap(lambda n: st.lists(row(n), min_size=n, max_size=n))
+
+
+def _dense_matrices(st):
+    return st.integers(1, 8).flatmap(
+        lambda n: st.lists(
+            st.lists(st.integers(0, 3), min_size=n, max_size=n), min_size=n, max_size=n
+        )
+    )
+
+
+def test_report_matches_reference_on_drawn_graphs():
+    hyp = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hyp.settings(max_examples=400, deadline=None)
+    @hyp.given(st.one_of(_sparse_matrices(st), _dense_matrices(st)))
+    def check(rows):
+        _check_against_reference(rows)
+
+    check()
+
+
+def test_sign_gadgets_attach_where_they_did():
+    # Which vertices lie on a cycle depends only on which entries are
+    # nonzero, so 0/1 matrices cover every case with n <= 3.
+    for n in (1, 2, 3):
+        for combo in itertools.product(range(2), repeat=n * n):
+            g = MultiGraph.from_matrix(
+                [list(combo[i * n : (i + 1) * n]) for i in range(n)]
+            )
+            cyclic = _cycle_vertices_reference(g)
+            for gadget in (minus, minus1):
+                if not cyclic:
+                    with pytest.raises(MoveError):
+                        gadget(g)
+                    continue
+                assert gadget(g) == gadget(g, max(cyclic))
+                for v in range(n):
+                    if v in cyclic:
+                        gadget(g, v)
+                    else:
+                        with pytest.raises(MoveError):
+                            gadget(g, v)
 
 
 # ---------------------------------------------------------------------------
