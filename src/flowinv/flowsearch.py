@@ -15,6 +15,24 @@ arguments, are built only for the steps of a found path: :func:`_replay`
 walks the key chain from the start, enumerates each graph's rows again and
 builds, through the move itself, only the neighbor whose key matches.
 
+The search skips work whose result is already known or cannot matter.  The
+shape of a matrix (:func:`_shape`: its vertex count and sorted (out-degree,
+in-degree) pairs) survives every vertex permutation, so two matrices with
+equal keys have equal shapes, and a key has the shape of what it keys:
+
+- On the last level (the one that brings the two distances to the depth
+  bound) the new frontier is never expanded, so only a meet with the other
+  side can come of a neighbor.  A neighbor whose shape no key of the other
+  side has cannot meet, and neither can a later one with its key, so it is
+  not keyed; the first meet in enumeration order is the same.
+- :func:`_replay` keys only neighbors with the shape of the link it looks
+  for; a true match always has it, so the first match is the same.
+- One search keys each distinct rows once, since a key is a function of
+  the rows.  It enumerates the vector partitions of each bundle vector
+  once too, keeping only the first ``partition_cap + 1`` with two or more
+  parts: all the cap lets through, and the one that shows it cut, which is
+  all the cut count reads.  Both memos live and die with the search.
+
 Graphs are identified up to isomorphism via canonical keys, so a found
 sequence ends at a graph isomorphic to the goal.  The search is bounded
 (depth, vertex count, entry size, partitions per vertex); splittings into
@@ -201,7 +219,7 @@ def _vector_partitions(total, max_parts):
     yield from rec(total, total, max_parts)
 
 
-def _split_rows(m, v, max_classes, partition_cap, stats):
+def _split_rows(m, v, max_classes, partition_cap, stats, partitions=None):
     """In-splittings of vertex v of the incidence rows ``m`` into
     2..max_classes classes, as (parts, rows) pairs.
 
@@ -212,15 +230,24 @@ def _split_rows(m, v, max_classes, partition_cap, stats):
     part and row v repeated once per part: every copy of v keeps v's
     out-edges, and copy i receives part i.  This is the incidence of
     :func:`in_split` by the matching partition, vertex order included.
+
+    ``partitions``, if given, memoizes the vector partitions of each bundle
+    vector: only those with two or more parts, and only the first
+    ``partition_cap + 1``, which is all the cap lets through plus the one
+    that tells whether it cut.  Uncapped, they stay a lazy generator.
     """
     order = [u for u, row in enumerate(m) if row[v]]
     counts = tuple(m[u][v] for u in order)
     if sum(counts) < 2:
         return
+    splits = (p for p in _vector_partitions(counts, max_classes) if len(p) >= 2)
+    if partitions is not None and partition_cap is not None:
+        at = (counts, max_classes, partition_cap)
+        if at not in partitions:
+            partitions[at] = list(itertools.islice(splits, partition_cap + 1))
+        splits = partitions[at]
     emitted = 0
-    for parts in _vector_partitions(counts, max_classes):
-        if len(parts) < 2:
-            continue
+    for parts in splits:
         if partition_cap is not None and emitted >= partition_cap:
             stats.partition_capped += 1
             break
@@ -272,7 +299,7 @@ def _drop(row, v):
     return row[:v] + row[v + 1 :]
 
 
-def _neighbors(m, *, max_vertices, entry_cap, partition_cap, stats):
+def _neighbors(m, *, max_vertices, entry_cap, partition_cap, stats, partitions=None):
     """All admissible one-move neighbors of the graph with incidence rows
     ``m``, in a fixed order, as (kind, rows, recipe) triples.
 
@@ -285,7 +312,7 @@ def _neighbors(m, *, max_vertices, entry_cap, partition_cap, stats):
     needs to build the graph and the script arguments through the move
     itself: the vertex (expand, eliminate), the vertex and its star
     (contract), the vertex and the vector partition (splittings), or the
-    blocks (amalgamations).
+    blocks (amalgamations).  ``partitions`` is :func:`_split_rows`'s memo.
     """
     n = len(m)
     cols = tuple(zip(*m))
@@ -316,7 +343,9 @@ def _neighbors(m, *, max_vertices, entry_cap, partition_cap, stats):
     if max_classes >= 2:
         for kind, oriented in (("in-split", m), ("out-split", cols)):
             for v in range(n):
-                for parts, rows in _split_rows(oriented, v, max_classes, partition_cap, stats):
+                for parts, rows in _split_rows(
+                    oriented, v, max_classes, partition_cap, stats, partitions
+                ):
                     if max(map(max, rows)) > entry_cap:
                         stats.entry_capped += 1
                         continue
@@ -333,6 +362,22 @@ def _neighbors(m, *, max_vertices, entry_cap, partition_cap, stats):
             if kind == "out-amalgamate":
                 rows = tuple(zip(*rows))
             yield kind, rows, blocks
+
+
+def _shape(rows):
+    """(vertex count, sorted (out-degree, in-degree) pairs) of the incidence
+    rows ``rows``.  No vertex permutation changes it, and a canonical key is
+    permuted rows, so a key has the shape of every matrix it keys."""
+    return len(rows), tuple(sorted(zip(map(sum, rows), map(sum, zip(*rows)))))
+
+
+def _rows_key(rows, memo):
+    """:func:`flowinv.graph.canonical_rows_key` of ``rows``, through the
+    dict ``memo`` from rows to key."""
+    key = memo.get(rows)
+    if key is None:
+        key = memo[rows] = canonical_rows_key(rows)
+    return key
 
 
 def _realize(g, kind, recipe):
@@ -439,12 +484,13 @@ def find_sequence(
 
     # visited maps canonical key -> parent key; the roots have parent None.
     # A key's parent is the graph that first reached it.  Frontiers hold
-    # (key, rows) pairs.
+    # (key, rows) pairs.  keyed and partitions are this search's memos.
     visited_f = {key_src: None}
     visited_b = {key_dst: None}
     frontier_f = [(key_src, src.incidence().entries)]
     frontier_b = [(key_dst, dst.incidence().entries)]
     dist_f = dist_b = 0
+    keyed, partitions = {}, {}
 
     def chain(visited, key):
         out = []
@@ -457,18 +503,26 @@ def find_sequence(
         forward = len(frontier_f) <= len(frontier_b)
         frontier = frontier_f if forward else frontier_b
         visited, other = (visited_f, visited_b) if forward else (visited_b, visited_f)
+        # The last level's frontier is never expanded, so only a meet can
+        # come of it, and a neighbor meets only keys of its own shape.
+        last = dist_f + dist_b + 1 == max_depth
+        shapes = {_shape(k) for k in other} if last else None
         next_frontier = []
         for key, m in frontier:
             stats.expanded += 1
-            for _, rows, _ in _neighbors(m, stats=stats, **bounds):
-                hkey = canonical_rows_key(rows)
+            for _, rows, _ in _neighbors(m, stats=stats, partitions=partitions, **bounds):
+                if last and _shape(rows) not in shapes:
+                    continue
+                hkey = _rows_key(rows, keyed)
                 if hkey in visited:
                     continue
                 visited[hkey] = key
                 if hkey in other:
                     # The root of each chain has no step.
                     keys = chain(visited_f, hkey)[-2::-1] + chain(visited_b, hkey)[1:]
-                    steps = _replay(src, keys, want, **bounds)
+                    steps = _replay(
+                        src, keys, want, keyed=keyed, partitions=partitions, **bounds
+                    )
                     return MoveSequence(start=src, steps=steps, stats=stats)
                 next_frontier.append((hkey, rows))
         if forward:
@@ -481,7 +535,9 @@ def find_sequence(
     raise NotFoundWithinBounds("bounds-exhausted", stats)
 
 
-def _replay(start, keys, want, *, max_vertices, entry_cap, partition_cap):
+def _replay(
+    start, keys, want, *, max_vertices, entry_cap, partition_cap, keyed=None, partitions=None
+):
     """Build the path from ``start`` through the canonical ``keys``; returns
     the steps.
 
@@ -491,13 +547,18 @@ def _replay(start, keys, want, *, max_vertices, entry_cap, partition_cap):
     in enumeration order, with its key, so the capped pass finds that very
     step.  A link it made backward was discovered as the inverse of a move;
     the inverse always exists in the catalogue but may sit past the
-    partition cap, hence the uncapped second pass.  Every step is checked
-    not to drift the (group, det) pair of ``want``, the start's
-    :class:`flowinv.invariants.FranksTriple`.
+    partition cap, hence the uncapped second pass.  A neighbor is keyed
+    only if its :func:`_shape` is the key's, which every match passes, so
+    the first match is unchanged.  ``keyed`` (rows to key) and
+    ``partitions`` are the search's memos; either may be left out.  Every
+    step is checked not to drift the (group, det) pair of ``want``, the
+    start's :class:`flowinv.invariants.FranksTriple`.
     """
+    keyed = {} if keyed is None else keyed
     steps = []
     cur = start
     for key in keys:
+        shape = _shape(key)
         for cap in (partition_cap, None):
             found = next(
                 (
@@ -508,8 +569,9 @@ def _replay(start, keys, want, *, max_vertices, entry_cap, partition_cap):
                         entry_cap=entry_cap,
                         partition_cap=cap,
                         stats=SearchStats(),
+                        partitions=partitions,
                     )
-                    if canonical_rows_key(rows) == key
+                    if _shape(rows) == shape and _rows_key(rows, keyed) == key
                 ),
                 None,
             )

@@ -22,6 +22,7 @@ from flowinv.flowsearch import (
     _max_entry,
     _neighbors,
     _realize,
+    _split_rows,
     _vector_partitions,
     find_sequence,
     verify_sequence,
@@ -307,10 +308,9 @@ def _search_golden() -> dict:
         return json.load(fh)
 
 
-def test_found_scripts_match_golden_file():
-    # Criterion 9's 25 scrambles, drawn the same way: the goals pin the
-    # neighbor order, the script digests pin every found step.  Each step
-    # must also be what enumerating all neighbors again would pick.
+def _golden_scrambles():
+    """Criterion 9's 25 scrambles, drawn again the same way, as (case,
+    start, goal); the goals must be the golden file's."""
     golden = _search_golden()["scrambles"]
     assert len(golden) == 25
     rng = random.Random(1009)
@@ -331,7 +331,14 @@ def test_found_scripts_match_golden_file():
             _, goal = _realize(goal, kind, recipe)
         assert base.incidence().to_lists() == case["start"]
         assert goal.incidence().to_lists() == case["goal"]
+        yield case, base, goal
 
+
+def test_found_scripts_match_golden_file():
+    # The goals pin the neighbor order, the script digests pin every found
+    # step.  Each step must also be what enumerating all neighbors again
+    # would pick.
+    for case, base, goal in _golden_scrambles():
         seq = find_sequence(base, goal, max_depth=6)
         assert len(seq) == case["moves"]
         assert _digest(_script(seq)) == case["script_sha256"]
@@ -341,6 +348,39 @@ def test_found_scripts_match_golden_file():
         )
         assert [s.graph for s in replayed] == [s.graph for s in seq.steps]
         assert _script(MoveSequence(start=base, steps=tuple(replayed))) == _script(seq)
+
+
+def test_meets_on_the_last_level_match_golden_file():
+    # With the depth bound at the path's length the meet comes on the last
+    # level, where neighbors of a shape the other side lacks go unkeyed:
+    # the first meet, and so the script, must not change.
+    for case, base, goal in _golden_scrambles():
+        seq = find_sequence(base, goal, max_depth=case["moves"])
+        assert _digest(_script(seq)) == case["script_sha256"]
+
+
+def test_shape_is_a_permutation_invariant():
+    hyp = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hyp.settings(max_examples=200, deadline=None)
+    @hyp.given(
+        st.integers(1, 5).flatmap(
+            lambda n: st.lists(
+                st.lists(st.integers(0, 3), min_size=n, max_size=n), min_size=n, max_size=n
+            )
+        )
+    )
+    def check(rows):
+        m = tuple(map(tuple, rows))
+        shape = flowsearch._shape(m)
+        assert shape[0] == len(m)
+        for order in itertools.permutations(range(len(m))):
+            permuted = tuple(tuple(m[i][j] for j in order) for i in order)
+            assert flowsearch._shape(permuted) == shape
+        assert flowsearch._shape(canonical_rows_key(m)) == shape
+
+    check()
 
 
 def _graph_file(path, rows) -> str:
@@ -367,9 +407,18 @@ def test_cli_search_scripts_match_golden_file(tmp_path, capsys):
         assert is_isomorphic(end, MultiGraph.from_matrix(case["goal"])), k
 
 
+def _golden_stats(case) -> dict:
+    return {
+        "expanded": case["expanded"],
+        "pruned": case["vertex_capped"] + case["entry_capped"],
+        "partition_capped": case["partition_capped"],
+        "vertex_capped": case["vertex_capped"],
+        "entry_capped": case["entry_capped"],
+    }
+
+
 def test_exhausted_searches_match_golden_file():
-    # Over-bound partitions are no longer generated, so ``pruned`` shrank;
-    # the graphs expanded and the cap hits must not move.
+    # Every counter of the exhausted searches is pinned.
     for case in _search_golden()["exhausted"]:
         with pytest.raises(NotFoundWithinBounds) as exc:
             find_sequence(
@@ -378,8 +427,29 @@ def test_exhausted_searches_match_golden_file():
                 **case["bounds"],
             )
         assert exc.value.reason == case["reason"]
-        assert exc.value.stats.expanded == case["expanded"]
-        assert exc.value.stats.partition_capped == case["partition_capped"]
+        assert exc.value.stats.to_dict() == _golden_stats(case)
+
+
+def test_memoized_partitions_match_the_generator():
+    # The memo keeps at most partition_cap + 1 splittings per bundle vector;
+    # a splitting read from it, a second time included, must equal one
+    # enumerated afresh, and so must the cap count.
+    memo = {}
+    for k in range(4):
+        for counts in itertools.product(range(5), repeat=k):
+            # Vertex k receives counts[u] edges from each vertex u < k.
+            m = tuple(
+                tuple(counts[u] if u < k == j else 0 for j in range(k + 1)) for u in range(k + 1)
+            )
+            for max_classes in range(2, 7):
+                for cap in (1, 2, 3, 512, None):
+                    fresh, memoized = SearchStats(), SearchStats()
+                    want = list(_split_rows(m, k, max_classes, cap, fresh))
+                    for _ in range(2):
+                        got = list(_split_rows(m, k, max_classes, cap, memoized, memo))
+                        assert got == want, (counts, max_classes, cap)
+                    assert memoized.partition_capped == 2 * fresh.partition_capped
+    assert memo
 
 
 # ---------------------------------------------------------------------------
@@ -465,9 +535,6 @@ def test_search_builds_only_expanded_graphs_and_the_path(monkeypatch):
     for name in ("in_split", "out_split", "expand"):
         monkeypatch.setattr(flowsearch, name, counted(getattr(flowsearch, name)))
 
-    # pruned as the search counted it before it split the counter by cause;
-    # the golden file predates that count.
-    pruned = {88: 70, 419: 1404}
     for case in _search_golden()["exhausted"]:
         built.clear()
         with pytest.raises(NotFoundWithinBounds) as exc:
@@ -476,10 +543,7 @@ def test_search_builds_only_expanded_graphs_and_the_path(monkeypatch):
                 MultiGraph.from_matrix(case["goal"]),
                 **case["bounds"],
             )
-        stats = exc.value.stats
-        assert stats.expanded == case["expanded"]
-        assert stats.partition_capped == case["partition_capped"]
-        assert stats.pruned == stats.vertex_capped + stats.entry_capped == pruned[stats.expanded]
+        assert exc.value.stats.to_dict() == _golden_stats(case)
         assert not built
 
     for case in _search_golden()["scrambles"]:
