@@ -16,7 +16,9 @@ Graph files use the text format of :mod:`flowinv.graph` (``matrix n`` or
 ``delay <edge> <k>`` lines (``delay @<vertex> <k>`` pins a vertex without
 incident edges on the delayed side).  Script comments start at a ``#`` that
 begins the line or follows whitespace; a mid-token ``#`` belongs to the
-token, because split vertices are named like ``v0#2``.
+token, because split vertices are named like ``v0#2``.  Each keyword's
+arguments, and so its inline arity, come from the table in
+:mod:`flowinv.moves`.
 
 Exit status: 2 for parse or validation problems, 1 for a failing selftest,
 0 otherwise — verdicts and exhausted searches are data, not failures.
@@ -46,7 +48,7 @@ from flowinv.graph import (
     parse_graph,
 )
 from flowinv.invariants import franks_triple
-from flowinv.moves import DrinenVector, MoveError, Partition, apply_move
+from flowinv.moves import DrinenVector, MoveError, Partition, apply_move, move_spec
 from flowinv.selftest import run_selftest
 
 SCHEMA = 1
@@ -176,16 +178,6 @@ def _vector_from_lines(g: MultiGraph, kind: str, delay_lines) -> DrinenVector:
     return DrinenVector.from_edges(g, kind, edges, overrides)
 
 
-_INLINE_ARITY = {
-    "eliminate": (1, 1),
-    "expand": (1, 1),
-    "contract": (2, 2),
-    "shift": (2, 2),
-    "minus": (0, 1),
-    "minus1": (0, 1),
-}
-
-
 def apply_script_step(g: MultiGraph, step: ScriptStep) -> MultiGraph:
     """Resolve one script step against the current graph and apply it."""
     name = step.name
@@ -216,38 +208,21 @@ def apply_script_step(g: MultiGraph, step: ScriptStep) -> MultiGraph:
             raise ParseError(step.lineno, 1, f"{name} needs at least one block")
         blocks = [token.split(",") for token in step.tokens]
         return apply_move(g, name, {"blocks": blocks})
-    if name not in _INLINE_ARITY:
-        raise MoveError(f"unknown move {name!r}")
-    low, high = _INLINE_ARITY[name]
-    if not low <= len(step.tokens) <= high:
+    # A vertex move: its tokens are its arguments, in the table's order.
+    spec = move_spec(name)
+    low, names = len(spec.required), spec.required + spec.optional
+    if not low <= len(step.tokens) <= len(names):
         raise ParseError(
             step.lineno,
             1,
-            f"move {name} takes {low} to {high} arguments, got {len(step.tokens)}",
+            f"move {name} takes {low} to {len(names)} arguments, got {len(step.tokens)}",
         )
-    if name == "eliminate":
-        return apply_move(g, name, {"vertex": step.tokens[0]})
-    if name == "expand":
-        return apply_move(g, name, {"vertex": step.tokens[0]})
-    if name == "contract":
-        return apply_move(g, name, {"vertex": step.tokens[0], "star": step.tokens[1]})
-    if name == "shift":
-        return apply_move(g, name, {"v": step.tokens[0], "w": step.tokens[1]})
-    return apply_move(g, name, {"vertex": step.tokens[0] if step.tokens else None})
+    return apply_move(g, name, dict(zip(names, step.tokens)))
 
 
 def format_move_step(prev: MultiGraph, step: MoveStep) -> list[str]:
     """Render one applied move as replayable script lines."""
     kind, args = step.kind, step.args
-    if kind in ("eliminate", "expand"):
-        return [f"move {kind} {args['vertex']}"]
-    if kind == "contract":
-        return [f"move contract {args['vertex']} {args['star']}"]
-    if kind == "shift":
-        return [f"move shift {args['v']} {args['w']}"]
-    if kind in ("minus", "minus1"):
-        vertex = args.get("vertex")
-        return [f"move {kind} {vertex}" if vertex is not None else f"move {kind}"]
     if kind in ("in-split", "out-split"):
         partition = args["partition"]
         lines = [f"move {kind}"]
@@ -269,7 +244,10 @@ def format_move_step(prev: MultiGraph, step: MoveStep) -> list[str]:
             if vector.vertices[v] and not side(v):
                 lines.append(f"delay @{prev.label(v)} {vector.vertices[v]}")
         return lines
-    raise MoveError(f"unknown move {kind!r}")
+    spec = move_spec(kind)
+    values = [args[name] for name in spec.required]
+    values += [args[name] for name in spec.optional if args.get(name) is not None]
+    return [" ".join(["move", kind, *map(str, values)])]
 
 
 # ---------------------------------------------------------------------------
@@ -345,6 +323,8 @@ def _cmd_move(ns) -> int:
 
 
 def _cmd_classify(ns) -> int:
+    if ns.transpose and ns.right is not None:
+        raise GraphError("classify --transpose takes one graph file, not two")
     left = _load_graph(ns.left)
     if ns.transpose:
         verdict = decide_transpose(left)

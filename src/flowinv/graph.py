@@ -468,12 +468,11 @@ def canonical_key(g: MultiGraph):
     return canonical_rows_key(g.incidence().entries)
 
 
-def is_isomorphic(a: MultiGraph, b: MultiGraph, *, max_vertices: int = _ISO_LIMIT) -> bool:
-    """Exact isomorphism test by canonical forms; refuses large graphs."""
-    if a.n > max_vertices or b.n > max_vertices:
-        raise GraphError(
-            f"isomorphism test limited to {max_vertices} vertices"
-        )
+def is_isomorphic(a: MultiGraph, b: MultiGraph) -> bool:
+    """Exact isomorphism test by canonical forms; refuses graphs above
+    ``_ISO_LIMIT`` vertices (compare :func:`canonical_key` for any size)."""
+    if a.n > _ISO_LIMIT or b.n > _ISO_LIMIT:
+        raise GraphError(f"isomorphism test limited to {_ISO_LIMIT} vertices")
     if a.n != b.n or a.edge_count != b.edge_count:
         return False
     return canonical_key(a) == canonical_key(b)

@@ -15,6 +15,10 @@ incidence rows for the amalgamations.  The mirror feeds it the reversed
 triples or the transposed matrix and reverses what it returns.  So the
 mirror keeps edge ids and edge order, and no graph is transposed.
 
+Each move's script keyword and argument names are written once, in the
+table ``MOVES``: :func:`apply_move` and the command line's script reading
+and writing all read them from there.
+
 Vertex order conventions are fixed so results are reproducible: splittings
 keep the original vertex order and expand each split vertex into a
 consecutive run, labelled ``v#1 .. v#m``; appended vertices go last.
@@ -23,6 +27,7 @@ consecutive run, labelled ``v#1 .. v#m``; appended vertices go last.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 from flowinv.exactla import IntMatrix, cokernel, group_iso, smith_diagonal
 from flowinv.graph import (
@@ -175,18 +180,14 @@ class SplitFactorization:
 
 
 @dataclass(frozen=True)
-class InSplitResult:
+class SplitResult:
+    """A splitting's graph, the blocks of new indices per old vertex, its
+    vertex class map and, for an in-splitting, the factorization."""
+
     graph: MultiGraph
     blocks: tuple[tuple[int, ...], ...]
     class_map: VertexClassMap
-    factorization: SplitFactorization | None
-
-
-@dataclass(frozen=True)
-class OutSplitResult:
-    graph: MultiGraph
-    blocks: tuple[tuple[int, ...], ...]
-    class_map: VertexClassMap
+    factorization: SplitFactorization | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +244,7 @@ def _split_triples(labels, p: Partition, triples):
     return new_labels, tuple(blocks), edges, heads
 
 
-def in_split(g: MultiGraph, p: Partition) -> InSplitResult:
+def in_split(g: MultiGraph, p: Partition) -> SplitResult:
     """Split each vertex according to a partition of its incoming edges.
 
     Vertex v with m(v) classes becomes v#1..v#m(v); an edge e into v lying
@@ -274,7 +275,7 @@ def in_split(g: MultiGraph, p: Partition) -> InSplitResult:
         vec[blocks[v][0]] = 1
         vectors.append(tuple(vec))
 
-    return InSplitResult(
+    return SplitResult(
         graph=graph,
         blocks=blocks,
         class_map=VertexClassMap(tuple(vectors)),
@@ -282,7 +283,7 @@ def in_split(g: MultiGraph, p: Partition) -> InSplitResult:
     )
 
 
-def out_split(g: MultiGraph, p: Partition) -> OutSplitResult:
+def out_split(g: MultiGraph, p: Partition) -> SplitResult:
     """Split each vertex according to a partition of its outgoing edges.
 
     The transpose-conjugate of :func:`in_split`: vertex v becomes
@@ -303,7 +304,7 @@ def out_split(g: MultiGraph, p: Partition) -> OutSplitResult:
             vec[idx] = 1
         vectors.append(tuple(vec))
 
-    return OutSplitResult(
+    return SplitResult(
         graph=graph, blocks=blocks, class_map=VertexClassMap(tuple(vectors))
     )
 
@@ -791,33 +792,52 @@ def verify_vertex_class_map(src: MultiGraph, tgt: MultiGraph, cmap: VertexClassM
 
 
 # ---------------------------------------------------------------------------
-# Uniform dispatch (scripts, search replay).
+# The move table (scripts, sequence replay).
+
+
+class MoveSpec(NamedTuple):
+    """A script keyword's move: ``apply(g, *values)`` returns the new graph,
+    where the values are ``args[name]`` for each name in ``required`` and
+    ``args.get(name)`` for each in ``optional``, in script order."""
+
+    apply: Callable[..., MultiGraph]
+    required: tuple[str, ...]
+    optional: tuple[str, ...] = ()
+
+
+# The one place that names each keyword's arguments.  Every entry calls its
+# move through this module's globals, so a wrapper put on the module after
+# import is called too.
+MOVES = {
+    "eliminate": MoveSpec(lambda g, v: eliminate_source(g, v), ("vertex",)),
+    "expand": MoveSpec(lambda g, v: expand(g, v), ("vertex",)),
+    "contract": MoveSpec(lambda g, v, star: contract(g, v, star), ("vertex", "star")),
+    "in-split": MoveSpec(lambda g, p: in_split(g, p).graph, ("partition",)),
+    "out-split": MoveSpec(lambda g, p: out_split(g, p).graph, ("partition",)),
+    "in-amalgamate": MoveSpec(lambda g, blocks: in_amalgamate(g, blocks), ("blocks",)),
+    "out-amalgamate": MoveSpec(lambda g, blocks: out_amalgamate(g, blocks), ("blocks",)),
+    "in-delay": MoveSpec(lambda g, d: in_delay(g, d), ("vector",)),
+    "out-delay": MoveSpec(lambda g, d: out_delay(g, d), ("vector",)),
+    "shift": MoveSpec(lambda g, v, w: shift(g, v, w), ("v", "w")),
+    "minus": MoveSpec(lambda g, at: minus(g, at), (), ("vertex",)),
+    "minus1": MoveSpec(lambda g, at: minus1(g, at), (), ("vertex",)),
+}
+
+
+def move_spec(kind: str) -> MoveSpec:
+    """The table entry of a script keyword; an unknown one is a MoveError."""
+    try:
+        return MOVES[kind]
+    except KeyError:
+        raise MoveError(f"unknown move {kind!r}") from None
 
 
 def apply_move(g: MultiGraph, kind: str, args: dict) -> MultiGraph:
-    """Apply a move named by its script keyword; returns the new graph."""
-    if kind == "eliminate":
-        return eliminate_source(g, args["vertex"])
-    if kind == "expand":
-        return expand(g, args["vertex"])
-    if kind == "contract":
-        return contract(g, args["vertex"], args["star"])
-    if kind == "in-split":
-        return in_split(g, args["partition"]).graph
-    if kind == "out-split":
-        return out_split(g, args["partition"]).graph
-    if kind == "in-amalgamate":
-        return in_amalgamate(g, args["blocks"])
-    if kind == "out-amalgamate":
-        return out_amalgamate(g, args["blocks"])
-    if kind == "in-delay":
-        return in_delay(g, args["vector"])
-    if kind == "out-delay":
-        return out_delay(g, args["vector"])
-    if kind == "shift":
-        return shift(g, args["v"], args["w"])
-    if kind == "minus":
-        return minus(g, args.get("vertex"))
-    if kind == "minus1":
-        return minus1(g, args.get("vertex"))
-    raise MoveError(f"unknown move {kind!r}")
+    """Apply a move named by its script keyword; returns the new graph.
+
+    A missing required argument raises KeyError.
+    """
+    spec = move_spec(kind)
+    return spec.apply(
+        g, *[args[name] for name in spec.required], *[args.get(name) for name in spec.optional]
+    )

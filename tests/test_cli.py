@@ -224,6 +224,29 @@ def test_move_script_errors_exit_2(tmp_path, capsys, script, message):
 
 
 @pytest.mark.parametrize(
+    "line, message",
+    [
+        ("move eliminate", "move eliminate takes 1 to 1 arguments, got 0"),
+        ("move eliminate v0 v0", "move eliminate takes 1 to 1 arguments, got 2"),
+        ("move expand", "move expand takes 1 to 1 arguments, got 0"),
+        ("move expand v0 v0", "move expand takes 1 to 1 arguments, got 2"),
+        ("move contract v0", "move contract takes 2 to 2 arguments, got 1"),
+        ("move contract v0 v0 v0", "move contract takes 2 to 2 arguments, got 3"),
+        ("move shift v0", "move shift takes 2 to 2 arguments, got 1"),
+        ("move shift v0 v0 v0", "move shift takes 2 to 2 arguments, got 3"),
+        ("move minus v0 v1", "move minus takes 0 to 1 arguments, got 2"),
+        ("move minus1 v0 v1", "move minus1 takes 0 to 1 arguments, got 2"),
+    ],
+)
+def test_vertex_move_arity_errors_exit_2(tmp_path, capsys, line, message):
+    graph = _write(tmp_path, "rose.graph", "matrix 1\n2\n")
+    path = _write(tmp_path, "bad.script", line + "\n")
+    code, out, err = _run(capsys, ["move", "--script", path, graph])
+    assert code == 2 and not out
+    assert err == f"error: line 1, column 1: {message}\n"
+
+
+@pytest.mark.parametrize(
     "argv, message",
     [
         (["--script", "S", "G", "G"], "with --script, give exactly one graph file"),
@@ -288,6 +311,14 @@ def test_classify_needs_two_graphs(tmp_path, capsys):
     code, _, err = _run(capsys, ["classify", path])
     assert code == 2
     assert "two graph files" in err
+
+
+def test_classify_transpose_refuses_a_second_graph(tmp_path, capsys):
+    left = _write(tmp_path, "e3.graph", "matrix 3\n1 1 1\n0 0 1\n1 0 0\n")
+    right = _write(tmp_path, "rose.graph", ROSE4)
+    code, out, err = _run(capsys, ["classify", "--transpose", left, right])
+    assert code == 2 and not out
+    assert "--transpose takes one graph file, not two" in err
 
 
 # ---------------------------------------------------------------------------
@@ -516,3 +547,45 @@ def test_format_amalgamate_step_round_trips():
     assert lines == ["move in-amalgamate v#1,v#2 w#1"]
     steps = parse_move_script(lines[0] + "\n")
     assert apply_script_step(split, steps[0]) == g
+
+
+def test_every_move_keyword_round_trips():
+    # Each keyword of the move table, rendered by format_move_step, read back
+    # by parse_move_script and applied by apply_script_step, gives what
+    # apply_move gives.
+    from flowinv.cli import apply_script_step
+    from flowinv.moves import MOVES, expand, in_split, out_split
+
+    g = MultiGraph(["v", "w"], [(0, 0, "a"), (0, 1, "b"), (1, 0, "c")])
+    fed = MultiGraph(["s", "v"], [(0, 1, "x"), (1, 1, "a")])
+    in_parts = Partition({0: [["a"], ["c"]], 1: [["b"]]})
+    out_parts = Partition({0: [["a"], ["b"]], 1: [["c"]]})
+    blocks = [["v#1", "v#2"], ["w#1"]]
+    cases = {
+        "eliminate": (fed, {"vertex": "s"}),
+        "expand": (g, {"vertex": "v"}),
+        "contract": (expand(g, "v"), {"vertex": "v", "star": "v*"}),
+        "in-split": (g, {"partition": in_parts}),
+        "out-split": (g, {"partition": out_parts}),
+        "in-amalgamate": (in_split(g, in_parts).graph, {"blocks": blocks}),
+        "out-amalgamate": (out_split(g, out_parts).graph, {"blocks": blocks}),
+        "in-delay": (g, {"vector": DrinenVector.from_edges(g, "range", {"c": 2})}),
+        "out-delay": (g, {"vector": DrinenVector.from_edges(g, "source", {"b": 1})}),
+        "shift": (MultiGraph.from_matrix([[2, 1], [1, 1]]), {"v": "v0", "w": "v1"}),
+        "minus": (g, {"vertex": "v"}),
+        "minus1": (g, {}),
+    }
+    assert set(cases) == set(MOVES)
+    for kind, (prev, args) in cases.items():
+        applied = apply_move(prev, kind, args)
+        lines = format_move_step(prev, MoveStep(kind=kind, args=args, graph=applied))
+        steps = parse_move_script("\n".join(lines) + "\n")
+        assert len(steps) == 1, kind
+        assert apply_script_step(prev, steps[0]) == applied, kind
+    assert format_move_step(fed, MoveStep("eliminate", {"vertex": "s"}, fed)) == [
+        "move eliminate s"
+    ]
+    split = out_split(g, out_parts).graph
+    assert format_move_step(split, MoveStep("out-amalgamate", {"blocks": blocks}, g)) == [
+        "move out-amalgamate v#1,v#2 w#1"
+    ]

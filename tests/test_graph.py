@@ -471,7 +471,6 @@ def test_is_isomorphic_respects_vertex_budget():
     g = MultiGraph.from_matrix([[1] * 9 for _ in range(9)])
     with pytest.raises(GraphError):
         is_isomorphic(g, g)
-    assert is_isomorphic(g, g, max_vertices=9)
 
 
 def test_canonical_key_is_permutation_invariant():

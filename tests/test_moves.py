@@ -150,6 +150,24 @@ def test_out_split_picture():
     assert res.graph.incidence().to_lists() == [[1, 1, 0], [0, 0, 1], [1, 1, 0]]
 
 
+def test_split_results_share_one_type():
+    # Both splittings return a SplitResult; only the in-split carries the
+    # factorization.  Every field reads as it did when each had its own type.
+    g = _split_base()
+    res = out_split(g, Partition.singletons(g, "out"))
+    assert res.factorization is None
+    assert res.graph.labels == ("v#1", "v#2", "w#1")
+    assert res.graph.incidence().to_lists() == [[1, 1, 0], [0, 0, 1], [1, 1, 0]]
+    assert res.blocks == ((0, 1), (2,))
+    assert res.class_map.vectors == ((1, 1, 0), (0, 0, 1))
+    res_in = in_split(g, Partition.singletons(g, "in"))
+    assert type(res_in) is type(res)
+    assert res_in.blocks == ((0, 1), (2,))
+    assert res_in.class_map.vectors == ((1, 0, 0), (0, 0, 1))
+    assert res_in.factorization.r.to_lists() == [[1, 0, 1], [0, 1, 0]]
+    assert res_in.factorization.s.to_lists() == [[1, 0], [1, 0], [0, 1]]
+
+
 def test_trivial_splittings_change_nothing():
     rng = random.Random(31)
     for _ in range(30):
@@ -647,6 +665,29 @@ def test_apply_move_each_kind():
 
 # ---------------------------------------------------------------------------
 # The six mirrored moves against results pinned in a file.
+
+
+def test_apply_move_missing_argument_raises_key_error():
+    with pytest.raises(KeyError):
+        apply_move(MultiGraph.from_matrix([[1, 1], [1, 1]]), "expand", {})
+
+
+def test_move_table_calls_the_module_globals(monkeypatch):
+    # A wrapper put on flowinv.moves after import (as a tracer does) is what
+    # apply_move calls.
+    import flowinv.moves
+
+    calls = []
+
+    def wrapped(g, p):
+        calls.append(p)
+        return in_split(g, p)
+
+    monkeypatch.setattr(flowinv.moves, "in_split", wrapped)
+    g = _split_base()
+    p = Partition.singletons(g, "in")
+    assert apply_move(g, "in-split", {"partition": p}) == in_split(g, p).graph
+    assert calls == [p]
 
 
 def _golden_graph(spec) -> MultiGraph:
