@@ -16,9 +16,8 @@ Graph files use the text format of :mod:`flowinv.graph` (``matrix n`` or
 ``delay <edge> <k>`` lines (``delay @<vertex> <k>`` pins a vertex without
 incident edges on the delayed side).  Script comments start at a ``#`` that
 begins the line or follows whitespace; a mid-token ``#`` belongs to the
-token, because split vertices are named like ``v0#2``.  Each keyword's
-arguments, and so its inline arity, come from the table in
-:mod:`flowinv.moves`.
+token, because split vertices are named like ``v0#2``.  The table in
+:mod:`flowinv.moves` gives each keyword's arguments and so its arity.
 
 Exit status: 2 for parse or validation problems, 1 for a failing selftest,
 0 otherwise — verdicts and exhausted searches are data, not failures.
@@ -179,7 +178,8 @@ def _vector_from_lines(g: MultiGraph, kind: str, delay_lines) -> DrinenVector:
 
 
 def apply_script_step(g: MultiGraph, step: ScriptStep) -> MultiGraph:
-    """Resolve one script step against the current graph and apply it."""
+    """Resolve one script step against the current graph and apply it; the
+    move table names the values read from its lines or tokens."""
     name = step.name
     if name in ("in-split", "out-split"):
         if step.tokens:
@@ -191,50 +191,52 @@ def apply_script_step(g: MultiGraph, step: ScriptStep) -> MultiGraph:
         if step.delay_lines:
             raise ParseError(step.lineno, 1, "delay lines only follow a delay move")
         mode = "in" if name == "in-split" else "out"
-        partition = _partition_from_lines(g, mode, step.class_lines)
-        return apply_move(g, name, {"partition": partition})
-    if step.class_lines:
+        values = [_partition_from_lines(g, mode, step.class_lines)]
+    elif step.class_lines:
         raise ParseError(
             step.class_lines[0][0], 1, "class lines only follow in-split/out-split"
         )
-    if name in ("in-delay", "out-delay"):
+    elif name in ("in-delay", "out-delay"):
         kind = "range" if name == "in-delay" else "source"
-        vector = _vector_from_lines(g, kind, step.delay_lines)
-        return apply_move(g, name, {"vector": vector})
-    if step.delay_lines:
+        values = [_vector_from_lines(g, kind, step.delay_lines)]
+    elif step.delay_lines:
         raise ParseError(step.delay_lines[0][0], 1, "delay lines only follow a delay move")
-    if name in ("in-amalgamate", "out-amalgamate"):
+    elif name in ("in-amalgamate", "out-amalgamate"):
         if not step.tokens:
             raise ParseError(step.lineno, 1, f"{name} needs at least one block")
-        blocks = [token.split(",") for token in step.tokens]
-        return apply_move(g, name, {"blocks": blocks})
-    # A vertex move: its tokens are its arguments, in the table's order.
+        values = [[token.split(",") for token in step.tokens]]
+    else:
+        values = step.tokens
     spec = move_spec(name)
     low, names = len(spec.required), spec.required + spec.optional
-    if not low <= len(step.tokens) <= len(names):
+    if not low <= len(values) <= len(names):
         raise ParseError(
             step.lineno,
             1,
-            f"move {name} takes {low} to {len(names)} arguments, got {len(step.tokens)}",
+            f"move {name} takes {low} to {len(names)} arguments, got {len(values)}",
         )
-    return apply_move(g, name, dict(zip(names, step.tokens)))
+    return apply_move(g, name, dict(zip(names, values)))
 
 
 def format_move_step(prev: MultiGraph, step: MoveStep) -> list[str]:
-    """Render one applied move as replayable script lines."""
+    """Render one applied move as replayable script lines: the inverse of
+    :func:`apply_script_step`."""
     kind, args = step.kind, step.args
+    spec = move_spec(kind)
+    values = [args[name] for name in spec.required]
+    values += [args[name] for name in spec.optional if args.get(name) is not None]
     if kind in ("in-split", "out-split"):
-        partition = args["partition"]
+        (partition,) = values
         lines = [f"move {kind}"]
         for v in sorted(partition.classes):
             for i, cls in enumerate(partition.classes[v], start=1):
                 lines.append(f"class {prev.label(v)} {i}: {','.join(cls)}")
         return lines
     if kind in ("in-amalgamate", "out-amalgamate"):
-        blocks = " ".join(",".join(block) for block in args["blocks"])
-        return [f"move {kind} {blocks}"]
+        (blocks,) = values
+        return [f"move {kind} " + " ".join(",".join(block) for block in blocks)]
     if kind in ("in-delay", "out-delay"):
-        vector = args["vector"]
+        (vector,) = values
         side = prev.in_edges if kind == "in-delay" else prev.out_edges
         lines = [f"move {kind}"]
         for eid in sorted(vector.edges):
@@ -244,9 +246,6 @@ def format_move_step(prev: MultiGraph, step: MoveStep) -> list[str]:
             if vector.vertices[v] and not side(v):
                 lines.append(f"delay @{prev.label(v)} {vector.vertices[v]}")
         return lines
-    spec = move_spec(kind)
-    values = [args[name] for name in spec.required]
-    values += [args[name] for name in spec.optional if args.get(name) is not None]
     return [" ".join(["move", kind, *map(str, values)])]
 
 

@@ -15,9 +15,8 @@ incidence rows for the amalgamations.  The mirror feeds it the reversed
 triples or the transposed matrix and reverses what it returns.  So the
 mirror keeps edge ids and edge order, and no graph is transposed.
 
-Each move's script keyword and argument names are written once, in the
-table ``MOVES``: :func:`apply_move` and the command line's script reading
-and writing all read them from there.
+Each script keyword's argument names are written once, in ``MOVES``;
+:func:`apply_move` and the command line's script reader and writer read them.
 
 Vertex order conventions are fixed so results are reproducible: splittings
 keep the original vertex order and expand each split vertex into a
