@@ -44,6 +44,7 @@ from flowinv.graph import (
     ParseError,
     classify_graph,
     format_graph,
+    int_string_limit,
     parse_graph,
 )
 from flowinv.invariants import franks_triple
@@ -197,6 +198,10 @@ def apply_script_step(g: MultiGraph, step: ScriptStep) -> MultiGraph:
             step.class_lines[0][0], 1, "class lines only follow in-split/out-split"
         )
     elif name in ("in-delay", "out-delay"):
+        if step.tokens:
+            raise ParseError(
+                step.lineno, 1, f"{name} takes delay lines, not inline arguments"
+            )
         kind = "range" if name == "in-delay" else "source"
         values = [_vector_from_lines(g, kind, step.delay_lines)]
     elif step.delay_lines:
@@ -266,10 +271,9 @@ def _cmd_check(ns) -> int:
             }
         )
         return 0
-    print(f"vertices: {g.n}")
-    print(f"edges: {g.edge_count}")
-    for key, value in report.to_dict().items():
-        print(f"{key}: {_bool(value)}")
+    lines = [f"vertices: {g.n}", f"edges: {g.edge_count}"]
+    lines += [f"{key}: {_bool(value)}" for key, value in report.to_dict().items()]
+    print("\n".join(lines))
     return 0
 
 
@@ -279,10 +283,13 @@ def _cmd_invariants(ns) -> int:
     if ns.json:
         _emit_json({"command": "invariants", "invariants": triple.to_dict()})
         return 0
-    print(f"group: {triple.group}")
-    print(f"unit: {list(triple.unit_class)}")
-    print(f"det: {triple.determinant}")
-    print(f"pis: {_bool(triple.pis)}")
+    lines = [
+        f"group: {triple.group}",
+        f"unit: {list(triple.unit_class)}",
+        f"det: {triple.determinant}",
+        f"pis: {_bool(triple.pis)}",
+    ]
+    print("\n".join(lines))
     return 0
 
 
@@ -495,6 +502,19 @@ def main(argv=None) -> int:
         return 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except ValueError as exc:
+        # Python refuses to write an integer past its int-string limit with
+        # a plain ValueError, marked only by a message that names
+        # sys.set_int_max_str_digits(); any other ValueError is a bug.
+        if not int_string_limit() or "set_int_max_str_digits" not in str(exc):
+            raise
+        print(
+            "error: a result has an integer of more than "
+            f"{int_string_limit()} decimal digits, Python's int-string limit "
+            "(sys.get_int_max_str_digits())",
+            file=sys.stderr,
+        )
         return 2
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import re
+import sys
 from dataclasses import dataclass
 
 from flowinv.exactla import IntMatrix
@@ -66,13 +67,17 @@ class MultiGraph:
         if matrix is not None:
             if edges:
                 raise GraphError("give either edges or a matrix, not both")
-            rows = tuple(tuple(int(x) for x in row) for row in matrix)
+            rows = tuple(tuple(map(int, row)) for row in matrix)
             if len(rows) != n or any(len(r) != n for r in rows):
                 raise GraphError(f"incidence matrix must be square of size {n}")
-            for i, row in enumerate(rows):
-                for j, k in enumerate(row):
-                    if k < 0:
-                        raise GraphError(f"negative multiplicity at ({i}, {j})")
+            if min(map(min, rows)) < 0:
+                i, j = next(
+                    (i, j)
+                    for i, row in enumerate(rows)
+                    for j, k in enumerate(row)
+                    if k < 0
+                )
+                raise GraphError(f"negative multiplicity at ({i}, {j})")
             self._matrix = IntMatrix(n, n, rows)
             self._edges = self._out = self._in = None
             return
@@ -487,27 +492,74 @@ def is_isomorphic(a: MultiGraph, b: MultiGraph) -> bool:
 
 _TOKEN = re.compile(r"\S+")
 
+# What each token of an edge line is, in error messages.
+_EDGE_FIELDS = ("source vertex", "target vertex", "multiplicity")
+
+
+def int_string_limit() -> int:
+    """Python's int-string limit, the most decimal digits ``int()`` reads
+    and ``str()`` writes (``sys.get_int_max_str_digits()``); 0 when there is
+    none, as before Python 3.10.7 or with the limit switched off."""
+    get = getattr(sys, "get_int_max_str_digits", None)
+    return get() if get is not None else 0
+
 
 def _tokenize(text: str):
-    """Significant lines as (line number, [(column, token), ...])."""
+    """Significant lines as (line number, body, tokens): the body is the
+    line's text before any '#', the tokens are the body split on whitespace,
+    and lines without a token are dropped."""
     out = []
     for ln, raw in enumerate(text.splitlines(), start=1):
         body = raw.split("#", 1)[0]
-        toks = [(m.start() + 1, m.group()) for m in _TOKEN.finditer(body)]
+        toks = body.split()
         if toks:
-            out.append((ln, toks))
+            out.append((ln, body, toks))
     return out
 
 
-def _int_token(ln, col, tok, what):
-    try:
-        return int(tok)
-    except ValueError:
-        raise ParseError(ln, col, f"expected {what}, found {tok!r}") from None
+def _column(body: str, index: int) -> int:
+    """The 1-based column of token ``index`` of a line body.  Only error
+    reports need a column, so it is found only then."""
+    return [m.start() + 1 for m in _TOKEN.finditer(body)][index]
+
+
+def _int_error(ln: int, body: str, index: int, tok: str, what: str) -> ParseError:
+    """The error for token ``index``, ``tok``, which ``int()`` refused.
+
+    A decimal literal longer than Python's int-string limit gets a short
+    message that names the limit; anything else is not an integer.
+    """
+    col = _column(body, index)
+    digits = (tok[1:] if tok[0] in "+-" else tok).replace("_", "")
+    limit = int_string_limit()
+    if limit and len(digits) > limit and digits.isdecimal():
+        return ParseError(
+            ln,
+            col,
+            f"{what} has {len(digits)} digits, more than Python's int-string "
+            f"limit of {limit} (sys.get_int_max_str_digits())",
+        )
+    return ParseError(ln, col, f"expected {what}, found {tok!r}")
+
+
+def _entry_error(ln: int, body: str, toks, whats, signed: bool) -> ParseError:
+    """The error for the first token of a line that ``int()`` refuses or,
+    unless ``signed``, that is negative; ``whats`` names each token."""
+    for index, (tok, what) in enumerate(zip(toks, whats)):
+        try:
+            negative = int(tok) < 0
+        except ValueError:
+            return _int_error(ln, body, index, tok, what)
+        if negative and not signed:
+            return ParseError(ln, _column(body, index), f"{what} must be non-negative")
+    raise AssertionError("every token of the line is valid")
 
 
 def parse_graph(text: str) -> MultiGraph:
     """Parse the graph text format.
+
+    Each significant line is split once and each entry converted once, with
+    ``int()``; a token's column is looked up only to report an error.
 
     Examples
     --------
@@ -517,46 +569,51 @@ def parse_graph(text: str) -> MultiGraph:
     lines = _tokenize(text)
     if not lines:
         raise ParseError(1, 1, "empty input")
-    ln, toks = lines[0]
-    if len(toks) != 2 or toks[0][1] not in ("matrix", "edges"):
-        raise ParseError(ln, toks[0][0], "expected header 'matrix n' or 'edges n'")
-    kind = toks[0][1]
-    n = _int_token(ln, toks[1][0], toks[1][1], "vertex count")
+    ln, body, toks = lines[0]
+    if len(toks) != 2 or toks[0] not in ("matrix", "edges"):
+        raise ParseError(ln, _column(body, 0), "expected header 'matrix n' or 'edges n'")
+    kind = toks[0]
+    try:
+        n = int(toks[1])
+    except ValueError:
+        raise _int_error(ln, body, 1, toks[1], "vertex count") from None
     if n < 1:
-        raise ParseError(ln, toks[1][0], "vertex count must be at least 1")
+        raise ParseError(ln, _column(body, 1), "vertex count must be at least 1")
 
-    body = lines[1:]
+    lines = lines[1:]
     if kind == "matrix":
-        if len(body) != n:
-            where = body[n][0] if len(body) > n else (body[-1][0] if body else ln)
+        if len(lines) != n:
+            where = lines[n][0] if len(lines) > n else (lines[-1][0] if lines else ln)
             raise ParseError(where, 1, f"matrix block needs exactly {n} rows")
         rows = []
-        for row_ln, row_toks in body:
-            if len(row_toks) != n:
-                raise ParseError(row_ln, row_toks[0][0], f"row needs {n} entries")
-            row = []
-            for col, tok in row_toks:
-                val = _int_token(row_ln, col, tok, "multiplicity")
-                if val < 0:
-                    raise ParseError(row_ln, col, "multiplicity must be non-negative")
-                row.append(val)
+        for row_ln, body, toks in lines:
+            if len(toks) != n:
+                raise ParseError(row_ln, _column(body, 0), f"row needs {n} entries")
+            try:
+                row = tuple(map(int, toks))
+            except ValueError:
+                row = None
+            if row is None or min(row) < 0:
+                raise _entry_error(
+                    row_ln, body, toks, itertools.repeat("multiplicity"), False
+                )
             rows.append(row)
-        return MultiGraph.from_matrix(rows)
+        return MultiGraph(n, matrix=rows)
 
     rows = [[0] * n for _ in range(n)]
-    for row_ln, row_toks in body:
-        if len(row_toks) != 3:
-            raise ParseError(row_ln, row_toks[0][0], "edge line needs 'i j k'")
-        (ci, ti), (cj, tj), (ck, tk) = row_toks
-        i = _int_token(row_ln, ci, ti, "source vertex")
-        j = _int_token(row_ln, cj, tj, "target vertex")
-        k = _int_token(row_ln, ck, tk, "multiplicity")
+    for row_ln, body, toks in lines:
+        if len(toks) != 3:
+            raise ParseError(row_ln, _column(body, 0), "edge line needs 'i j k'")
+        try:
+            i, j, k = map(int, toks)
+        except ValueError:
+            raise _entry_error(row_ln, body, toks, _EDGE_FIELDS, True) from None
         if not 0 <= i < n:
-            raise ParseError(row_ln, ci, f"source {i} out of range 0..{n - 1}")
+            raise ParseError(row_ln, _column(body, 0), f"source {i} out of range 0..{n - 1}")
         if not 0 <= j < n:
-            raise ParseError(row_ln, cj, f"target {j} out of range 0..{n - 1}")
+            raise ParseError(row_ln, _column(body, 1), f"target {j} out of range 0..{n - 1}")
         if k < 1:
-            raise ParseError(row_ln, ck, "multiplicity must be at least 1")
+            raise ParseError(row_ln, _column(body, 2), "multiplicity must be at least 1")
         rows[i][j] += k
     return MultiGraph(n, matrix=rows)
 

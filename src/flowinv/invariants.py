@@ -37,16 +37,13 @@ def bowen_franks_matrix(g: MultiGraph) -> IntMatrix:
     >>> bowen_franks_matrix(MultiGraph(1, [(0, 0)] * 4)).to_lists()
     [[-3]]
     """
-    n = g.n
     # Column i of A is row i of A^t; the entries are already ints.
-    return IntMatrix(
-        n,
-        n,
-        tuple(
-            tuple((i == j) - x for j, x in enumerate(col))
-            for i, col in enumerate(zip(*g.incidence().entries))
-        ),
-    )
+    rows = []
+    for i, col in enumerate(zip(*g.incidence().entries)):
+        row = [-x for x in col]
+        row[i] += 1
+        rows.append(tuple(row))
+    return IntMatrix(g.n, g.n, tuple(rows))
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,13 @@ except ImportError:  # not POSIX
 
 from flowinv.cli import format_move_step, main, parse_move_script
 from flowinv.flowsearch import MoveStep
-from flowinv.graph import MultiGraph, ParseError, is_isomorphic, parse_graph
+from flowinv.graph import (
+    MultiGraph,
+    ParseError,
+    int_string_limit,
+    is_isomorphic,
+    parse_graph,
+)
 from flowinv.moves import DrinenVector, Partition, apply_move
 
 
@@ -136,6 +142,60 @@ def test_large_torsion_classify_answers_within_budget():
     assert verdict["isomorphic"] != "unknown"
 
 
+LIMIT = int_string_limit()
+LIMIT_MESSAGE = (
+    f"error: a result has an integer of more than {LIMIT} decimal digits, "
+    "Python's int-string limit (sys.get_int_max_str_digits())\n"
+)
+
+
+@pytest.mark.skipif(resource is None, reason="needs POSIX resource limits")
+@pytest.mark.skipif(LIMIT == 0, reason="this Python has no int-string limit")
+@pytest.mark.parametrize(
+    "template, where",
+    [
+        ("matrix 1\n{big}\n", "line 2, column 1: multiplicity"),
+        ("matrix {big}\n", "line 1, column 8: vertex count"),
+        ("edges 1\n0 {big} 1\n", "line 2, column 3: target vertex"),
+    ],
+    ids=["multiplicity", "vertex-count", "edge-target"],
+)
+def test_entry_past_the_int_string_limit_exits_2(tmp_path, template, where):
+    path = _write(tmp_path, "long.graph", template.format(big="9" * (LIMIT + 700)))
+    done = _run_capped(["invariants", path, "--json"], 2.0, 1 << 30)
+    assert done.returncode == 2 and not done.stdout
+    assert done.stderr == (
+        f"error: {path}: {where} has {LIMIT + 700} digits, more than Python's "
+        f"int-string limit of {LIMIT} (sys.get_int_max_str_digits())\n"
+    )
+
+
+@pytest.mark.skipif(resource is None, reason="needs POSIX resource limits")
+@pytest.mark.skipif(LIMIT == 0, reason="this Python has no int-string limit")
+@pytest.mark.parametrize(
+    "argv",
+    [["invariants"], ["invariants", "--json"], ["classify", "--transpose", "--json"]],
+    ids=["invariants", "invariants-json", "classify"],
+)
+def test_result_past_the_int_string_limit_exits_2(tmp_path, argv):
+    # Each entry is within the limit; det and the torsion have about twice
+    # as many digits.
+    big = "9" * (LIMIT - 300)
+    path = _write(tmp_path, "long.graph", f"matrix 2\n{big} 1\n1 {big}\n")
+    done = _run_capped([*argv, path], 2.0, 1 << 30)
+    assert (done.returncode, done.stdout, done.stderr) == (2, "", LIMIT_MESSAGE)
+
+
+def test_other_value_errors_still_raise(tmp_path, monkeypatch):
+    def broken(g):
+        raise ValueError("not about digits")
+
+    monkeypatch.setattr("flowinv.cli.franks_triple", broken)
+    path = _write(tmp_path, "rose.graph", ROSE4)
+    with pytest.raises(ValueError, match="not about digits"):
+        main(["invariants", path])
+
+
 # ---------------------------------------------------------------------------
 # move.
 
@@ -221,6 +281,15 @@ def test_move_script_errors_exit_2(tmp_path, capsys, script, message):
     code, out, err = _run(capsys, ["move", "--script", path, graph])
     assert code == 2 and not out
     assert message in err
+
+
+@pytest.mark.parametrize("name", ["in-delay", "out-delay"])
+def test_delay_moves_reject_inline_tokens(tmp_path, capsys, name):
+    graph = _write(tmp_path, "base.graph", SPLIT_BASE)
+    script = _write(tmp_path, "delay.script", f"move {name} v1 bogus\ndelay e1 2\n")
+    message = f"error: line 1, column 1: {name} takes delay lines, not inline arguments\n"
+    assert _run(capsys, ["move", "--script", script, graph]) == (2, "", message)
+    assert _run(capsys, ["move", name, "v1", graph]) == (2, "", message)
 
 
 @pytest.mark.parametrize(

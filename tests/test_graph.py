@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 
 import pytest
 
@@ -17,6 +18,7 @@ from flowinv.graph import (
     classify_graph,
     format_graph,
     incidence_matrix,
+    int_string_limit,
     is_isomorphic,
     parse_graph,
     sinks,
@@ -73,6 +75,24 @@ def test_construction_errors():
         MultiGraph.from_matrix([[1]], labels=["a", "b"])
     with pytest.raises(GraphError):
         MultiGraph(1, [(0, 0)], matrix=[[1]])
+
+
+@pytest.mark.parametrize(
+    "n, rows, message",
+    [
+        (2, [[1, 2], [0]], "incidence matrix must be square of size 2"),
+        (2, [[1], [1]], "incidence matrix must be square of size 2"),
+        (1, [[1], [1]], "incidence matrix must be square of size 1"),
+        (3, [[0, 1, 2], [3, 0, -1], [-2, 0, 0]], "negative multiplicity at (1, 2)"),
+        (2, [[0, -1], [-1, 0]], "negative multiplicity at (0, 1)"),
+        (3, [[0, -1], [-1, 0]], "incidence matrix must be square of size 3"),
+    ],
+)
+def test_matrix_construction_error_messages(n, rows, message):
+    # The first negative entry in row-major order is named.
+    with pytest.raises(GraphError) as exc:
+        MultiGraph(n, matrix=rows)
+    assert str(exc.value) == message
 
 
 def _square_matrices(st):
@@ -453,6 +473,229 @@ def test_parse_error_positions():
     with pytest.raises(ParseError) as exc:
         parse_graph("edges 1\n0 0 0\n")
     assert "at least 1" in exc.value.message
+
+
+# The parser as it was before it split each line once, kept as the oracle
+# of the current one: a regex tokenizer that records every token's column,
+# and a conversion and sign check per entry.
+
+_REFERENCE_TOKEN = re.compile(r"\S+")
+
+
+def _reference_tokenize(text: str):
+    out = []
+    for ln, raw in enumerate(text.splitlines(), start=1):
+        body = raw.split("#", 1)[0]
+        toks = [(m.start() + 1, m.group()) for m in _REFERENCE_TOKEN.finditer(body)]
+        if toks:
+            out.append((ln, toks))
+    return out
+
+
+def _reference_int(ln, col, tok, what):
+    try:
+        return int(tok)
+    except ValueError:
+        raise ParseError(ln, col, f"expected {what}, found {tok!r}") from None
+
+
+def _parse_reference(text: str) -> MultiGraph:
+    lines = _reference_tokenize(text)
+    if not lines:
+        raise ParseError(1, 1, "empty input")
+    ln, toks = lines[0]
+    if len(toks) != 2 or toks[0][1] not in ("matrix", "edges"):
+        raise ParseError(ln, toks[0][0], "expected header 'matrix n' or 'edges n'")
+    kind = toks[0][1]
+    n = _reference_int(ln, toks[1][0], toks[1][1], "vertex count")
+    if n < 1:
+        raise ParseError(ln, toks[1][0], "vertex count must be at least 1")
+
+    body = lines[1:]
+    if kind == "matrix":
+        if len(body) != n:
+            where = body[n][0] if len(body) > n else (body[-1][0] if body else ln)
+            raise ParseError(where, 1, f"matrix block needs exactly {n} rows")
+        rows = []
+        for row_ln, row_toks in body:
+            if len(row_toks) != n:
+                raise ParseError(row_ln, row_toks[0][0], f"row needs {n} entries")
+            row = []
+            for col, tok in row_toks:
+                val = _reference_int(row_ln, col, tok, "multiplicity")
+                if val < 0:
+                    raise ParseError(row_ln, col, "multiplicity must be non-negative")
+                row.append(val)
+            rows.append(row)
+        return MultiGraph.from_matrix(rows)
+
+    rows = [[0] * n for _ in range(n)]
+    for row_ln, row_toks in body:
+        if len(row_toks) != 3:
+            raise ParseError(row_ln, row_toks[0][0], "edge line needs 'i j k'")
+        (ci, ti), (cj, tj), (ck, tk) = row_toks
+        i = _reference_int(row_ln, ci, ti, "source vertex")
+        j = _reference_int(row_ln, cj, tj, "target vertex")
+        k = _reference_int(row_ln, ck, tk, "multiplicity")
+        if not 0 <= i < n:
+            raise ParseError(row_ln, ci, f"source {i} out of range 0..{n - 1}")
+        if not 0 <= j < n:
+            raise ParseError(row_ln, cj, f"target {j} out of range 0..{n - 1}")
+        if k < 1:
+            raise ParseError(row_ln, ck, "multiplicity must be at least 1")
+        rows[i][j] += k
+    return MultiGraph(n, matrix=rows)
+
+
+def _parse_outcome(parse, text: str):
+    """What ``parse`` makes of ``text``: the graph's rows, or the error's
+    (line, column, message)."""
+    try:
+        g = parse(text)
+    except ParseError as exc:
+        return ("error", exc.line, exc.col, exc.message)
+    assert isinstance(g, MultiGraph)
+    return ("graph", g.labels, g.incidence().entries)
+
+
+# Tokens near the format: entries int() reads (signs, underscores and
+# non-ASCII digits included), and negative and non-integer ones.
+_GOOD_TOKENS = ("0", "1", "2", "3", "0", "1", "2", "+3", "-0", "1_0", "\u0662")
+_BAD_TOKENS = ("-1", "-2", "x", "1.0", "0x1", "_1", "1__0", "3#x")
+_TEXT_SPACES = (" ", " ", "  ", "\t", "\xa0", "\u2003", "\u3000", " \t")
+_TEXT_ENDS = ("\n", "\n", "\r\n", "\n\n", "\n# note 1 2\n", "  # c\n")
+
+
+def _graph_texts(st):
+    """Hypothesis strategy: graph texts in both styles, mostly well formed,
+    with comments, tabs, Unicode spaces and line ends, and wrong, negative
+    or non-integer tokens, token counts and row counts.  Vertex counts stay
+    below 6: an ``edges n`` header allocates n by n before reading a line."""
+
+    def often(common, rare):
+        return st.sampled_from((common,) * 9 + (rare,))
+
+    @st.composite
+    def texts(draw):
+        kind = draw(st.sampled_from(("matrix", "edges")))
+        kind = draw(often(kind, "graph"))
+        n = draw(often(draw(st.integers(1, 5)), draw(st.integers(-1, 0))))
+        count = draw(often(str(n), draw(st.sampled_from((f"+{n}", "x", f"{n}_0")))))
+        header = [kind, count] + draw(often([], ["1"]))
+        width = 3 if kind == "edges" else abs(n)
+        vertices = tuple(map(str, range(max(n, 0))))
+        good = vertices + ("1",) if kind == "edges" else _GOOD_TOKENS
+        bad = tuple(map(str, (-1, n, n + 1))) + _BAD_TOKENS + _GOOD_TOKENS
+        rows = abs(n) if kind == "matrix" else draw(st.integers(0, 6))
+        lines = [header]
+        for _ in range(draw(often(rows, draw(st.integers(0, abs(n) + 1))))):
+            size = draw(often(width, draw(st.sampled_from((width + 1, max(width - 1, 1))))))
+            pool = st.sampled_from(draw(often(good, bad)))
+            lines.append(draw(st.lists(pool, min_size=size, max_size=size)))
+        text = draw(st.sampled_from(("", "# heading\n", "\n \t\n")))
+        for toks in lines:
+            lead = draw(st.sampled_from(("", "", " ", "\t", "\u3000")))
+            seps = draw(
+                st.lists(st.sampled_from(_TEXT_SPACES), min_size=len(toks), max_size=len(toks))
+            )
+            text += lead + "".join(t + s for t, s in zip(toks, seps)).rstrip(" ")
+            text += draw(st.sampled_from(_TEXT_ENDS))
+        return text
+
+    return texts()
+
+
+def test_parse_matches_reference_parser():
+    hyp = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hyp.settings(max_examples=600, deadline=None)
+    @hyp.given(_graph_texts(st))
+    def check(text):
+        assert _parse_outcome(parse_graph, text) == _parse_outcome(_parse_reference, text)
+
+    check()
+
+
+def test_parse_returns_a_graph_or_raises_parse_error():
+    hyp = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hyp.settings(max_examples=400, deadline=None)
+    @hyp.given(st.one_of(st.text(), _graph_texts(st)))
+    def check(text):
+        _parse_outcome(parse_graph, text)
+
+    check()
+
+
+# Every ParseError branch with its (line, column, message), as the
+# reference parser reports them.
+@pytest.mark.parametrize(
+    "text, line, col, message",
+    [
+        ("", 1, 1, "empty input"),
+        ("# nothing but a comment\n \t\n", 1, 1, "empty input"),
+        ("triangle 2\n", 1, 1, "expected header 'matrix n' or 'edges n'"),
+        ("  matrix\n", 1, 3, "expected header 'matrix n' or 'edges n'"),
+        ("matrix 2 3\n", 1, 1, "expected header 'matrix n' or 'edges n'"),
+        ("matrix x\n", 1, 8, "expected vertex count, found 'x'"),
+        ("edges 1.5\n", 1, 7, "expected vertex count, found '1.5'"),
+        ("edges 0\n", 1, 7, "vertex count must be at least 1"),
+        ("matrix -3\n", 1, 8, "vertex count must be at least 1"),
+        ("matrix 2\n", 1, 1, "matrix block needs exactly 2 rows"),
+        ("matrix 2\n1 1\n", 2, 1, "matrix block needs exactly 2 rows"),
+        ("matrix 1\n1\n\n2 # extra\n", 4, 1, "matrix block needs exactly 1 rows"),
+        ("matrix 2\n1 1\n  1\n", 3, 3, "row needs 2 entries"),
+        ("matrix 2\n1 1 1\n0 0\n", 2, 1, "row needs 2 entries"),
+        ("matrix 2\n1 1\n1\tx\n", 3, 3, "expected multiplicity, found 'x'"),
+        ("matrix 2\n0 -1\n0 0\n", 2, 3, "multiplicity must be non-negative"),
+        ("matrix 2\n-1 x\n0 0\n", 2, 1, "multiplicity must be non-negative"),
+        ("matrix 2\nx -1\n0 0\n", 2, 1, "expected multiplicity, found 'x'"),
+        ("matrix 2\n0\xa01.0\n0 0\n", 2, 3, "expected multiplicity, found '1.0'"),
+        ("matrix 2\n0\u3000 -2\n0 0\n", 2, 4, "multiplicity must be non-negative"),
+        ("edges 2\n0 1\n", 2, 1, "edge line needs 'i j k'"),
+        ("edges 2\n0 1 1 1\n", 2, 1, "edge line needs 'i j k'"),
+        ("edges 2\na 1 1\n", 2, 1, "expected source vertex, found 'a'"),
+        ("edges 2\n0 b 1\n", 2, 3, "expected target vertex, found 'b'"),
+        ("edges 2\n0 1 c\n", 2, 5, "expected multiplicity, found 'c'"),
+        ("edges 2\n9 9 c\n", 2, 5, "expected multiplicity, found 'c'"),
+        ("edges 2\n2 1 1\n", 2, 1, "source 2 out of range 0..1"),
+        ("edges 2\n-1 0 1\n", 2, 1, "source -1 out of range 0..1"),
+        ("edges 2\n0 5 1\n", 2, 3, "target 5 out of range 0..1"),
+        ("edges 2\n0 1 0\n", 2, 5, "multiplicity must be at least 1"),
+        ("edges 2\n0 1 -4\n", 2, 5, "multiplicity must be at least 1"),
+        ("edges 2 # hdr\n0 1 1 # ok\n\t0\u2003 1 # short\n", 3, 2, "edge line needs 'i j k'"),
+    ],
+)
+def test_parse_error_table(text, line, col, message):
+    with pytest.raises(ParseError) as exc:
+        parse_graph(text)
+    assert (exc.value.line, exc.value.col, exc.value.message) == (line, col, message)
+
+
+@pytest.mark.skipif(int_string_limit() == 0, reason="this Python has no int-string limit")
+@pytest.mark.parametrize(
+    "template, line, col, what",
+    [
+        ("matrix 1\n{big}\n", 2, 1, "multiplicity"),
+        ("matrix 2\n0 +{big}\n0 0\n", 2, 3, "multiplicity"),
+        ("matrix {big}\n", 1, 8, "vertex count"),
+        ("edges 1\n{big} 0 1\n", 2, 1, "source vertex"),
+        ("edges 1\n0 -{big} 1\n", 2, 3, "target vertex"),
+        ("edges 1\n0 0 {big}\n", 2, 5, "multiplicity"),
+    ],
+    ids=["entry", "signed-entry", "vertex-count", "source", "target", "edge-multiplicity"],
+)
+def test_parse_names_the_int_string_limit(template, line, col, what):
+    limit = int_string_limit()
+    with pytest.raises(ParseError) as exc:
+        parse_graph(template.format(big="9" * (limit + 700)))
+    assert (exc.value.line, exc.value.col) == (line, col)
+    assert exc.value.message == (
+        f"{what} has {limit + 700} digits, more than Python's int-string "
+        f"limit of {limit} (sys.get_int_max_str_digits())"
+    )
 
 
 # ---------------------------------------------------------------------------
