@@ -609,9 +609,13 @@ def parse_graph(text: str) -> MultiGraph:
         except ValueError:
             raise _entry_error(row_ln, body, toks, _EDGE_FIELDS, True) from None
         if not 0 <= i < n:
-            raise ParseError(row_ln, _column(body, 0), f"source {i} out of range 0..{n - 1}")
+            raise ParseError(
+                row_ln, _column(body, 0), f"source {i} out of range 0..{n - 1}"
+            )
         if not 0 <= j < n:
-            raise ParseError(row_ln, _column(body, 1), f"target {j} out of range 0..{n - 1}")
+            raise ParseError(
+                row_ln, _column(body, 1), f"target {j} out of range 0..{n - 1}"
+            )
         if k < 1:
             raise ParseError(row_ln, _column(body, 2), "multiplicity must be at least 1")
         rows[i][j] += k

@@ -589,15 +589,15 @@ def _graph_texts(st):
         rows = abs(n) if kind == "matrix" else draw(st.integers(0, 6))
         lines = [header]
         for _ in range(draw(often(rows, draw(st.integers(0, abs(n) + 1))))):
-            size = draw(often(width, draw(st.sampled_from((width + 1, max(width - 1, 1))))))
+            wrong = draw(st.sampled_from((width + 1, max(width - 1, 1))))
+            size = draw(often(width, wrong))
             pool = st.sampled_from(draw(often(good, bad)))
             lines.append(draw(st.lists(pool, min_size=size, max_size=size)))
         text = draw(st.sampled_from(("", "# heading\n", "\n \t\n")))
         for toks in lines:
             lead = draw(st.sampled_from(("", "", " ", "\t", "\u3000")))
-            seps = draw(
-                st.lists(st.sampled_from(_TEXT_SPACES), min_size=len(toks), max_size=len(toks))
-            )
+            spaces = st.sampled_from(_TEXT_SPACES)
+            seps = draw(st.lists(spaces, min_size=len(toks), max_size=len(toks)))
             text += lead + "".join(t + s for t, s in zip(toks, seps)).rstrip(" ")
             text += draw(st.sampled_from(_TEXT_ENDS))
         return text
@@ -612,7 +612,8 @@ def test_parse_matches_reference_parser():
     @hyp.settings(max_examples=600, deadline=None)
     @hyp.given(_graph_texts(st))
     def check(text):
-        assert _parse_outcome(parse_graph, text) == _parse_outcome(_parse_reference, text)
+        expected = _parse_outcome(_parse_reference, text)
+        assert _parse_outcome(parse_graph, text) == expected
 
     check()
 
