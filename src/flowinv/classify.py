@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from flowinv.exactla import Ternary, group_iso, pointed_equivalent
-from flowinv.graph import MultiGraph, classify_graph
+from flowinv.graph import MultiGraph, classify_graph, int_string_limit
 from flowinv.invariants import franks_triple
 
 TAG_K0_MISMATCH = "k0-mismatch"
@@ -56,6 +56,23 @@ class Verdict:
         }
 
 
+def _int_text(x: int) -> str:
+    """``str(x)``, or "an integer of B bits" when x has more decimal digits
+    than Python's int-string limit lets ``str`` write.  Only an x of more
+    than limit * 3.32 bits (log2(10) = 3.3219...) can have that many, so
+    every other x is told apart by ``bit_length`` alone."""
+    limit = int_string_limit()
+    size = abs(x).bit_length()
+    if limit and size > limit * 3.32 and abs(x) >= 10**limit:
+        return f"{'a negative' if x < 0 else 'an'} integer of {size} bits"
+    return str(x)
+
+
+def _vector_text(xs) -> str:
+    """A vector as the list ``[1, 2]``, each entry written by :func:`_int_text`."""
+    return f"[{', '.join(map(_int_text, xs))}]"
+
+
 def _non_pis_verdict(re_dict: dict, rf_dict: dict) -> Verdict:
     return Verdict(
         morita=Ternary.UNKNOWN,
@@ -94,7 +111,8 @@ def decide(e: MultiGraph, f: MultiGraph) -> Verdict:
             isomorphic=Ternary.NO,
             reason_tag=TAG_K0_MISMATCH,
             reason=(
-                f"Bowen-Franks groups differ: {te.group} versus {tf.group}"
+                "Bowen-Franks groups differ: "
+                f"{te.group.text(_int_text)} versus {tf.group.text(_int_text)}"
             ),
             witness=witness,
         )
@@ -109,8 +127,8 @@ def decide(e: MultiGraph, f: MultiGraph) -> Verdict:
                 reason_tag=TAG_TRIPLE_MATCH,
                 reason=(
                     "group, unit class and determinant all match: "
-                    f"{te.group}, unit {list(te.unit_class)}, "
-                    f"det {te.determinant}"
+                    f"{te.group.text(_int_text)}, unit {_vector_text(te.unit_class)}, "
+                    f"det {_int_text(te.determinant)}"
                 ),
                 witness=witness,
             )
@@ -120,8 +138,8 @@ def decide(e: MultiGraph, f: MultiGraph) -> Verdict:
             reason_tag=TAG_UNIT_MISMATCH,
             reason=(
                 "group and determinant match, but no automorphism of "
-                f"{te.group} carries unit class {list(te.unit_class)} "
-                f"to {list(tf.unit_class)}"
+                f"{te.group.text(_int_text)} carries unit class "
+                f"{_vector_text(te.unit_class)} to {_vector_text(tf.unit_class)}"
             ),
             witness=witness,
         )
@@ -133,7 +151,8 @@ def decide(e: MultiGraph, f: MultiGraph) -> Verdict:
             isomorphic=Ternary.NO,
             reason_tag=TAG_SIGN_GAP,
             reason=(
-                f"determinants {te.determinant} and {tf.determinant} differ "
+                f"determinants {_int_text(te.determinant)} and "
+                f"{_int_text(tf.determinant)} differ "
                 "in sign (whether that separates Morita classes is open), "
                 "and the unit classes already rule out isomorphism"
             ),
@@ -144,7 +163,8 @@ def decide(e: MultiGraph, f: MultiGraph) -> Verdict:
         isomorphic=Ternary.UNKNOWN,
         reason_tag=TAG_SIGN_GAP,
         reason=(
-            f"determinants {te.determinant} and {tf.determinant} differ in "
+            f"determinants {_int_text(te.determinant)} and "
+            f"{_int_text(tf.determinant)} differ in "
             "sign; whether a sign flip can separate Morita classes is an "
             "open hypothesis, so no verdict is returned"
         ),

@@ -389,7 +389,11 @@ class AbelianGroup:
         return not self.torsion and self.free_rank == 0
 
     def __str__(self) -> str:
-        parts = [f"Z/{d}" for d in self.torsion]
+        return self.text()
+
+    def text(self, number=str) -> str:
+        """The group as ``Z/d1 + ... + Z^f``, each d written by ``number``."""
+        parts = [f"Z/{number(d)}" for d in self.torsion]
         if self.free_rank == 1:
             parts.append("Z")
         elif self.free_rank > 1:

@@ -10,7 +10,11 @@ from __future__ import annotations
 import itertools
 import re
 import sys
+from collections import Counter
 from dataclasses import dataclass
+from functools import partial
+from operator import add, itemgetter
+from typing import NamedTuple
 
 from flowinv.exactla import IntMatrix
 
@@ -29,11 +33,99 @@ class ParseError(ValueError):
         self.message = message
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
+    """An edge from ``source`` to ``target``, named ``id``.  Being a tuple, it
+    unpacks, orders, and compares equal to the plain (source, target, id)."""
+
     source: int
     target: int
     id: str
+
+
+# An Edge from a (source, target, id) triple; map() calls it without a
+# Python-level frame, unlike Edge() or Edge._make.
+_new_edge = partial(tuple.__new__, Edge)
+_SOURCE = itemgetter(0)
+_TARGET = itemgetter(1)
+
+
+def edge_columns(edges):
+    """The sources, targets and ids of ``edges``, as three tuples."""
+    return tuple(zip(*edges)) or ((), (), ())
+
+
+def make_edges(triples) -> list:
+    """The Edges of (source, target, id) triples, made without a
+    Python-level call per edge.  No value is checked or converted."""
+    return list(map(_new_edge, triples))
+
+
+def _plain_columns(items):
+    """The sources, targets and ids of ``items`` when every item is a
+    triple with int endpoints and a str id, told by the types of the
+    columns; else None."""
+    if not set(map(len, items)) <= {3}:
+        return None
+    sources, targets, ids = columns = edge_columns(items)
+    if set(map(type, sources + targets)) <= {int} and set(map(type, ids)) <= {str}:
+        return columns
+    return None
+
+
+def _as_edge(item, n: int) -> Edge:
+    """The Edge of one edge-list item: (source, target, id), an Edge among
+    them, or (source, target) with id None.  Endpoints become ints and an id
+    other than None a str; an item out of range becomes an edge from -1 to
+    -1, for the range check to catch."""
+    if len(item) == 2:
+        src, tgt = item
+        eid = None
+    else:
+        src, tgt, eid = item
+    eid = None if eid is None else str(eid)
+    if 0 <= src < n and 0 <= tgt < n:
+        return _new_edge((int(src), int(tgt), eid))
+    return _new_edge((-1, -1, eid))
+
+
+def _auto_ids(ids) -> list:
+    """``ids`` with each None replaced by the next of e0, e1, ... that no
+    earlier id in the list holds."""
+    out, seen, auto = [], set(), 0
+    for eid in ids:
+        if eid is None:
+            while f"e{auto}" in seen:
+                auto += 1
+            eid = f"e{auto}"
+            auto += 1
+        seen.add(eid)
+        out.append(eid)
+    return out
+
+
+def _first_edge_error(items, ids, n: int) -> GraphError:
+    """The error of the first item that is out of range or whose id (in
+    ``ids``) an earlier item holds; an item's range is checked before its
+    id."""
+    seen = set()
+    for item, eid in zip(items, ids):
+        src, tgt = item[0], item[1]
+        if not (0 <= src < n and 0 <= tgt < n):
+            return GraphError(f"edge endpoint out of range: ({src}, {tgt})")
+        if eid in seen:
+            return GraphError(f"duplicate edge id {eid!r}")
+        seen.add(eid)
+    raise AssertionError("every edge is in range and has a fresh id")
+
+
+def _slices(edges, sizes) -> tuple:
+    """``edges`` cut into consecutive tuples of the given sizes."""
+    edges = tuple(edges)
+    out, start = [], 0
+    for size in sizes:
+        out.append(edges[start : start + size])
+        start += size
+    return tuple(out)
 
 
 class MultiGraph:
@@ -50,6 +142,17 @@ class MultiGraph:
     are derived on the first read of ``edges``, ``out_edges``, ``in_edges``
     or ``edge_by_id`` and cached.  A graph built from an edge list keeps its
     edges, ids and order as given.
+
+    An edge list is checked as a whole.  Its items are (source, target, id)
+    triples, :class:`Edge` among them, or (source, target) pairs; an id of
+    None is filled with the next of ``e0, e1, ...`` that no earlier item
+    holds.  A list of triples with int endpoints and str ids, told by the
+    types of its columns, is taken in bulk (Edges as they are); any other
+    list is converted item by item.  Then min and max check the endpoints
+    and a set checks that the ids are unique.  Only when a check fails is
+    the list walked again, to name the first offending item; its range is
+    checked before its id.  Out- and in-edges are grouped on their first
+    read.
     """
 
     __slots__ = ("_labels", "_edges", "_matrix", "_out", "_in")
@@ -82,56 +185,51 @@ class MultiGraph:
             self._edges = self._out = self._in = None
             return
 
-        built = []
-        mat = [[0] * n for _ in range(n)]
-        seen_ids = set()
-        auto = 0
-        for item in edges:
-            if isinstance(item, Edge):
-                src, tgt, eid = item.source, item.target, item.id
-            elif len(item) == 2:
-                src, tgt = item
-                eid = None
-            else:
-                src, tgt, eid = item
-            if not (0 <= src < n and 0 <= tgt < n):
-                raise GraphError(f"edge endpoint out of range: ({src}, {tgt})")
-            if eid is None:
-                while f"e{auto}" in seen_ids:
-                    auto += 1
-                eid = f"e{auto}"
-                auto += 1
-            eid = str(eid)
-            if eid in seen_ids:
-                raise GraphError(f"duplicate edge id {eid!r}")
-            seen_ids.add(eid)
-            built.append(Edge(int(src), int(tgt), eid))
-            mat[int(src)][int(tgt)] += 1
+        items = list(edges)
+        columns = _plain_columns(items)
+        if columns is None:
+            built = [_as_edge(item, n) for item in items]
+            sources, targets, ids = columns = edge_columns(built)
+            if None in ids:
+                columns = sources, targets, _auto_ids(ids)
+                built = make_edges(zip(*columns))
+        elif set(map(type, items)) <= {Edge}:
+            built = items
+        else:
+            built = make_edges(items)
+        sources, targets, ids = columns
+        ends = sources + targets
+        if ends and (min(ends) < 0 or max(ends) >= n) or len(set(ids)) != len(ids):
+            raise _first_edge_error(items, ids, n)
 
-        self._matrix = IntMatrix.from_rows(mat)
-        self._set_edges(built)
-
-    def _set_edges(self, edges) -> None:
-        out = [[] for _ in range(self.n)]
-        inc = [[] for _ in range(self.n)]
-        for e in edges:
-            out[e.source].append(e)
-            inc[e.target].append(e)
-        self._edges = tuple(edges)
-        self._out = tuple(tuple(x) for x in out)
-        self._in = tuple(tuple(x) for x in inc)
+        cells = [0] * (n * n)
+        for cell, k in Counter(map(add, map(n.__mul__, sources), targets)).items():
+            cells[cell] = k
+        self._matrix = IntMatrix(
+            n, n, tuple(tuple(cells[i : i + n]) for i in range(0, n * n, n))
+        )
+        self._edges = tuple(built)
+        self._out = self._in = None
 
     def _materialize(self) -> None:
         """Derive the edges of a matrix-built graph: row-major, ids e0, e1, ..."""
-        ids = itertools.count()
-        self._set_edges(
-            [
-                Edge(i, j, f"e{next(ids)}")
-                for i, row in enumerate(self._matrix.entries)
-                for j, k in enumerate(row)
-                for _ in range(k)
-            ]
-        )
+        m = self._matrix.entries
+        chain, repeat = itertools.chain.from_iterable, itertools.repeat
+        sources = chain(map(repeat, range(self.n), map(sum, m)))
+        targets = chain(map(repeat, itertools.cycle(range(self.n)), chain(m)))
+        ids = [f"e{k}" for k in range(self.edge_count)]
+        self._edges = tuple(make_edges(zip(sources, targets, ids)))
+
+    def _group_edges(self) -> None:
+        """Group the edges by source and by target, on the first read of
+        ``out_edges`` or ``in_edges``.
+
+        A stable sort by source (target) keeps each vertex's edges in list
+        order; the row (column) sums of the matrix cut it into vertices.
+        """
+        edges, entries = self.edges, self._matrix.entries
+        self._out = _slices(sorted(edges, key=_SOURCE), map(sum, entries))
+        self._in = _slices(sorted(edges, key=_TARGET), map(sum, zip(*entries)))
 
     @staticmethod
     def from_matrix(rows, labels=None) -> "MultiGraph":
@@ -181,12 +279,12 @@ class MultiGraph:
 
     def out_edges(self, v: int) -> tuple[Edge, ...]:
         if self._out is None:
-            self._materialize()
+            self._group_edges()
         return self._out[v]
 
     def in_edges(self, v: int) -> tuple[Edge, ...]:
         if self._in is None:
-            self._materialize()
+            self._group_edges()
         return self._in[v]
 
     def out_degree(self, v: int) -> int:
@@ -199,10 +297,8 @@ class MultiGraph:
         return self._matrix
 
     def transpose(self) -> "MultiGraph":
-        return MultiGraph(
-            self._labels,
-            [Edge(e.target, e.source, e.id) for e in self.edges],
-        )
+        sources, targets, ids = edge_columns(self.edges)
+        return MultiGraph(self._labels, make_edges(zip(targets, sources, ids)))
 
     def permuted(self, perm) -> "MultiGraph":
         """Relabel vertices: old vertex i becomes position perm[i]."""
@@ -212,8 +308,9 @@ class MultiGraph:
         labels = [None] * self.n
         for old, new in enumerate(perm):
             labels[new] = self._labels[old]
-        edges = [Edge(perm[e.source], perm[e.target], e.id) for e in self.edges]
-        return MultiGraph(labels, edges)
+        sources, targets, ids = edge_columns(self.edges)
+        at = perm.__getitem__
+        return MultiGraph(labels, make_edges(zip(map(at, sources), map(at, targets), ids)))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MultiGraph):

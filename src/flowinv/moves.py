@@ -26,6 +26,8 @@ consecutive run, labelled ``v#1 .. v#m``; appended vertices go last.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
+from operator import itemgetter
 from typing import Callable, NamedTuple
 
 from flowinv.exactla import IntMatrix, cokernel, group_iso, smith_diagonal
@@ -33,7 +35,9 @@ from flowinv.graph import (
     Edge,
     GraphError,
     MultiGraph,
+    edge_columns,
     is_cyclic_component,
+    make_edges,
     strongly_connected_components,
 )
 from flowinv.invariants import bowen_franks_matrix
@@ -41,6 +45,11 @@ from flowinv.invariants import bowen_franks_matrix
 
 class MoveError(ValueError):
     """A move's hypotheses are not met by the given arguments."""
+
+
+# (target, source, id) of a (source, target, id) triple, and its id.
+_REVERSED = itemgetter(1, 0, 2)
+_ID = itemgetter(2)
 
 
 def _fresh_label(used, base: str) -> str:
@@ -256,10 +265,8 @@ def in_split(g: MultiGraph, p: Partition) -> SplitResult:
     """
     p.validate(g, "in")
     n = g.n
-    labels, blocks, edges, heads = _split_triples(
-        g.labels, p, [(e.source, e.target, e.id) for e in g.edges]
-    )
-    graph = MultiGraph(labels, edges)
+    labels, blocks, edges, heads = _split_triples(g.labels, p, g.edges)
+    graph = MultiGraph(labels, make_edges(edges))
 
     classes = [(v, c) for v in range(n) if p.m(v) for c in blocks[v]]
     factorization = None
@@ -292,9 +299,9 @@ def out_split(g: MultiGraph, p: Partition) -> SplitResult:
     """
     p.validate(g, "out")
     labels, blocks, edges, _ = _split_triples(
-        g.labels, p, [(e.target, e.source, e.id) for e in g.edges]
+        g.labels, p, list(map(_REVERSED, g.edges))
     )
-    graph = MultiGraph(labels, [(src, tgt, eid) for tgt, src, eid in edges])
+    graph = MultiGraph(labels, make_edges(map(_REVERSED, edges)))
 
     vectors = []
     for v in range(g.n):
@@ -418,18 +425,12 @@ def eliminate_source(g: MultiGraph, v) -> MultiGraph:
         raise MoveError(f"vertex {g.label(v)} is not a source")
     if g.n < 2:
         raise MoveError("cannot remove the only vertex")
-    remap = {}
-    labels = []
-    for u in range(g.n):
-        if u != v:
-            remap[u] = len(labels)
-            labels.append(g.label(u))
-    edges = [
-        Edge(remap[e.source], remap[e.target], e.id)
-        for e in g.edges
-        if e.source != v
-    ]
-    return MultiGraph(labels, edges)
+    labels = [g.label(u) for u in range(g.n) if u != v]
+    at = [u - (u > v) for u in range(g.n)].__getitem__
+    sources, targets, ids = edge_columns(g.edges)
+    keep = [u != v for u in sources]
+    sources, targets, ids = (compress(col, keep) for col in (sources, targets, ids))
+    return MultiGraph(labels, make_edges(zip(map(at, sources), map(at, targets), ids)))
 
 
 def expand(g: MultiGraph, v) -> MultiGraph:
@@ -439,11 +440,11 @@ def expand(g: MultiGraph, v) -> MultiGraph:
     star = g.n
     labels = list(g.labels)
     labels.append(_fresh_label(labels, g.label(v) + "*"))
-    used = {e.id for e in g.edges}
-    edges = [
-        Edge(star if e.source == v else e.source, e.target, e.id) for e in g.edges
-    ]
-    edges.append(Edge(v, star, _fresh_edge_id(used, "f")))
+    sources, targets, ids = edge_columns(g.edges)
+    at = list(range(g.n))
+    at[v] = star
+    edges = make_edges(zip(map(at.__getitem__, sources), targets, ids))
+    edges.append(Edge(v, star, _fresh_edge_id(set(ids), "f")))
     return MultiGraph(labels, edges)
 
 
@@ -466,19 +467,16 @@ def contract(g: MultiGraph, v, v_star) -> MultiGraph:
         )
     if g.in_degree(vs) != 1:
         raise MoveError(f"vertex {g.label(vs)} must have exactly one incoming edge")
-    remap = {}
-    labels = []
-    for u in range(g.n):
-        if u != vs:
-            remap[u] = len(labels)
-            labels.append(g.label(u))
-    edges = []
-    for e in g.edges:
-        if e.id == bridge.id:
-            continue
-        src = v if e.source == vs else e.source
-        edges.append(Edge(remap[src], remap[e.target], e.id))
-    return MultiGraph(labels, edges)
+    labels = [g.label(u) for u in range(g.n) if u != vs]
+    # Old vertex u goes to u's new index; v* merges into v.  Only the bridge
+    # enters v*, and it is dropped.
+    at = [u - (u > vs) for u in range(g.n)]
+    at[vs] = at[v]
+    sources, targets, ids = edge_columns(g.edges)
+    keep = [eid != bridge.id for eid in ids]
+    sources, targets, ids = (compress(col, keep) for col in (sources, targets, ids))
+    remap = at.__getitem__
+    return MultiGraph(labels, make_edges(zip(map(remap, sources), map(remap, targets), ids)))
 
 
 # ---------------------------------------------------------------------------
@@ -597,8 +595,8 @@ def out_delay(g: MultiGraph, d: DrinenVector) -> MultiGraph:
     if d.kind != "source":
         raise MoveError("out-delay needs a source vector")
     d.validate(g)
-    triples = [(e.source, e.target, e.id) for e in g.edges]
-    return MultiGraph(*_delay_triples(g.labels, d, triples, "^"))
+    labels, edges = _delay_triples(g.labels, d, g.edges, "^")
+    return MultiGraph(labels, make_edges(edges))
 
 
 def in_delay(g: MultiGraph, d: DrinenVector) -> MultiGraph:
@@ -611,9 +609,8 @@ def in_delay(g: MultiGraph, d: DrinenVector) -> MultiGraph:
     if d.kind != "range":
         raise MoveError("in-delay needs a range vector")
     d.validate(g)
-    triples = [(e.target, e.source, e.id) for e in g.edges]
-    labels, edges = _delay_triples(g.labels, d, triples, "_")
-    return MultiGraph(labels, [(src, tgt, eid) for tgt, src, eid in edges])
+    labels, edges = _delay_triples(g.labels, d, list(map(_REVERSED, g.edges)), "_")
+    return MultiGraph(labels, make_edges(map(_REVERSED, edges)))
 
 
 def proper_in_partition_vector(g: MultiGraph, p: Partition) -> DrinenVector:
@@ -667,15 +664,15 @@ def shift(g: MultiGraph, v, w) -> MultiGraph:
                 f"row {g.label(v)} does not dominate row {g.label(w)} at "
                 f"target {g.label(j)}: {m[v][j]} < {m[w][j]}"
             )
+    # The first m[w][j] edges from v to each j, in edge order, go.
     drop: dict[int, int] = {j: m[w][j] for j in range(g.n) if m[w][j]}
-    edges = []
-    for e in g.edges:
-        if e.source == v and drop.get(e.target, 0) > 0:
+    gone = set()
+    for e in g.out_edges(v):
+        if drop.get(e.target, 0) > 0:
             drop[e.target] -= 1
-            continue
-        edges.append(e)
-    used = {e.id for e in edges}
-    edges.append(Edge(v, w, _fresh_edge_id(used, "s")))
+            gone.add(e.id)
+    edges = [e for e in g.edges if e.id not in gone]
+    edges.append(Edge(v, w, _fresh_edge_id(set(map(_ID, edges)), "s")))
     return MultiGraph(g.labels, edges)
 
 
@@ -712,7 +709,7 @@ def minus(g: MultiGraph, at=None) -> MultiGraph:
     labels = list(g.labels)
     labels.append(_fresh_label(labels, "w0"))
     labels.append(_fresh_label(labels, "w1"))
-    used = {e.id for e in g.edges}
+    used = set(map(_ID, g.edges))
     edges = list(g.edges)
     for src, tgt in [(at, a), (a, at), (a, a), (a, b), (b, a), (b, b)]:
         edges.append(Edge(src, tgt, _fresh_edge_id(used, "m")))
@@ -730,7 +727,7 @@ def minus1(g: MultiGraph, at=None) -> MultiGraph:
     h = minus(g, at)
     labels = list(h.labels)
     labels.append(_fresh_label(labels, "w2"))
-    used = {e.id for e in h.edges}
+    used = set(map(_ID, h.edges))
     return MultiGraph(labels, [*h.edges, Edge(h.n, at, _fresh_edge_id(used, "m"))])
 
 

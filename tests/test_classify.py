@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import random
 
+import pytest
+
 from flowinv.classify import (
     TAG_K0_MISMATCH,
     TAG_NON_PIS,
@@ -14,7 +16,8 @@ from flowinv.classify import (
     decide_transpose,
 )
 from flowinv.exactla import Ternary
-from flowinv.graph import MultiGraph, classify_graph, transpose
+from flowinv.graph import MultiGraph, classify_graph, int_string_limit, transpose
+from flowinv.invariants import franks_triple
 from flowinv.moves import (
     DrinenVector,
     Partition,
@@ -210,3 +213,77 @@ def test_verdict_to_dict_shape():
     assert list(d) == ["morita", "isomorphic", "levels", "reason_tag", "reason", "witness"]
     assert d["morita"] == "yes" and d["isomorphic"] == "yes"
     assert d["levels"] == ["Isomorphic", "MoritaEquivalent"]
+
+
+@pytest.mark.parametrize(
+    "left, right, reason",
+    [
+        (
+            [[3, 2], [3, 3]],
+            [[2, 1], [1, 1]],
+            "Bowen-Franks groups differ: Z/2 versus 0",
+        ),
+        (
+            [[2, 0], [1, 0]],
+            [[2]],
+            "group, unit class and determinant all match: 0, unit [], det -1",
+        ),
+        (
+            [[3]],
+            [[3, 0], [1, 0]],
+            "group and determinant match, but no automorphism of Z/2 carries "
+            "unit class [1] to [0]",
+        ),
+        (
+            [[0, 1], [3, 1]],
+            [[2, 3, 1], [2, 2, 0], [0, 1, 2]],
+            "determinants -3 and 3 differ in sign; whether a sign flip can "
+            "separate Morita classes is an open hypothesis, so no verdict is "
+            "returned",
+        ),
+        (
+            [[1, 2], [3, 0]],
+            [[3, 1, 2], [3, 3, 0], [3, 1, 1]],
+            "determinants -6 and 6 differ in sign (whether that separates Morita "
+            "classes is open), and the unit classes already rule out isomorphism",
+        ),
+    ],
+    ids=["k0", "triple", "unit", "sign-unknown", "sign-no"],
+)
+def test_reason_texts_are_pinned(left, right, reason):
+    # One pair per branch of decide that writes integers; the texts are
+    # the ones decide wrote before it learnt to write long integers by
+    # their bit length.
+    v = decide(MultiGraph.from_matrix(left), MultiGraph.from_matrix(right))
+    assert v.reason == reason
+
+
+@pytest.mark.skipif(int_string_limit() == 0, reason="this Python has no int-string limit")
+def test_decide_past_the_int_string_limit_returns_a_verdict():
+    # det, the torsion and the unit class have about twice as many digits
+    # as the entries, more than str() may write, so the reason names their
+    # bit lengths instead of raising ValueError.
+    big = int("9" * (int_string_limit() - 300))
+    g = MultiGraph.from_matrix([[big, 1], [1, big]])
+    t = franks_triple(g)
+    assert t.determinant == big * (big - 2)  # (1 - big)^2 - 1
+    bits = t.determinant.bit_length()
+    unit_bits = t.unit_class[0].bit_length()
+    assert unit_bits > int_string_limit() * 3.33
+    v = decide_transpose(g)
+    assert (v.morita, v.isomorphic, v.reason_tag) == (Ternary.YES, Ternary.YES, TAG_TRIPLE_MATCH)
+    assert v.reason == (
+        f"group, unit class and determinant all match: Z/an integer of {bits} "
+        f"bits, unit [an integer of {unit_bits} bits], det an integer of {bits} bits"
+    )
+
+    # The sign gadget at v1, built on the matrix: det changes sign.
+    h = MultiGraph.from_matrix(
+        [[big, 1, 0, 0], [1, big, 1, 0], [0, 1, 1, 1], [0, 0, 1, 1]]
+    )
+    v = decide(g, h)
+    assert v.reason_tag == TAG_SIGN_GAP
+    assert v.reason.startswith(
+        f"determinants an integer of {bits} bits and a negative integer of "
+        f"{bits} bits differ in sign"
+    )

@@ -23,6 +23,7 @@ from flowinv.graph import (
     is_isomorphic,
     parse_graph,
 )
+from flowinv.invariants import franks_triple
 from flowinv.moves import DrinenVector, Partition, apply_move
 
 
@@ -184,6 +185,27 @@ def test_result_past_the_int_string_limit_exits_2(tmp_path, argv):
     path = _write(tmp_path, "long.graph", f"matrix 2\n{big} 1\n1 {big}\n")
     done = _run_capped([*argv, path], 2.0, 1 << 30)
     assert (done.returncode, done.stdout, done.stderr) == (2, "", LIMIT_MESSAGE)
+
+
+@pytest.mark.skipif(LIMIT == 0, reason="this Python has no int-string limit")
+def test_classify_text_past_the_int_string_limit(tmp_path, capsys):
+    # The text verdict needs no integer written out: the reason names the
+    # bit length of each one past the limit.
+    big = "9" * (LIMIT - 300)
+    path = _write(tmp_path, "long.graph", f"matrix 2\n{big} 1\n1 {big}\n")
+    t = franks_triple(parse_graph(f"matrix 2\n{big} 1\n1 {big}\n"))
+    bits, unit_bits = t.determinant.bit_length(), t.unit_class[0].bit_length()
+    code, out, err = _run(capsys, ["classify", "--transpose", path])
+    assert (code, err) == (0, "")
+    assert out == (
+        "morita: yes\n"
+        "isomorphic: yes\n"
+        "levels: Isomorphic, MoritaEquivalent\n"
+        "tag: franks-triple-match\n"
+        "reason: group, unit class and determinant all match: "
+        f"Z/an integer of {bits} bits, unit [an integer of {unit_bits} bits], "
+        f"det an integer of {bits} bits\n"
+    )
 
 
 def test_other_value_errors_still_raise(tmp_path, monkeypatch):

@@ -8,7 +8,9 @@ import re
 
 import pytest
 
+import flowinv
 from flowinv.graph import (
+    Edge,
     GraphError,
     MultiGraph,
     ParseError,
@@ -136,6 +138,162 @@ def test_matrix_built_graph_matches_eager_edge_list():
             assert parse_graph(format_graph(eager, style)).edges == eager.edges
 
     check()
+
+
+def test_edge_is_a_named_tuple():
+    # repr and hash are those of the frozen dataclass Edge was; being a
+    # tuple it also unpacks, orders and equals the plain triple.
+    e = Edge(0, 1, "x")
+    assert repr(e) == "Edge(source=0, target=1, id='x')"
+    assert hash(e) == hash((0, 1, "x"))
+    assert (e.source, e.target, e.id) == (0, 1, "x")
+    assert e == (0, 1, "x") and tuple(e) == (0, 1, "x")
+    src, tgt, eid = e
+    assert (src, tgt, eid) == (0, 1, "x")
+    assert sorted([Edge(1, 0, "a"), Edge(0, 2, "b"), Edge(0, 1, "c")]) == [
+        (0, 1, "c"),
+        (0, 2, "b"),
+        (1, 0, "a"),
+    ]
+    assert flowinv.Edge is Edge
+
+
+def _build_reference(vertices, edges):
+    """The edge path of ``MultiGraph.__init__`` as a loop over the items,
+    kept as an oracle for the one-pass build: the edges as (source, target,
+    id) triples, each vertex's out- and in-edges, and the matrix rows; or a
+    GraphError."""
+    n = vertices if isinstance(vertices, int) else len(vertices)
+    built = []
+    mat = [[0] * n for _ in range(n)]
+    seen_ids = set()
+    auto = 0
+    for item in edges:
+        if isinstance(item, Edge):
+            src, tgt, eid = item.source, item.target, item.id
+        elif len(item) == 2:
+            src, tgt = item
+            eid = None
+        else:
+            src, tgt, eid = item
+        if not (0 <= src < n and 0 <= tgt < n):
+            raise GraphError(f"edge endpoint out of range: ({src}, {tgt})")
+        if eid is None:
+            while f"e{auto}" in seen_ids:
+                auto += 1
+            eid = f"e{auto}"
+            auto += 1
+        eid = str(eid)
+        if eid in seen_ids:
+            raise GraphError(f"duplicate edge id {eid!r}")
+        seen_ids.add(eid)
+        built.append((int(src), int(tgt), eid))
+        mat[int(src)][int(tgt)] += 1
+    out = [[e for e in built if e[0] == v] for v in range(n)]
+    inc = [[e for e in built if e[1] == v] for v in range(n)]
+    return built, out, inc, mat
+
+
+def _build_outcome(build, n, items):
+    """What building a graph from ``items`` gives, in the reference's terms."""
+    try:
+        got = build(n, items)
+    except GraphError as exc:
+        return ("error", str(exc))
+    if build is _build_reference:
+        return ("graph", *got)
+    for e in got.edges:
+        assert (type(e), type(e.source), type(e.target), type(e.id)) == (Edge, int, int, str)
+
+    def triples(edges):
+        return [(e.source, e.target, e.id) for e in edges]
+
+    return (
+        "graph",
+        triples(got.edges),
+        [triples(got.out_edges(v)) for v in range(n)],
+        [triples(got.in_edges(v)) for v in range(n)],
+        got.incidence().to_lists(),
+    )
+
+
+def _edge_items(st, n):
+    """Hypothesis strategy: edge-list items for n vertices, mostly valid."""
+    valid = st.integers(0, n - 1)
+    endpoint = st.one_of(
+        valid,
+        valid,
+        valid,
+        valid,
+        st.integers(-1, n),
+        st.booleans(),
+        st.sampled_from([0.0, 0.5, n - 0.5, -0.5, float(n), float("nan")]),
+    )
+    eid = st.one_of(
+        st.none(),
+        st.integers(0, 3),
+        st.sampled_from(["e0", "e1", "e2", "x", "a#1", "1"]),
+        st.integers(0, 99).map("k{}".format),
+        st.integers(0, 99).map("k{}".format),
+    )
+    return st.one_of(
+        st.builds(Edge, st.integers(0, n - 1), st.integers(0, n - 1), eid),
+        st.builds(Edge, endpoint, endpoint, eid),
+        st.tuples(endpoint, endpoint),
+        st.tuples(endpoint, endpoint, eid),
+    )
+
+
+def test_edge_list_build_matches_reference_loop():
+    # Mixed lists of Edge items, 2-tuples and 3-tuples with None, int or str
+    # ids, out-of-range and duplicate items, bool and float endpoints: the
+    # one-pass build and the per-item loop give equal graphs (matrix, edges,
+    # each vertex's out- and in-edges, in order) or the same GraphError.
+    hyp = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hyp.settings(max_examples=400, deadline=None)
+    @hyp.given(
+        st.integers(1, 4).flatmap(
+            lambda n: st.tuples(st.just(n), st.lists(_edge_items(st, n), max_size=8))
+        )
+    )
+    def check(case):
+        n, items = case
+        want = _build_outcome(_build_reference, n, items)
+        assert _build_outcome(MultiGraph, n, items) == want
+        assert _build_outcome(MultiGraph, n, iter(items)) == want
+
+    check()
+
+
+@pytest.mark.parametrize(
+    "n, items, message",
+    [
+        (2, [(0, 5), (0, 0, "x"), (0, 0, "x")], "edge endpoint out of range: (0, 5)"),
+        (2, [(0, 0, "x"), (0, 0, "x"), (0, 5)], "duplicate edge id 'x'"),
+        (2, [(0, 0, "x"), (5, 0, "x")], "edge endpoint out of range: (5, 0)"),
+        (2, [(0, 0, "x"), (1, 1, "y"), (1, 0, "x"), (2, 0)], "duplicate edge id 'x'"),
+        (2, [(0, 0), (0, 0, "e0")], "duplicate edge id 'e0'"),
+        (2, [(0, 0, "e1"), (0, 0), (1, 1), (0, 1, "e2")], "duplicate edge id 'e2'"),
+        (2, [(0, 0, 1), (0, 0, "1")], "duplicate edge id '1'"),
+        (2, [Edge(0, 0, "x"), Edge(0, 9, "y"), Edge(0, 0, "x")], "edge endpoint out of range: (0, 9)"),
+        (2, [Edge(1, 1, "x"), (0, 0, "x")], "duplicate edge id 'x'"),
+        (3, [(0.5, 2.5), (-0.5, 0)], "edge endpoint out of range: (-0.5, 0)"),
+        (3, [(0.5, 3.0)], "edge endpoint out of range: (0.5, 3.0)"),
+        (2, [(float("nan"), 0)], "edge endpoint out of range: (nan, 0)"),
+        (2, [(True, 2)], "edge endpoint out of range: (True, 2)"),
+        (1, [(0, -1, "x"), (0, 0, "x")], "edge endpoint out of range: (0, -1)"),
+    ],
+)
+def test_edge_list_first_error_wins(n, items, message):
+    # The first offending item in list order is named; within an item the
+    # range check comes before the duplicate check.  Texts from the
+    # per-item loop, _build_reference.
+    for build in (_build_reference, MultiGraph):
+        with pytest.raises(GraphError) as exc:
+            build(n, items)
+        assert str(exc.value) == message
 
 
 def test_vertex_resolution():

@@ -749,6 +749,46 @@ def test_mirrored_moves_match_golden_file():
         assert got == case["expect"], f"case {k}: {case['move']}"
 
 
+_EDGE_MOVES = {
+    "transpose": lambda g: g.transpose(),
+    "permuted": lambda g, perm: g.permuted(perm),
+    "expand": expand,
+    "contract": contract,
+    "eliminate_source": eliminate_source,
+    "shift": shift,
+    "minus": minus,
+    "minus1": minus1,
+}
+
+
+def test_edge_building_moves_match_golden_file():
+    # 1,569 cases of the moves that build their result from an edge list,
+    # on 144 seeded graphs: matrix-built ones and edge lists in shuffled
+    # order with ids such as "a#1", "f", "m.0" and automatic ones, so the
+    # fresh-id branches of expand, shift and the sign gadgets run, and
+    # labels the new ones collide with.  Labels, edges in order with their
+    # ids, each vertex's out- and in-edge ids and the matrix, or the text of
+    # every MoveError and GraphError, were written by the code before the
+    # moves handed over finished Edge tuples.
+    path = os.path.join(os.path.dirname(__file__), "data", "moves_edges_golden.json")
+    with open(path, encoding="utf-8") as fh:
+        golden = json.load(fh)
+    graphs, cases = golden["graphs"], golden["cases"]
+    assert (len(graphs), len(cases)) == (144, 1569)
+    for k, case in enumerate(cases):
+        g = _golden_graph(graphs[case["graph"]])
+        try:
+            h = _EDGE_MOVES[case["move"]](g, *case["args"])
+        except (MoveError, GraphError) as exc:
+            got = {"error": type(exc).__name__, "message": str(exc)}
+        else:
+            got = _edge_list(h)
+            got["out"] = [[e.id for e in h.out_edges(v)] for v in range(h.n)]
+            got["in"] = [[e.id for e in h.in_edges(v)] for v in range(h.n)]
+            got["matrix"] = h.incidence().to_lists()
+        assert got == case["expect"], f"case {k}: {case['move']}"
+
+
 def _resplit(g: MultiGraph, blocks, mode: str):
     """Re-split the amalgamation of ``g`` by its recovered partition.
 
