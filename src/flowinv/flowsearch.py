@@ -10,10 +10,14 @@ both endpoints is sound.
 The search is a function of incidence rows until it returns.  Neighbors are
 enumerated as rows straight from their parent's rows and keyed from them
 alone (:func:`flowinv.graph.canonical_rows_key`); each visited key keeps
-only its parent's key.  Graphs, with their edges, labels and script
-arguments, are built only for the steps of a found path: :func:`_replay`
-walks the key chain from the start, enumerates each graph's rows again and
-builds, through the move itself, only the neighbor whose key matches.
+only its parent's key, and each key the forward side reached also keeps
+the (kind, recipe) of the neighbor that first reached it.  Graphs, with
+their edges, labels and script arguments, are built only for the steps of
+a found path, through the moves themselves: :func:`_replay` walks the key
+chain from the start and builds each link the forward side made from its
+recorded recipe.  A link the backward side made is the inverse of the move
+it recorded, so it is found again by enumerating the graph's rows, and only
+the neighbor whose key matches is built.
 
 The search skips work whose result is already known or cannot matter.  The
 shape of a matrix (:func:`_shape`: its vertex count and sorted (out-degree,
@@ -25,8 +29,9 @@ equal keys have equal shapes, and a key has the shape of what it keys:
   side can come of a neighbor.  A neighbor whose shape no key of the other
   side has cannot meet, and neither can a later one with its key, so it is
   not keyed; the first meet in enumeration order is the same.
-- :func:`_replay` keys only neighbors with the shape of the link it looks
-  for; a true match always has it, so the first match is the same.
+- :func:`_find_link`, which finds a backward link again, keys only
+  neighbors with the shape of the link it looks for; a true match always
+  has it, so the first match is the same.
 - One search keys each distinct rows once, since a key is a function of
   the rows.  It enumerates the vector partitions of each bundle vector
   once too, keeping only the first ``partition_cap + 1`` with two or more
@@ -483,10 +488,13 @@ def find_sequence(
         return MoveSequence(start=src, steps=(), stats=stats)
 
     # visited maps canonical key -> parent key; the roots have parent None.
-    # A key's parent is the graph that first reached it.  Frontiers hold
-    # (key, rows) pairs.  keyed and partitions are this search's memos.
+    # A key's parent is the graph that first reached it, and links maps
+    # each key the forward side reached to the (kind, recipe) of that
+    # neighbor.  Frontiers hold (key, rows) pairs.  keyed and partitions are
+    # this search's memos.
     visited_f = {key_src: None}
     visited_b = {key_dst: None}
+    links = {}
     frontier_f = [(key_src, src.incidence().entries)]
     frontier_b = [(key_dst, dst.incidence().entries)]
     dist_f = dist_b = 0
@@ -510,18 +518,28 @@ def find_sequence(
         next_frontier = []
         for key, m in frontier:
             stats.expanded += 1
-            for _, rows, _ in _neighbors(m, stats=stats, partitions=partitions, **bounds):
+            for kind, rows, recipe in _neighbors(
+                m, stats=stats, partitions=partitions, **bounds
+            ):
                 if last and _shape(rows) not in shapes:
                     continue
                 hkey = _rows_key(rows, keyed)
                 if hkey in visited:
                     continue
                 visited[hkey] = key
+                if forward:
+                    links[hkey] = kind, recipe
                 if hkey in other:
                     # The root of each chain has no step.
                     keys = chain(visited_f, hkey)[-2::-1] + chain(visited_b, hkey)[1:]
                     steps = _replay(
-                        src, keys, want, keyed=keyed, partitions=partitions, **bounds
+                        src,
+                        keys,
+                        want,
+                        links=links,
+                        keyed=keyed,
+                        partitions=partitions,
+                        **bounds,
                     )
                     return MoveSequence(start=src, steps=steps, stats=stats)
                 next_frontier.append((hkey, rows))
@@ -536,53 +554,80 @@ def find_sequence(
 
 
 def _replay(
-    start, keys, want, *, max_vertices, entry_cap, partition_cap, keyed=None, partitions=None
+    start,
+    keys,
+    want,
+    *,
+    max_vertices,
+    entry_cap,
+    partition_cap,
+    links=None,
+    keyed=None,
+    partitions=None,
 ):
     """Build the path from ``start`` through the canonical ``keys``; returns
     the steps.
 
-    Each link is found again by enumerating the current graph's neighbor
-    rows and matching their keys, and only the match is built, through
-    :func:`_realize`.  A link the search made forward is the first neighbor,
-    in enumeration order, with its key, so the capped pass finds that very
-    step.  A link it made backward was discovered as the inverse of a move;
-    the inverse always exists in the catalogue but may sit past the
-    partition cap, hence the uncapped second pass.  A neighbor is keyed
-    only if its :func:`_shape` is the key's, which every match passes, so
-    the first match is unchanged.  ``keyed`` (rows to key) and
-    ``partitions`` are the search's memos; either may be left out.  Every
-    step is checked not to drift the (group, det) pair of ``want``, the
-    start's :class:`flowinv.invariants.FranksTriple`.
+    ``links`` maps each key the search reached forward to the (kind,
+    recipe) of the neighbor that first reached it.  On a path those links
+    come first, from the start to the meet, and each recipe was enumerated
+    from the rows of the key before it, which are the rows of the graph the
+    replay built for that key; so such a link is built directly, through
+    :func:`_realize`.  A link the search made backward was discovered as the
+    inverse of a move, so :func:`_find_link` finds it again by enumerating
+    the current graph's neighbor rows and matching their keys.
+
+    Every step built must key to its link, which the memo answers for a
+    recorded one, and must not drift the (group, det) pair of ``want``, the
+    start's :class:`flowinv.invariants.FranksTriple`; either failure is an
+    internal error.  ``keyed`` (rows to key) and ``partitions`` are the
+    search's memos; any of the three dicts may be left out.
     """
+    links = {} if links is None else links
     keyed = {} if keyed is None else keyed
     steps = []
     cur = start
     for key in keys:
-        shape = _shape(key)
-        for cap in (partition_cap, None):
-            found = next(
-                (
-                    (kind, recipe)
-                    for kind, rows, recipe in _neighbors(
-                        cur.incidence().entries,
-                        max_vertices=max_vertices,
-                        entry_cap=entry_cap,
-                        partition_cap=cap,
-                        stats=SearchStats(),
-                        partitions=partitions,
-                    )
-                    if _shape(rows) == shape and _rows_key(rows, keyed) == key
-                ),
-                None,
-            )
-            if found:
-                break
-        else:
+        link = links.get(key) or _find_link(
+            cur.incidence().entries,
+            key,
+            keyed,
+            max_vertices=max_vertices,
+            entry_cap=entry_cap,
+            partition_cap=partition_cap,
+            partitions=partitions,
+        )
+        if link is not None:
+            step = MoveStep(link[0], *_realize(cur, *link))
+        if link is None or _rows_key(step.graph.incidence().entries, keyed) != key:
             raise RuntimeError("internal error: discovered step could not be replayed")
-        step = MoveStep(found[0], *_realize(cur, *found))
         group, proj = cokernel(bowen_franks_matrix(step.graph))
         if proj.det != want.determinant or not group_iso(group, want.group):
             raise RuntimeError("internal error: a step drifted the invariants")
         steps.append(step)
         cur = step.graph
     return tuple(steps)
+
+
+def _find_link(m, key, keyed, *, max_vertices, entry_cap, partition_cap, partitions):
+    """The (kind, recipe) of the first neighbor of the rows ``m``, in
+    enumeration order, whose key is ``key``; None if there is none.
+
+    The inverse of a move always exists in the catalogue but may sit past
+    the partition cap, hence the uncapped second pass.  A neighbor is keyed,
+    through the memo ``keyed``, only if its :func:`_shape` is the key's,
+    which every match passes, so the first match is unchanged.
+    """
+    shape = _shape(key)
+    for cap in (partition_cap, None):
+        for kind, rows, recipe in _neighbors(
+            m,
+            max_vertices=max_vertices,
+            entry_cap=entry_cap,
+            partition_cap=cap,
+            stats=SearchStats(),
+            partitions=partitions,
+        ):
+            if _shape(rows) == shape and _rows_key(rows, keyed) == key:
+                return kind, recipe
+    return None

@@ -531,8 +531,12 @@ def _refinement_cells(m) -> list[list[int]]:
 
 def _canonical_order(m):
     """The cell-respecting vertex order whose permuted rows are smallest,
-    and those rows."""
+    and those rows.  When every cell is a singleton that order is the only
+    one, and its rows are built once."""
     cells = _refinement_cells(m)
+    if len(cells) == len(m):
+        order = [c for c, in cells]
+        return order, tuple([tuple([m[i][j] for j in order]) for i in order])
     best = best_order = None
     for parts in itertools.product(*(itertools.permutations(c) for c in cells)):
         order = [v for part in parts for v in part]

@@ -26,6 +26,7 @@ consecutive run, labelled ``v#1 .. v#m``; appended vertices go last.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import compress
 from operator import itemgetter
 from typing import Callable, NamedTuple
@@ -189,13 +190,57 @@ class SplitFactorization:
 
 @dataclass(frozen=True)
 class SplitResult:
-    """A splitting's graph, the blocks of new indices per old vertex, its
-    vertex class map and, for an in-splitting, the factorization."""
+    """A splitting's graph, the blocks of new indices per old vertex, and
+    its ``mode``, ``"in"`` or ``"out"``.
+
+    The vertex class map and, for an in-splitting, the factorization are
+    read off the graph and the blocks on first read and cached, the way
+    :attr:`flowinv.exactla.CokernelProjection.u` is; a caller that reads
+    only the graph, as the search does, never builds them.
+    """
 
     graph: MultiGraph
     blocks: tuple[tuple[int, ...], ...]
-    class_map: VertexClassMap
-    factorization: SplitFactorization | None = None
+    mode: str
+
+    @cached_property
+    def class_map(self) -> VertexClassMap:
+        """v -> v#1 for an in-splitting; v -> the sum of its copies for an
+        out-splitting."""
+        vectors = []
+        for block in self.blocks:
+            vec = [0] * self.graph.n
+            for idx in block if self.mode == "out" else block[:1]:
+                vec[idx] = 1
+            vectors.append(tuple(vec))
+        return VertexClassMap(tuple(vectors))
+
+    @cached_property
+    def factorization(self) -> SplitFactorization | None:
+        """A_E = R @ S of an in-splitting; None for an out-splitting, or
+        when no vertex has incoming edges.
+
+        The classes are the copies of the split vertices, which are the
+        vertices with incoming edges, so those whose first copy has a
+        nonzero column.  R[w][c] counts the edges from w in class c: the
+        first copy of w (w itself if it was not split) sends one edge to c
+        for each of them.
+        """
+        if self.mode != "in":
+            return None
+        m = self.graph.incidence().entries
+        classes = [
+            (v, c)
+            for v, block in enumerate(self.blocks)
+            if any(row[block[0]] for row in m)
+            for c in block
+        ]
+        if not classes:
+            return None
+        n = len(self.blocks)
+        r = IntMatrix.from_rows([[m[b[0]][c] for _, c in classes] for b in self.blocks])
+        s = IntMatrix.from_rows([[int(v == w) for w in range(n)] for v, _ in classes])
+        return SplitFactorization(r=r, s=s)
 
 
 # ---------------------------------------------------------------------------
@@ -207,9 +252,8 @@ def _split_triples(labels, p: Partition, triples):
 
     The kernel of both splittings: an out-splitting is this in-splitting of
     the reversed triples, read back reversed.  Returns the new labels, the
-    blocks of new indices per vertex, the new triples in the order of the
-    old ones, and ``heads``: for each new vertex, the number of old edges
-    from each old vertex that land on it (the columns of R).
+    blocks of new indices per vertex, and the new triples in the order of
+    the old ones.
 
     The j-th copy of edge e is named ``e#j``, unless an edge that is not
     copied already has that id; then the copy gets a fresh one.
@@ -236,11 +280,9 @@ def _split_triples(labels, p: Partition, triples):
                 class_of[eid] = i
 
     kept = {eid for src, _, eid in triples if m[src] == 0}
-    heads = [[0] * n for _ in new_labels]
     edges = []
     for src, tgt, eid in triples:
         head = blocks[tgt][class_of[eid]]
-        heads[head][src] += 1
         if m[src] == 0:
             edges.append((blocks[src][0], head, eid))
         else:
@@ -249,7 +291,7 @@ def _split_triples(labels, p: Partition, triples):
                 if copy in kept:
                     copy = _fresh_edge_id(kept, copy)
                 edges.append((tail, head, copy))
-    return new_labels, tuple(blocks), edges, heads
+    return new_labels, tuple(blocks), edges
 
 
 def in_split(g: MultiGraph, p: Partition) -> SplitResult:
@@ -260,33 +302,13 @@ def in_split(g: MultiGraph, p: Partition) -> SplitResult:
     its source vertex (edges from unsplit source vertices survive as single
     copies).
 
-    The result carries the factorization A_E = R @ S, the per-vertex blocks
-    of new indices, and the vertex class map v -> v#1.
+    The result carries the per-vertex blocks of new indices; its vertex
+    class map v -> v#1 and its factorization A_E = R @ S are built on
+    first read.
     """
     p.validate(g, "in")
-    n = g.n
-    labels, blocks, edges, heads = _split_triples(g.labels, p, g.edges)
-    graph = MultiGraph(labels, make_edges(edges))
-
-    classes = [(v, c) for v in range(n) if p.m(v) for c in blocks[v]]
-    factorization = None
-    if classes:
-        r = IntMatrix.from_rows([[heads[c][w] for _, c in classes] for w in range(n)])
-        s = IntMatrix.from_rows([[int(v == w) for w in range(n)] for v, _ in classes])
-        factorization = SplitFactorization(r=r, s=s)
-
-    vectors = []
-    for v in range(n):
-        vec = [0] * graph.n
-        vec[blocks[v][0]] = 1
-        vectors.append(tuple(vec))
-
-    return SplitResult(
-        graph=graph,
-        blocks=blocks,
-        class_map=VertexClassMap(tuple(vectors)),
-        factorization=factorization,
-    )
+    labels, blocks, edges = _split_triples(g.labels, p, g.edges)
+    return SplitResult(MultiGraph(labels, make_edges(edges)), blocks, "in")
 
 
 def out_split(g: MultiGraph, p: Partition) -> SplitResult:
@@ -295,24 +317,11 @@ def out_split(g: MultiGraph, p: Partition) -> SplitResult:
     The transpose-conjugate of :func:`in_split`: vertex v becomes
     v#1..v#m(v), an edge e leaving v from class i starts at v#i, and e is
     duplicated once for every class of its target vertex.  The vertex class
-    map sends v to the sum of its copies.
+    map, built on first read, sends v to the sum of its copies.
     """
     p.validate(g, "out")
-    labels, blocks, edges, _ = _split_triples(
-        g.labels, p, list(map(_REVERSED, g.edges))
-    )
-    graph = MultiGraph(labels, make_edges(map(_REVERSED, edges)))
-
-    vectors = []
-    for v in range(g.n):
-        vec = [0] * graph.n
-        for idx in blocks[v]:
-            vec[idx] = 1
-        vectors.append(tuple(vec))
-
-    return SplitResult(
-        graph=graph, blocks=blocks, class_map=VertexClassMap(tuple(vectors))
-    )
+    labels, blocks, edges = _split_triples(g.labels, p, list(map(_REVERSED, g.edges)))
+    return SplitResult(MultiGraph(labels, make_edges(map(_REVERSED, edges))), blocks, "out")
 
 
 # ---------------------------------------------------------------------------

@@ -573,6 +573,94 @@ def test_replay_takes_a_link_past_the_partition_cap():
     assert verify_sequence(MoveSequence(start=rose, steps=steps))
 
 
+def test_replay_enumerates_only_links_made_backward(monkeypatch):
+    # A link the search made forward is built from its recorded recipe;
+    # only a backward one is found again by enumeration, capped and then
+    # perhaps uncapped.
+    calls, seen = [], []
+    neighbors, replay = flowsearch._neighbors, flowsearch._replay
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return neighbors(*args, **kwargs)
+
+    def watched(start, keys, want, **kwargs):
+        before = len(calls)
+        steps = replay(start, keys, want, **kwargs)
+        backward = sum(key not in kwargs["links"] for key in keys)
+        seen.append((len(calls) - before, backward, len(keys)))
+        return steps
+
+    monkeypatch.setattr(flowsearch, "_neighbors", counted)
+    monkeypatch.setattr(flowsearch, "_replay", watched)
+    rose = _rose(2)
+    assert len(find_sequence(rose, expand(rose, 0), max_depth=2)) == 1
+    assert seen == [(0, 0, 1)]
+    for case in _search_golden()["scrambles"]:
+        start = MultiGraph.from_matrix(case["start"])
+        find_sequence(start, MultiGraph.from_matrix(case["goal"]), max_depth=6)
+    assert len(seen) == 26
+    assert all(made <= 2 * backward for made, backward, _ in seen)
+    assert any(backward < steps for _, backward, steps in seen[1:])
+    assert any(backward for _, backward, _ in seen)
+
+
+def _forward_path(start, moves, rng, **bounds):
+    """A path of ``moves`` steps from ``start`` through new keys, as the
+    forward side records it: the keys, each key's (kind, recipe), each
+    step's neighbor rows and the graphs."""
+    keys, links, rows_of, graphs = [], {}, [], []
+    cur = start
+    for _ in range(moves):
+        fresh = [
+            (kind, rows, recipe)
+            for kind, rows, recipe in _neighbors(
+                cur.incidence().entries, stats=SearchStats(), **bounds
+            )
+            if canonical_rows_key(rows) not in keys + [canonical_key(start)]
+        ]
+        kind, rows, recipe = rng.choice(fresh)
+        keys.append(canonical_rows_key(rows))
+        links[keys[-1]] = kind, recipe
+        rows_of.append(rows)
+        cur = _realize(cur, kind, recipe)[1]
+        graphs.append(cur)
+    return keys, links, rows_of, graphs
+
+
+def test_replay_builds_recorded_links_and_rejects_a_tampered_one(monkeypatch):
+    bounds = dict(max_vertices=5, entry_cap=9, partition_cap=DEFAULT_PARTITION_CAP)
+    start = MultiGraph.from_matrix([[1, 1], [1, 1]])
+    want = franks_triple(start)
+    rng = random.Random(1601)
+    for _ in range(10):
+        keys, links, rows_of, graphs = _forward_path(start, 3, rng, **bounds)
+        neighbors, keyed = [], dict(zip(rows_of, keys))
+        monkeypatch.setattr(flowsearch, "_neighbors", lambda *a, **k: neighbors.append(a))
+        monkeypatch.setattr(flowsearch, "canonical_rows_key", lambda rows: neighbors.append(rows))
+        steps = flowsearch._replay(start, keys, want, links=links, keyed=keyed, **bounds)
+        monkeypatch.undo()
+        # Every recorded link is built as it is and keyed by the memo.
+        assert not neighbors
+        assert [s.graph for s in steps] == graphs
+        assert [s.kind for s in steps] == [links[k][0] for k in keys]
+        assert verify_sequence(MoveSequence(start=start, steps=steps))
+
+        # Another neighbor's recipe of the same graph in place of the second
+        # link builds a graph with the wrong key: an internal error, not a
+        # wrong step.
+        other = next(
+            (kind, recipe)
+            for kind, rows, recipe in _neighbors(
+                graphs[0].incidence().entries, stats=SearchStats(), **bounds
+            )
+            if canonical_rows_key(rows) != keys[1]
+        )
+        tampered = {**links, keys[1]: other}
+        with pytest.raises(RuntimeError, match="internal error"):
+            flowsearch._replay(start, keys, want, links=tampered, keyed=keyed, **bounds)
+
+
 def _accepted_single_blocks(g, amalgamate):
     """Every grouping with one block of two or more vertices that the move
     accepts, in the form the search writes it: the block in the place of its

@@ -14,6 +14,8 @@ from flowinv.graph import (
     GraphError,
     MultiGraph,
     ParseError,
+    _canonical_order,
+    _refinement_cells,
     canonical_key,
     canonical_permutation,
     canonical_rows_key,
@@ -966,3 +968,40 @@ def test_canonical_key_matches_brute_force_oracle():
         assert canonical_key(g) == canonical_rows_key(b)
 
     check()
+
+
+def _canonical_order_over_every_cell(m):
+    """The canonical order as it was found before discrete refinements were
+    read off directly: the product of every cell's permutations, singleton
+    cells included, each order's rows built and compared.  Kept as an
+    oracle."""
+    cells = _refinement_cells(m)
+    best = best_order = None
+    for parts in itertools.product(*(itertools.permutations(c) for c in cells)):
+        order = [v for part in parts for v in part]
+        rows = [tuple([m[i][j] for j in order]) for i in order]
+        if best is None or rows < best:
+            best, best_order = rows, order
+    return best_order, tuple(best)
+
+
+def test_discrete_refinement_order_matches_product_oracle():
+    # Seeded random matrices up to 6 vertices with entries 0..3, which
+    # mostly refine to singletons, and circulants and complete graphs, which
+    # are regular, so refinement leaves them one cell: both branches run.
+    rng = random.Random(16)
+    cases = [
+        tuple(tuple(rng.randint(0, 3) for _ in range(n)) for _ in range(n))
+        for n in range(1, 7)
+        for _ in range(150)
+    ]
+    for n in range(2, 7):
+        for _ in range(8):
+            c = [rng.randint(0, 3) for _ in range(n)]
+            cases.append(tuple(tuple(c[(j - i) % n] for j in range(n)) for i in range(n)))
+        cases.extend(tuple((k,) * n for _ in range(n)) for k in range(1, 4))
+    discrete = 0
+    for m in cases:
+        assert _canonical_order(m) == _canonical_order_over_every_cell(m), m
+        discrete += len(_refinement_cells(m)) == len(m)
+    assert 0 < discrete < len(cases)

@@ -32,6 +32,8 @@ from flowinv.moves import (
     DrinenVector,
     MoveError,
     Partition,
+    SplitFactorization,
+    VertexClassMap,
     apply_move,
     contract,
     elimination_class_map,
@@ -787,6 +789,116 @@ def test_edge_building_moves_match_golden_file():
             got["in"] = [[e.id for e in h.in_edges(v)] for v in range(h.n)]
             got["matrix"] = h.incidence().to_lists()
         assert got == case["expect"], f"case {k}: {case['move']}"
+
+
+def _eager_split_extras(g: MultiGraph, p: Partition, mode: str, res):
+    """The class map and factorization of ``res``, the splitting of g by p,
+    built the way the splittings built them eagerly before both became
+    cached properties: the kernel counted, for each new vertex, the old
+    edges from each old vertex that land on it (the columns of R) while it
+    copied the edges.  Kept as an oracle."""
+    n, blocks = g.n, res.blocks
+    if mode == "out":
+        vectors = []
+        for v in range(n):
+            vec = [0] * res.graph.n
+            for idx in blocks[v]:
+                vec[idx] = 1
+            vectors.append(tuple(vec))
+        return VertexClassMap(tuple(vectors)), None
+
+    class_of = {
+        eid: i for classlist in p.classes.values() for i, cls in enumerate(classlist) for eid in cls
+    }
+    heads = [[0] * n for _ in range(res.graph.n)]
+    for src, tgt, eid in g.edges:
+        heads[blocks[tgt][class_of[eid]]][src] += 1
+
+    classes = [(v, c) for v in range(n) if p.m(v) for c in blocks[v]]
+    factorization = None
+    if classes:
+        r = IntMatrix.from_rows([[heads[c][w] for _, c in classes] for w in range(n)])
+        s = IntMatrix.from_rows([[int(v == w) for w in range(n)] for v, _ in classes])
+        factorization = SplitFactorization(r=r, s=s)
+
+    vectors = []
+    for v in range(n):
+        vec = [0] * res.graph.n
+        vec[blocks[v][0]] = 1
+        vectors.append(tuple(vec))
+    return VertexClassMap(tuple(vectors)), factorization
+
+
+def _golden_split_cases():
+    """(graph, partition, mode) of every split case of moves_golden.json
+    that splits, and trivial, singleton and seeded random splittings of
+    every graph of moves_edges_golden.json, which has no split case."""
+    data = os.path.join(os.path.dirname(__file__), "data")
+    with open(os.path.join(data, "moves_golden.json"), encoding="utf-8") as fh:
+        for case in json.load(fh)["cases"]:
+            if case["move"].endswith("-split") and "error" not in case["expect"]:
+                p = Partition({int(v): cls for v, cls in case["partition"].items()})
+                yield _golden_graph(case["graph"]), p, case["move"].split("-")[0]
+    with open(os.path.join(data, "moves_edges_golden.json"), encoding="utf-8") as fh:
+        graphs = json.load(fh)["graphs"]
+    rng = random.Random(161)
+    for spec in graphs:
+        g = _golden_graph(spec)
+        for mode in ("in", "out"):
+            for p in (
+                Partition.trivial(g, mode),
+                Partition.singletons(g, mode),
+                _rand_partition(rng, g, mode),
+            ):
+                yield g, p, mode
+
+
+def test_lazy_split_extras_match_the_eager_oracle():
+    count = 0
+    for g, p, mode in _golden_split_cases():
+        res = (in_split if mode == "in" else out_split)(g, p)
+        assert "class_map" not in vars(res) and "factorization" not in vars(res)
+        want_map, want_factorization = _eager_split_extras(g, p, mode, res)
+        assert res.class_map == want_map
+        assert res.factorization == want_factorization
+        assert res.class_map is vars(res)["class_map"]
+        assert res.factorization is vars(res)["factorization"]
+        count += want_factorization is not None
+    assert count >= 200
+
+
+def test_moves_and_search_leave_split_extras_unbuilt(monkeypatch):
+    from flowinv import flowsearch
+
+    results = []
+
+    def kept(split):
+        def run(g, p):
+            results.append(split(g, p))
+            return results[-1]
+
+        return run
+
+    for owner in (flowinv.moves, flowsearch):
+        for name in ("in_split", "out_split"):
+            monkeypatch.setattr(owner, name, kept(getattr(owner, name)))
+    g = MultiGraph.from_matrix([[1, 2], [1, 1]])
+    for mode in ("in", "out"):
+        apply_move(g, f"{mode}-split", {"partition": Partition.singletons(g, mode)})
+    assert [r.mode for r in results] == ["in", "out"]
+    neighbors = flowsearch._neighbors(
+        g.incidence().entries,
+        max_vertices=4,
+        entry_cap=9,
+        partition_cap=8,
+        stats=flowsearch.SearchStats(),
+    )
+    for kind, _, recipe in neighbors:
+        if kind.endswith("-split"):
+            flowsearch._realize(g, kind, recipe)
+    assert {r.mode for r in results[2:]} == {"in", "out"}
+    for res in results:
+        assert "class_map" not in vars(res) and "factorization" not in vars(res)
 
 
 def _resplit(g: MultiGraph, blocks, mode: str):
