@@ -221,6 +221,12 @@ def _eliminate(a: IntMatrix, want_v: bool):
     are zero off the diagonal, so the operations at pivot k touch only rows and
     columns from k on.
 
+    *Active block.*  The loop holds only those rows from k on, cut to the
+    columns from k on: entry (r, c) of the block is entry (k + r, k + c) of
+    the matrix.  A finished pivot's row is dropped and every other row loses
+    its first entry, so each step reads and writes whole rows.  The log
+    holds global indices, (k + r, k, q) and so on, and V keeps its full width.
+
     *Determinant.*  Each step is a row or column swap, which negates the
     determinant, or adds a multiple of one row (column) to another, which
     keeps it.  A step at pivot k skips only entries before k, and those are
@@ -231,103 +237,98 @@ def _eliminate(a: IntMatrix, want_v: bool):
     early does so because the rest of the matrix is zero.  So det(a) is the
     swap sign times the signed diagonal product, and 0 after an early stop.
     """
-    nr, nc = a.rows, a.cols
-    s = [list(row) for row in a.entries]
-    v = [[int(i == j) for j in range(nc)] for i in range(nc)] if want_v else None
+    block = [list(row) for row in a.entries]
+    v = [[int(i == j) for j in range(a.cols)] for i in range(a.cols)] if want_v else None
     log: list[RowOp] = []
+    pivots: list[int] = []
     swaps = 0
-
-    def row_sub(i, j, q, k):
-        # row i -= q * row j, on the columns from k on
-        si, sj = s[i], s[j]
-        si[k:] = [x - q * y for x, y in zip(si[k:], sj[k:])]
-        log.append((i, j, q))
-
-    def find_pivot(k):
+    k = 0
+    limit = min(a.rows, a.cols)
+    while k < limit:
+        # The first entry of least magnitude in the first row that holds the
+        # block's least magnitude; nothing is strictly smaller than a 1.
         best = None
         best_abs = 0
-        for i in range(k, nr):
-            tail = s[i][k:]
-            m = min(map(abs, filter(None, tail)), default=0)
+        for r, row in enumerate(block):
+            m = min(map(abs, filter(None, row)), default=0)
             if m and (best is None or m < best_abs):
-                # The first entry of least magnitude in the row.
-                best, best_abs = (i, k + list(map(abs, tail)).index(m)), m
+                best, best_abs = (r, list(map(abs, row)).index(m)), m
                 if m == 1:
-                    # Nothing is strictly smaller: the first 1 wins.
-                    return best
-        return best
-
-    k = 0
-    limit = min(nr, nc)
-    while k < limit:
-        piv = find_pivot(k)
-        if piv is None:
+                    break
+        if best is None:
             break
-        if piv[0] != k:
-            s[k], s[piv[0]] = s[piv[0]], s[k]
-            log.append((k, piv[0], None))
+        r, c = best
+        if r:
+            block[0], block[r] = block[r], block[0]
+            log.append((k, k + r, None))
             swaps += 1
-        if piv[1] != k:
-            p = piv[1]
-            for row in s[k:]:
-                row[k], row[p] = row[p], row[k]
+        if c:
+            for row in block:
+                row[0], row[c] = row[c], row[0]
             if v is not None:
                 for row in v:
-                    row[k], row[p] = row[p], row[k]
+                    row[k], row[k + c] = row[k + c], row[k]
             swaps += 1
-        pivot = s[k][k]
+        top = block[0]
+        pivot = top[0]
         dirty = False
-        for i in range(k + 1, nr):
-            if s[i][k]:
-                q = s[i][k] // pivot
+        for r in range(1, len(block)):
+            row = block[r]
+            if row[0]:
+                q = row[0] // pivot
                 if q:
-                    row_sub(i, k, q, k)
-                if s[i][k]:
+                    # row k + r -= q * row k
+                    block[r] = row = [x - q * y for x, y in zip(row, top)]
+                    log.append((k + r, k, q))
+                if row[0]:
                     dirty = True
-        # Column k stays fixed while the other columns are reduced against it,
-        # so only the rows with a nonzero entry there change.
-        active = [row for row in s[k:] if row[k]]
-        row_k = s[k]
-        for j in range(k + 1, nc):
-            if row_k[j]:
-                q = row_k[j] // pivot
+        # The first column stays fixed while the other columns are reduced
+        # against it, so only the rows with a nonzero entry there change.
+        active = [row for row in block if row[0]]
+        for j in range(1, len(top)):
+            if top[j]:
+                q = top[j] // pivot
                 if q:
-                    # col j -= q * col k
+                    # col k + j -= q * col k
                     for row in active:
-                        row[j] -= q * row[k]
+                        row[j] -= q * row[0]
                     if v is not None:
                         for row in v:
-                            row[j] -= q * row[k]
-                if row_k[j]:
+                            row[k + j] -= q * row[k]
+                if top[j]:
                     dirty = True
         if dirty:
             continue
         if pivot != 1 and pivot != -1:
             # Every entry must be divisible by the pivot; a unit divides all.
+            # The first column is zero below the pivot, so whole rows are read.
             offender = next(
-                (i for i in range(k + 1, nr) if any(x % pivot for x in s[i][k + 1:])),
+                (r for r in range(1, len(block)) if any(x % pivot for x in block[r])),
                 None,
             )
             if offender is not None:
                 # Pull the non-divisible row up next to the pivot and reduce again.
-                row_sub(k, offender, -1, k)
+                block[0] = [x + y for x, y in zip(top, block[offender])]
+                log.append((k, k + offender, -1))
                 continue
+        pivots.append(pivot)
+        del block[0]
+        for row in block:
+            del row[0]
         k += 1
 
     determinant = None
-    if nr == nc:
-        determinant = 0
-        if k == limit:
-            determinant = (-1) ** swaps * prod(s[i][i] for i in range(nr))
+    if a.rows == a.cols:
+        determinant = (-1) ** swaps * prod(pivots) if k == limit else 0
     diagonal = []
-    for i in range(limit):
-        d = s[i][i]
+    for i, d in enumerate(pivots):
         if d < 0:
             d = -d
             if v is not None:
                 for row in v:
                     row[i] = -row[i]
         diagonal.append(d)
+    diagonal += [0] * (limit - k)
     return tuple(diagonal), log, v, determinant
 
 

@@ -426,6 +426,47 @@ def test_smith_pass_matches_reference_on_dense_bowen_franks_matrices():
         assert determinant == det(b)
 
 
+def test_smith_pass_matches_reference_property():
+    # The pass holds only its active block, so the draws reach each part of
+    # that bookkeeping: tall and wide shapes, zero rows and columns, entries
+    # from 0 and +-1 up to +-10^40, and matrices of low rank, whose block is
+    # all zero after a few pivots and ends the loop early.
+    hyp = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    entries = st.one_of(
+        st.sampled_from([0, 0, 1, -1]),
+        st.integers(-10, 10),
+        st.integers(-(10**40), 10**40),
+    )
+
+    @st.composite
+    def matrices(draw):
+        nr, nc = draw(st.integers(1, 10)), draw(st.integers(1, 10))
+        width = st.lists(entries, min_size=nc, max_size=nc)
+        rows = draw(st.lists(width, min_size=nr, max_size=nr))
+        rank = draw(st.one_of(st.none(), st.integers(1, min(nr, nc))))
+        if rank is not None:
+            # Every row after the first ``rank`` combines those.
+            coeff = st.lists(st.integers(-2, 2), min_size=rank, max_size=rank)
+            for i in range(rank, nr):
+                c = draw(coeff)
+                rows[i] = [sum(x * row[j] for x, row in zip(c, rows)) for j in range(nc)]
+        for i in draw(st.sets(st.integers(0, nr - 1), max_size=2)):
+            rows[i] = [0] * nc
+        for j in draw(st.sets(st.integers(0, nc - 1), max_size=2)):
+            for row in rows:
+                row[j] = 0
+        return IntMatrix.from_rows(rows)
+
+    @hyp.settings(max_examples=300, deadline=None)
+    @hyp.given(matrices())
+    def check(m):
+        determinant = _assert_same_pass(m)
+        assert determinant == (det(m) if m.is_square else None)
+
+    check()
+
+
 def test_smith_pass_det_matches_fraction_oracle():
     rng = random.Random(35)
     for _ in range(200):

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import random
 
 from flowinv.exactla import AbelianGroup, IntMatrix, Ternary, det
-from flowinv.graph import MultiGraph, transpose
+from flowinv.cli import main
+from flowinv.graph import MultiGraph, format_graph, transpose
 from flowinv.invariants import (
     bowen_franks_matrix,
     equiv_det_pair,
@@ -159,3 +161,28 @@ def test_franks_triples_match_golden_file():
     for case in cases:
         triple = franks_triple(MultiGraph.from_matrix(case["matrix"]))
         assert triple.to_dict() == case["triple"], f"{case['kind']} n={case['n']}"
+
+
+def test_franks_triples_match_large_golden_file(tmp_path, capsys):
+    # Dense graphs of n 32..96 (entries 0..3 drawn by random.Random(n)) and
+    # one of n 40 (random.Random(43)) whose vertices 7 and 23 have one loop
+    # and no other out-edge, so its group has a free part next to torsion.
+    # Each case holds the triple and the sha256 of `invariants --json`,
+    # written by the Smith elimination that sliced the full matrix.
+    path = os.path.join(os.path.dirname(__file__), "data", "franks_golden_large.json")
+    with open(path, encoding="utf-8") as fh:
+        cases = json.load(fh)["cases"]
+    assert [(case["kind"], case["n"]) for case in cases] == [
+        ("dense", 32), ("dense", 48), ("dense", 64), ("dense", 80), ("dense", 96),
+        ("singular", 40),
+    ]
+    for case in cases:
+        g = MultiGraph.from_matrix(case["matrix"])
+        label = f"{case['kind']} n={case['n']}"
+        assert franks_triple(g).to_dict() == case["triple"], label
+        graph_file = tmp_path / f"{case['kind']}{case['n']}.graph"
+        graph_file.write_text(format_graph(g, style="matrix"))
+        assert main(["invariants", str(graph_file), "--json"]) == 0
+        out = capsys.readouterr().out
+        assert json.loads(out)["invariants"] == case["triple"], label
+        assert hashlib.sha256(out.encode()).hexdigest() == case["invariants_json_sha256"], label
