@@ -48,7 +48,7 @@ from flowinv.graph import (
     parse_graph,
 )
 from flowinv.invariants import franks_triple
-from flowinv.moves import DrinenVector, MoveError, Partition, apply_move, move_spec
+from flowinv.moves import DrinenVector, MoveError, Partition, apply_move, move_side, move_spec
 from flowinv.selftest import run_selftest
 
 SCHEMA = 1
@@ -156,7 +156,7 @@ def _partition_from_lines(g: MultiGraph, mode: str, class_lines) -> Partition:
     classes = {}
     for v, slot in table.items():
         m = max(slot)
-        if sorted(slot) != list(range(1, m + 1)):
+        if len(slot) != m:  # distinct indices from 1 up: a gap leaves fewer than m
             raise MoveError(
                 f"classes at {g.label(v)} must be numbered 1..{m} without gaps"
             )
@@ -191,7 +191,7 @@ def apply_script_step(g: MultiGraph, step: ScriptStep) -> MultiGraph:
             raise ParseError(step.lineno, 1, f"{name} needs class lines")
         if step.delay_lines:
             raise ParseError(step.lineno, 1, "delay lines only follow a delay move")
-        mode = "in" if name == "in-split" else "out"
+        mode, _ = name.split("-")
         values = [_partition_from_lines(g, mode, step.class_lines)]
     elif step.class_lines:
         raise ParseError(
@@ -202,8 +202,8 @@ def apply_script_step(g: MultiGraph, step: ScriptStep) -> MultiGraph:
             raise ParseError(
                 step.lineno, 1, f"{name} takes delay lines, not inline arguments"
             )
-        kind = "range" if name == "in-delay" else "source"
-        values = [_vector_from_lines(g, kind, step.delay_lines)]
+        mode, _ = name.split("-")
+        values = [_vector_from_lines(g, move_side(mode).vector_kind, step.delay_lines)]
     elif step.delay_lines:
         raise ParseError(step.delay_lines[0][0], 1, "delay lines only follow a delay move")
     elif name in ("in-amalgamate", "out-amalgamate"):
@@ -242,13 +242,12 @@ def format_move_step(prev: MultiGraph, step: MoveStep) -> list[str]:
         return [f"move {kind} " + " ".join(",".join(block) for block in blocks)]
     if kind in ("in-delay", "out-delay"):
         (vector,) = values
-        side = prev.in_edges if kind == "in-delay" else prev.out_edges
         lines = [f"move {kind}"]
         for eid in sorted(vector.edges):
             if vector.edges[eid]:
                 lines.append(f"delay {eid} {vector.edges[eid]}")
         for v in sorted(vector.vertices):
-            if vector.vertices[v] and not side(v):
+            if vector.vertices[v] and not vector.side.edges(prev, v):
                 lines.append(f"delay @{prev.label(v)} {vector.vertices[v]}")
         return lines
     return [" ".join(["move", kind, *map(str, values)])]

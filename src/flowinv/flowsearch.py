@@ -1,11 +1,12 @@
 """Bounded bidirectional search for a move sequence joining two graphs.
 
 The search walks the neighbor relation generated by expansion, contraction,
-single-vertex in-/out-splittings and single-block in-/out-amalgamations
-(plus source elimination, which never fires on the essential graphs the
-search admits).  Every one of these moves has its inverse in the catalogue,
-so the relation is symmetric and a meet-in-the-middle frontier search from
-both endpoints is sound.
+single-vertex in-/out-splittings and single-block in-/out-amalgamations.
+Every one of these moves has its inverse among them, so the relation is
+symmetric and a meet-in-the-middle frontier search from both endpoints is
+sound.  The search admits only essential graphs, and each of these moves
+keeps a graph essential, so source elimination would never apply and is
+not walked.
 
 The search is a function of incidence rows until it returns.  Neighbors are
 enumerated as rows straight from their parent's rows and keyed from them
@@ -66,10 +67,11 @@ from flowinv.moves import (
     Partition,
     apply_move,
     contract,
-    eliminate_source,
+    eliminate_source,  # noqa: F401 - unused, but bench/tracing.py wraps this name
     expand,
     in_amalgamate,
     in_split,
+    move_side,
     out_amalgamate,
     out_split,
     quotient_rows,
@@ -311,21 +313,16 @@ def _neighbors(m, *, max_vertices, entry_cap, partition_cap, stats, partitions=N
     ``rows`` is the neighbor's incidence matrix, computed from ``m`` alone:
     a splitting edits rows and columns (see :func:`_split_rows`), an
     amalgamation is :func:`flowinv.moves.quotient_rows` (see
-    :func:`_amalgam_blocks`), and expansion, contraction and elimination
-    edit rows directly; out-moves are the in-moves of the transpose.  The
-    entry cap is read from the rows.  ``recipe`` is what :func:`_realize`
-    needs to build the graph and the script arguments through the move
-    itself: the vertex (expand, eliminate), the vertex and its star
-    (contract), the vertex and the vector partition (splittings), or the
-    blocks (amalgamations).  ``partitions`` is :func:`_split_rows`'s memo.
+    :func:`_amalgam_blocks`), and expansion and contraction edit rows
+    directly; out-moves are the in-moves of the transpose.  The entry cap is
+    read from the rows.  ``recipe`` is what :func:`_realize` needs to build
+    the graph and the script arguments through the move itself: the vertex
+    (expand), the vertex and its star (contract), the vertex and the vector
+    partition (splittings), or the blocks (amalgamations).  ``partitions``
+    is :func:`_split_rows`'s memo.
     """
     n = len(m)
     cols = tuple(zip(*m))
-
-    if n >= 2:
-        for v in range(n):
-            if not any(cols[v]):
-                yield "eliminate", tuple(_drop(m[u], v) for u in range(n) if u != v), v
 
     if n + 1 <= max_vertices:
         for v in range(n):
@@ -395,17 +392,16 @@ def _realize(g, kind, recipe):
     """
     if kind == "expand":
         return {"vertex": g.label(recipe)}, expand(g, recipe)
-    if kind == "eliminate":
-        return {"vertex": g.label(recipe)}, eliminate_source(g, recipe)
     if kind == "contract":
         v, vs = recipe
         return {"vertex": g.label(v), "star": g.label(vs)}, contract(g, v, vs)
-    if kind in ("in-split", "out-split"):
+    mode, family = kind.split("-")
+    if family == "split":
         v, parts = recipe
-        mode = "in" if kind == "in-split" else "out"
+        side = move_side(mode)
         bundles: dict[int, list[str]] = {}
-        for e in g.in_edges(v) if mode == "in" else g.out_edges(v):
-            bundles.setdefault(e.source if mode == "in" else e.target, []).append(e.id)
+        for e in side.edges(g, v):
+            bundles.setdefault(side.far(e), []).append(e.id)
         queues = [bundles[u] for u in sorted(bundles)]
         classes = []
         for part in parts:
@@ -414,11 +410,11 @@ def _realize(g, kind, recipe):
                 cls.extend(queue[:take])
                 del queue[:take]
             classes.append(cls)
-        trivial = Partition.trivial(g, mode).classes
-        p = Partition({**{u: c for u, c in trivial.items() if u != v}, v: classes})
-        split = in_split if mode == "in" else out_split
+        p = Partition({**Partition.trivial(g, mode).classes, v: classes})
+        # Looked up per call, not at import, so a wrapper put on a move is called.
+        split = {"in": in_split, "out": out_split}[mode]
         return {"partition": p}, split(g, p).graph
-    amalgamate = in_amalgamate if kind == "in-amalgamate" else out_amalgamate
+    amalgamate = {"in": in_amalgamate, "out": out_amalgamate}[mode]
     labeled = [[g.label(v) for v in block] for block in recipe]
     return {"blocks": labeled}, amalgamate(g, recipe)
 

@@ -74,6 +74,40 @@ def _fresh_edge_id(used, base: str) -> str:
 
 
 # ---------------------------------------------------------------------------
+# The two sides of a mirrored move.
+
+
+class Side(NamedTuple):
+    """The edges an in- or out-move reads at a vertex, and its words."""
+
+    edges: Callable[[MultiGraph, int], tuple[Edge, ...]]  # the edges at v
+    far: Callable[[Edge], int]  # the other end of such an edge, its source or target
+    adjective: str
+    verb: str
+    compared: str  # what an amalgamation's block members must share
+    vector_kind: str  # the Drinen vector that delays these edges
+
+
+_SIDES = {
+    "in": Side(
+        MultiGraph.in_edges, itemgetter(0), "incoming", "entering", "outgoing rows", "range"
+    ),
+    "out": Side(
+        MultiGraph.out_edges, itemgetter(1), "outgoing", "leaving", "incoming columns", "source"
+    ),
+}
+_VECTOR_SIDES = {side.vector_kind: side for side in _SIDES.values()}
+
+
+def move_side(mode: str) -> Side:
+    """The side of ``mode``, ``"in"`` or ``"out"``; any other is a ValueError."""
+    try:
+        return _SIDES[mode]
+    except (KeyError, TypeError):
+        raise ValueError("mode must be 'in' or 'out'") from None
+
+
+# ---------------------------------------------------------------------------
 # Partitions.
 
 
@@ -97,12 +131,8 @@ class Partition:
         return len(self.classes.get(v, ()))
 
     def validate(self, g: MultiGraph, mode: str) -> None:
-        if mode not in ("in", "out"):
-            raise ValueError("mode must be 'in' or 'out'")
-        edge_sets = {
-            v: {e.id for e in (g.in_edges(v) if mode == "in" else g.out_edges(v))}
-            for v in range(g.n)
-        }
+        side = move_side(mode)
+        edge_sets = {v: {e.id for e in side.edges(g, v)} for v in range(g.n)}
         for v, classlist in self.classes.items():
             if not 0 <= v < g.n:
                 raise MoveError(f"partition names vertex {v}, graph has {g.n}")
@@ -113,10 +143,7 @@ class Partition:
                     raise MoveError(f"class {idx} at {g.label(v)} is empty")
                 for eid in cls:
                     if eid not in want:
-                        side = "entering" if mode == "in" else "leaving"
-                        raise MoveError(
-                            f"edge {eid!r} is not {side} {g.label(v)}"
-                        )
+                        raise MoveError(f"edge {eid!r} is not {side.verb} {g.label(v)}")
                     if eid in seen:
                         raise MoveError(f"edge {eid!r} listed twice at {g.label(v)}")
                     seen.add(eid)
@@ -127,34 +154,21 @@ class Partition:
                 )
         for v in range(g.n):
             if edge_sets[v] and self.m(v) == 0:
-                side = "incoming" if mode == "in" else "outgoing"
                 raise MoveError(
-                    f"vertex {g.label(v)} has {side} edges but no classes"
+                    f"vertex {g.label(v)} has {side.adjective} edges but no classes"
                 )
 
     @staticmethod
     def trivial(g: MultiGraph, mode: str) -> "Partition":
         """One class per non-isolated vertex: the identity splitting."""
-        if mode not in ("in", "out"):
-            raise ValueError("mode must be 'in' or 'out'")
-        classes = {}
-        for v in range(g.n):
-            edges = g.in_edges(v) if mode == "in" else g.out_edges(v)
-            if edges:
-                classes[v] = [[e.id for e in edges]]
-        return Partition(classes)
+        edges = move_side(mode).edges
+        return Partition({v: [[e.id for e in edges(g, v)]] for v in range(g.n) if edges(g, v)})
 
     @staticmethod
     def singletons(g: MultiGraph, mode: str) -> "Partition":
         """Every edge in its own class: the maximal splitting."""
-        if mode not in ("in", "out"):
-            raise ValueError("mode must be 'in' or 'out'")
-        classes = {}
-        for v in range(g.n):
-            edges = g.in_edges(v) if mode == "in" else g.out_edges(v)
-            if edges:
-                classes[v] = [[e.id] for e in edges]
-        return Partition(classes)
+        edges = move_side(mode).edges
+        return Partition({v: [[e.id] for e in edges(g, v)] for v in range(g.n)})
 
 
 @dataclass(frozen=True)
@@ -338,12 +352,6 @@ def _normalize_blocks(g: MultiGraph, blocks) -> list[list[int]]:
     return norm
 
 
-_SIDES = {  # what each amalgamation compares, and the edges a class needs
-    "in": ("outgoing rows", "incoming"),
-    "out": ("incoming columns", "outgoing"),
-}
-
-
 def quotient_rows(m, blocks) -> tuple[tuple[int, ...], ...]:
     """Incidence rows of the in-amalgamation of the rows ``m`` by ``blocks``
     (lists of vertex indices): Q[bi][bj] = sum over u in bj of
@@ -374,7 +382,7 @@ def _amalgamate_rows(g: MultiGraph, blocks, m, side: str):
     m[w][u] because the rows of a block are equal.  So the re-split is m
     with its vertices in block order.
     """
-    rows_word, edges_word = _SIDES[side]
+    words = move_side(side)
     norm = _normalize_blocks(g, blocks)
     for block in norm:
         first = m[block[0]]
@@ -382,13 +390,13 @@ def _amalgamate_rows(g: MultiGraph, blocks, m, side: str):
             if m[v] != first:
                 raise MoveError(
                     f"vertices {g.label(block[0])} and {g.label(v)} have "
-                    f"different {rows_word}"
+                    f"different {words.compared}"
                 )
         if len(block) > 1:
             for v in block:
                 if not any(row[v] for row in m):
                     raise MoveError(
-                        f"vertex {g.label(v)} has no {edges_word} edges, its "
+                        f"vertex {g.label(v)} has no {words.adjective} edges, its "
                         "partition class would be empty"
                     )
 
@@ -501,8 +509,10 @@ class DrinenVector:
     """
 
     def __init__(self, kind: str, vertices=None, edges=None):
-        if kind not in ("source", "range"):
-            raise ValueError("kind must be 'source' or 'range'")
+        try:
+            self.side = _VECTOR_SIDES[kind]
+        except (KeyError, TypeError):
+            raise ValueError("kind must be 'source' or 'range'") from None
         self.kind = kind
         self.vertices = {int(v): int(d) for v, d in (vertices or {}).items()}
         self.edges = {str(e): int(d) for e, d in (edges or {}).items()}
@@ -512,6 +522,11 @@ class DrinenVector:
 
     def edge_value(self, eid: str) -> int:
         return self.edges.get(eid, 0)
+
+    def _max_rule(self, g: MultiGraph, v: int) -> int:
+        """The max rule at v: its largest edge delay on this side, or its own value if none."""
+        delays = (self.edge_value(e.id) for e in self.side.edges(g, v))
+        return max(delays, default=self.vertex_value(v))
 
     def validate(self, g: MultiGraph) -> None:
         for v, d in self.vertices.items():
@@ -526,15 +541,11 @@ class DrinenVector:
             if d < 0:
                 raise MoveError(f"negative delay at edge {eid!r}")
         for v in range(g.n):
-            incident = g.out_edges(v) if self.kind == "source" else g.in_edges(v)
-            if not incident:
-                continue
-            expected = max(self.edge_value(e.id) for e in incident)
+            expected = self._max_rule(g, v)
             if self.vertex_value(v) != expected:
-                side = "outgoing" if self.kind == "source" else "incoming"
                 raise MoveError(
                     f"delay at {g.label(v)} is {self.vertex_value(v)}, but the "
-                    f"maximum over its {side} edges is {expected}"
+                    f"maximum over its {self.side.adjective} edges is {expected}"
                 )
 
     @staticmethod
@@ -545,16 +556,9 @@ class DrinenVector:
         incident edges on the relevant side (sinks for source vectors,
         sources for range vectors).
         """
-        edges = {str(e): int(d) for e, d in (edges or {}).items()}
-        overrides = {int(v): int(d) for v, d in (vertices or {}).items()}
-        vertex_values = {}
-        for v in range(g.n):
-            incident = g.out_edges(v) if kind == "source" else g.in_edges(v)
-            if incident:
-                vertex_values[v] = max(edges.get(e.id, 0) for e in incident)
-            else:
-                vertex_values[v] = overrides.get(v, 0)
-        return DrinenVector(kind, vertex_values, edges)
+        d = DrinenVector(kind, vertices, edges)
+        d.vertices = {v: d._max_rule(g, v) for v in range(g.n)}
+        return d
 
     @staticmethod
     def expansion_at(g: MultiGraph, v) -> "DrinenVector":

@@ -143,6 +143,16 @@ def test_large_torsion_classify_answers_within_budget():
     assert verdict["isomorphic"] != "unknown"
 
 
+@pytest.mark.skipif(resource is None, reason="needs POSIX resource limits")
+def test_huge_class_index_is_a_gap_not_a_range(tmp_path):
+    # The gap check must not build the range 1..index.
+    graph = _write(tmp_path, "base.graph", SPLIT_BASE)
+    script = _write(tmp_path, "gap.script", "move in-split\nclass v0 1000000000: e0\n")
+    done = _run_capped(["move", "--script", script, graph], 2.0, 1 << 30)
+    assert done.returncode == 2 and not done.stdout
+    assert "classes at v0 must be numbered 1..1000000000 without gaps" in done.stderr
+
+
 LIMIT = int_string_limit()
 LIMIT_MESSAGE = (
     f"error: a result has an integer of more than {LIMIT} decimal digits, "

@@ -519,6 +519,42 @@ def test_neighbor_rows_match_realized_random_graphs():
     assert seen.partition_capped and seen.vertex_capped and seen.entry_capped
 
 
+def test_neighbors_of_essential_graphs_are_essential():
+    # The search admits only essential graphs, so it walks no source
+    # elimination: no neighbor it enumerates has a zero row or column.
+    hyp = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    def essential(rows):
+        return all(map(any, rows)) and all(map(any, zip(*rows)))
+
+    @hyp.settings(max_examples=150, deadline=None)
+    @hyp.given(
+        st.integers(1, 4)
+        .flatmap(
+            lambda n: st.lists(
+                st.lists(st.integers(0, 2), min_size=n, max_size=n), min_size=n, max_size=n
+            )
+        )
+        .filter(essential),
+        st.integers(0, 2),
+        st.sampled_from([1, 3, None]),
+        st.integers(1, 6),
+    )
+    def check(rows, extra, cap, entry_cap):
+        m = tuple(map(tuple, rows))
+        for kind, got, _ in _neighbors(
+            m,
+            max_vertices=len(m) + extra,
+            entry_cap=entry_cap,
+            partition_cap=cap,
+            stats=SearchStats(),
+        ):
+            assert essential(got), (kind, m, got)
+
+    check()
+
+
 def test_search_builds_only_expanded_graphs_and_the_path(monkeypatch):
     # Realizing a neighbor goes through the moves; count the splits and
     # expansions.  The search expands rows, so a graph is built only for a

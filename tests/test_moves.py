@@ -123,6 +123,23 @@ def test_partition_validate_errors():
         Partition.trivial(g, "sideways")
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda g: Partition({}).validate(g, "both"), "mode must be 'in' or 'out'"),
+        (lambda g: Partition.trivial(g, "sideways"), "mode must be 'in' or 'out'"),
+        (lambda g: Partition.singletons(g, ["in"]), "mode must be 'in' or 'out'"),
+        (lambda g: DrinenVector("diagonal"), "kind must be 'source' or 'range'"),
+        (lambda g: DrinenVector.from_edges(g, "in"), "kind must be 'source' or 'range'"),
+    ],
+    ids=["validate", "trivial", "singletons", "vector", "from-edges"],
+)
+def test_side_value_error_texts_are_pinned(call, message):
+    with pytest.raises(ValueError) as info:
+        call(_split_base())
+    assert type(info.value) is ValueError and str(info.value) == message
+
+
 def test_partition_helpers():
     g = _split_base()
     triv = Partition.trivial(g, "in")
