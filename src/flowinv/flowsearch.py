@@ -237,6 +237,9 @@ def _split_rows(m, v, max_classes, partition_cap, stats, partitions=None):
     part and row v repeated once per part: every copy of v keeps v's
     out-edges, and copy i receives part i.  This is the incidence of
     :func:`in_split` by the matching partition, vertex order included.
+    Every row is cut around column v once per call; each splitting joins
+    the cut ends to its split column, whose entries come from
+    ``zip(*parts)``: one tuple per source, one entry per part.
 
     ``partitions``, if given, memoizes the vector partitions of each bundle
     vector: only those with two or more parts, and only the first
@@ -253,6 +256,8 @@ def _split_rows(m, v, max_classes, partition_cap, stats, partitions=None):
         if at not in partitions:
             partitions[at] = list(itertools.islice(splits, partition_cap + 1))
         splits = partitions[at]
+    heads = [row[:v] for row in m]
+    tails = [row[v + 1 :] for row in m]
     emitted = 0
     for parts in splits:
         if partition_cap is not None and emitted >= partition_cap:
@@ -260,12 +265,10 @@ def _split_rows(m, v, max_classes, partition_cap, stats, partitions=None):
             break
         emitted += 1
         split_col = [(0,) * len(parts)] * len(m)
-        for i, u in enumerate(order):
-            split_col[u] = tuple(part[i] for part in parts)
-        rows = []
-        for u, row in enumerate(m):
-            new = row[:v] + split_col[u] + row[v + 1 :]
-            rows.extend([new] * (len(parts) if u == v else 1))
+        for u, col in zip(order, zip(*parts)):
+            split_col[u] = col
+        rows = [head + col + tail for head, col, tail in zip(heads, split_col, tails)]
+        rows[v : v + 1] = rows[v : v + 1] * len(parts)
         yield parts, tuple(rows)
 
 

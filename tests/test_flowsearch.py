@@ -452,6 +452,83 @@ def test_memoized_partitions_match_the_generator():
     assert memo
 
 
+def _split_rows_reference(m, v, max_classes, partition_cap, stats, partitions=None):
+    """:func:`flowinv.flowsearch._split_rows` as it was before the rows were
+    cut once per vertex: each splitting builds its split column part by
+    part and cuts every row again.  Kept as an oracle."""
+    order = [u for u, row in enumerate(m) if row[v]]
+    counts = tuple(m[u][v] for u in order)
+    if sum(counts) < 2:
+        return
+    splits = (p for p in _vector_partitions(counts, max_classes) if len(p) >= 2)
+    if partitions is not None and partition_cap is not None:
+        at = (counts, max_classes, partition_cap)
+        if at not in partitions:
+            partitions[at] = list(itertools.islice(splits, partition_cap + 1))
+        splits = partitions[at]
+    emitted = 0
+    for parts in splits:
+        if partition_cap is not None and emitted >= partition_cap:
+            stats.partition_capped += 1
+            break
+        emitted += 1
+        split_col = [(0,) * len(parts)] * len(m)
+        for i, u in enumerate(order):
+            split_col[u] = tuple(part[i] for part in parts)
+        rows = []
+        for u, row in enumerate(m):
+            new = row[:v] + split_col[u] + row[v + 1 :]
+            rows.extend([new] * (len(parts) if u == v else 1))
+        yield parts, tuple(rows)
+
+
+def _check_split_rows(m, v, max_classes, cap, memo):
+    """_split_rows, with the memo ``memo`` or none, yields the reference's
+    (parts, rows) sequence and counts the same partition cut."""
+    want_stats, got_stats = SearchStats(), SearchStats()
+    want = list(_split_rows_reference(m, v, max_classes, cap, want_stats))
+    got = list(_split_rows(m, v, max_classes, cap, got_stats, memo))
+    assert got == want, (m, v, max_classes, cap)
+    assert got_stats.partition_capped == want_stats.partition_capped
+    return len(want)
+
+
+def test_split_rows_match_the_reference():
+    # Vertex 0 has a loop of 2 and receives 1 and 2 edges from vertices 1
+    # and 2; vertices 1 and 2 each receive one edge (vertex 2 its loop), a
+    # bundle sum below 2, so they have no splitting.
+    m = ((2, 1, 0), (1, 0, 0), (2, 0, 1))
+    for cap in (None, 1, 3):
+        memo = {}
+        for partitions in (None, memo, memo):
+            count = _check_split_rows(m, 0, 4, cap, partitions)
+            assert count == cap if cap else count > 3
+            assert _check_split_rows(m, 1, 4, cap, partitions) == 0
+            assert _check_split_rows(m, 2, 4, cap, partitions) == 0
+
+    hyp = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    rows = st.integers(1, 4).flatmap(
+        lambda n: st.lists(
+            st.tuples(*[st.integers(0, 3)] * n), min_size=n, max_size=n
+        ).map(tuple)
+    )
+
+    @hyp.settings(max_examples=200, deadline=None)
+    @hyp.given(rows, st.data())
+    def check(m, data):
+        v = data.draw(st.integers(0, len(m) - 1))
+        max_classes = data.draw(st.integers(2, 5))
+        cap = data.draw(st.sampled_from((None, 1, 3)))
+        memo = {} if data.draw(st.booleans()) else None
+        # A second call reads the memo the first one filled.
+        for _ in range(2):
+            _check_split_rows(m, v, max_classes, cap, memo)
+
+    check()
+
+
 # ---------------------------------------------------------------------------
 # Neighbors as rows: what the search keys and what it builds.
 

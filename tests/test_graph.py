@@ -9,6 +9,7 @@ import re
 import pytest
 
 import flowinv
+from flowinv.exactla import IntMatrix
 from flowinv.graph import (
     Edge,
     GraphError,
@@ -93,10 +94,13 @@ def test_construction_errors():
     ],
 )
 def test_matrix_construction_error_messages(n, rows, message):
-    # The first negative entry in row-major order is named.
-    with pytest.raises(GraphError) as exc:
-        MultiGraph(n, matrix=rows)
-    assert str(exc.value) == message
+    # The first negative entry in row-major order is named.  An IntMatrix,
+    # whose entries are taken without conversion, is checked the same way.
+    entries = tuple(map(tuple, rows))
+    for matrix in (rows, IntMatrix(len(entries), len(entries[0]), entries)):
+        with pytest.raises(GraphError) as exc:
+            MultiGraph(n, matrix=matrix)
+        assert str(exc.value) == message
 
 
 def _square_matrices(st):
@@ -970,12 +974,43 @@ def test_canonical_key_matches_brute_force_oracle():
     check()
 
 
+def _refinement_cells_reference(m):
+    """Colour refinement as it was before discrete rounds were sorted once:
+    every round ranks the sorted signatures through a dict and keeps the
+    new ranks, and the cells are built from the last ranks.  Kept as an
+    oracle for :func:`flowinv.graph._refinement_cells`."""
+    n = len(m)
+    cols = tuple(zip(*m))
+
+    def rank(sigs):
+        index = {s: i for i, s in enumerate(sorted(set(sigs)))}
+        return [index[s] for s in sigs], len(index)
+
+    colors, count = rank(
+        [(m[v][v], tuple(sorted(zip(m[v], cols[v])))) for v in range(n)]
+    )
+    while count < n:
+        colors, new_count = rank(
+            [
+                (colors[v], tuple(sorted(zip(colors, m[v], cols[v]))))
+                for v in range(n)
+            ]
+        )
+        if new_count == count:
+            break
+        count = new_count
+    cells = [[] for _ in range(count)]
+    for v, c in enumerate(colors):
+        cells[c].append(v)
+    return cells
+
+
 def _canonical_order_over_every_cell(m):
     """The canonical order as it was found before discrete refinements were
-    read off directly: the product of every cell's permutations, singleton
-    cells included, each order's rows built and compared.  Kept as an
-    oracle."""
-    cells = _refinement_cells(m)
+    read off directly: the product of every reference cell's permutations,
+    singleton cells included, each order's rows built and compared.  Kept
+    as an oracle."""
+    cells = _refinement_cells_reference(m)
     best = best_order = None
     for parts in itertools.product(*(itertools.permutations(c) for c in cells)):
         order = [v for part in parts for v in part]
@@ -983,6 +1018,26 @@ def _canonical_order_over_every_cell(m):
         if best is None or rows < best:
             best, best_order = rows, order
     return best_order, tuple(best)
+
+
+def _check_against_reference(m):
+    """The cells, the canonical order with its rows, and the canonical
+    permutation of ``m`` are those of the reference; returns whether the
+    refinement was discrete."""
+    cells = _refinement_cells(m)
+    assert [list(c) for c in cells] == _refinement_cells_reference(m), m
+    order, rows = _canonical_order_over_every_cell(m)
+    assert _canonical_order(m) == (order, rows), m
+    perm = [0] * len(m)
+    for pos, old in enumerate(order):
+        perm[old] = pos
+    assert canonical_permutation(MultiGraph.from_matrix(m)) == tuple(perm), m
+    return len(cells) == len(m)
+
+
+def _circulant(first_row):
+    n = len(first_row)
+    return tuple(tuple(first_row[(j - i) % n] for j in range(n)) for i in range(n))
 
 
 def test_discrete_refinement_order_matches_product_oracle():
@@ -997,11 +1052,33 @@ def test_discrete_refinement_order_matches_product_oracle():
     ]
     for n in range(2, 7):
         for _ in range(8):
-            c = [rng.randint(0, 3) for _ in range(n)]
-            cases.append(tuple(tuple(c[(j - i) % n] for j in range(n)) for i in range(n)))
+            cases.append(_circulant([rng.randint(0, 3) for _ in range(n)]))
         cases.extend(tuple((k,) * n for _ in range(n)) for k in range(1, 4))
-    discrete = 0
-    for m in cases:
-        assert _canonical_order(m) == _canonical_order_over_every_cell(m), m
-        discrete += len(_refinement_cells(m)) == len(m)
+    discrete = sum(map(_check_against_reference, cases))
     assert 0 < discrete < len(cases)
+
+
+def test_refinement_matches_reference_on_drawn_matrices():
+    hyp = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    square = st.integers(1, 7).flatmap(
+        lambda n: st.lists(
+            st.tuples(*[st.integers(0, 3)] * n), min_size=n, max_size=n
+        ).map(tuple)
+    )
+    # A permuted circulant is regular, so its refinement stops at once with
+    # cells of two or more vertices, whose orders are then compared.
+    circulant = st.integers(1, 7).flatmap(
+        lambda n: st.tuples(
+            st.lists(st.integers(0, 3), min_size=n, max_size=n),
+            st.permutations(range(n)),
+        )
+    ).map(lambda cp: tuple(tuple(_circulant(cp[0])[i][j] for j in cp[1]) for i in cp[1]))
+
+    @hyp.settings(max_examples=150, deadline=None)
+    @hyp.given(st.one_of(square, circulant))
+    def check(m):
+        _check_against_reference(m)
+
+    check()
