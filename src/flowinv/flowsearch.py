@@ -8,36 +8,31 @@ sound.  The search admits only essential graphs, and each of these moves
 keeps a graph essential, so source elimination would never apply and is
 not walked.
 
-The search is a function of incidence rows until it returns.  Neighbors are
-enumerated as rows straight from their parent's rows and keyed from them
-alone (:func:`flowinv.graph.canonical_rows_key`); each visited key keeps
-only its parent's key, and each key the forward side reached also keeps
-the (kind, recipe) of the neighbor that first reached it.  Graphs, with
-their edges, labels and script arguments, are built only for the steps of
-a found path, through the moves themselves: :func:`_replay` walks the key
-chain from the start and builds each link the forward side made from its
-recorded recipe.  A link the backward side made is the inverse of the move
-it recorded, so it is found again by enumerating the graph's rows, and only
-the neighbor whose key matches is built.
+One :class:`_Search` holds a search's bounds, its :class:`SearchStats` and
+its memos, and lives and dies with it.  The search is a function of
+incidence rows until it returns:
 
-The search skips work whose result is already known or cannot matter.  The
-shape of a matrix (:func:`_shape`: its vertex count and sorted (out-degree,
-in-degree) pairs) survives every vertex permutation, so two matrices with
-equal keys have equal shapes, and a key has the shape of what it keys:
-
-- On the last level (the one that brings the two distances to the depth
-  bound) the new frontier is never expanded, so only a meet with the other
-  side can come of a neighbor.  A neighbor whose shape no key of the other
-  side has cannot meet, and neither can a later one with its key, so it is
-  not keyed; the first meet in enumeration order is the same.
-- :func:`_find_link`, which finds a backward link again, keys only
-  neighbors with the shape of the link it looks for; a true match always
-  has it, so the first match is the same.
-- One search keys each distinct rows once, since a key is a function of
-  the rows.  It enumerates the vector partitions of each bundle vector
-  once too, keeping only the first ``partition_cap + 1`` with two or more
-  parts: all the cap lets through, and the one that shows it cut, which is
-  all the cut count reads.  Both memos live and die with the search.
+- It records, for each visited key (:func:`flowinv.graph.canonical_rows_key`
+  of a neighbor's rows, computed from its parent's rows alone), only its
+  parent's key, and for each key the forward side reached, the (kind,
+  recipe) of the neighbor that first reached it.
+- The replay of a found path builds graphs, with their edges, labels and
+  script arguments, through the moves themselves and only for its steps.
+  A link the forward side made is built from its recorded recipe; one the
+  backward side made is the inverse of the move it recorded, so it is found
+  again by enumerating the graph's rows, building only the neighbor whose
+  key matches.
+- It skips work whose result is already known or cannot matter.  The shape
+  of a matrix (:func:`_shape`: its vertex count and sorted (out-degree,
+  in-degree) pairs) survives every vertex permutation, so a key has the
+  shape of what it keys.  A neighbor on the last level, whose frontier is
+  never expanded, is keyed only if some key of the other side has its
+  shape; one the replay enumerates, only if it has the shape of the key
+  sought.  Each distinct rows is keyed once, and the vector partitions of
+  each bundle vector are enumerated once, keeping only the first
+  ``partition_cap + 1`` with two or more parts: all the cap lets through,
+  and the one that shows it cut.  None of this changes the first meet or
+  the first match in enumeration order.
 
 Graphs are identified up to isomorphism via canonical keys, so a found
 sequence ends at a graph isomorphic to the goal.  The search is bounded
@@ -49,7 +44,7 @@ nothing is found it reports the work done and the cuts the bounds made.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 # det is unused here but stays importable: bench/tracing.py wraps flowsearch.det.
 from flowinv.exactla import cokernel, det, group_iso  # noqa: F401
@@ -226,7 +221,7 @@ def _vector_partitions(total, max_parts):
     yield from rec(total, total, max_parts)
 
 
-def _split_rows(m, v, max_classes, partition_cap, stats, partitions=None):
+def _split_rows(m, v, max_classes, partition_cap, stats, partitions):
     """In-splittings of vertex v of the incidence rows ``m`` into
     2..max_classes classes, as (parts, rows) pairs.
 
@@ -241,8 +236,8 @@ def _split_rows(m, v, max_classes, partition_cap, stats, partitions=None):
     the cut ends to its split column, whose entries come from
     ``zip(*parts)``: one tuple per source, one entry per part.
 
-    ``partitions``, if given, memoizes the vector partitions of each bundle
-    vector: only those with two or more parts, and only the first
+    ``partitions`` memoizes the vector partitions of each bundle vector:
+    only those with two or more parts, and only the first
     ``partition_cap + 1``, which is all the cap lets through plus the one
     that tells whether it cut.  Uncapped, they stay a lazy generator.
     """
@@ -251,7 +246,7 @@ def _split_rows(m, v, max_classes, partition_cap, stats, partitions=None):
     if sum(counts) < 2:
         return
     splits = (p for p in _vector_partitions(counts, max_classes) if len(p) >= 2)
-    if partitions is not None and partition_cap is not None:
+    if partition_cap is not None:
         at = (counts, max_classes, partition_cap)
         if at not in partitions:
             partitions[at] = list(itertools.islice(splits, partition_cap + 1))
@@ -309,66 +304,6 @@ def _drop(row, v):
     return row[:v] + row[v + 1 :]
 
 
-def _neighbors(m, *, max_vertices, entry_cap, partition_cap, stats, partitions=None):
-    """All admissible one-move neighbors of the graph with incidence rows
-    ``m``, in a fixed order, as (kind, rows, recipe) triples.
-
-    ``rows`` is the neighbor's incidence matrix, computed from ``m`` alone:
-    a splitting edits rows and columns (see :func:`_split_rows`), an
-    amalgamation is :func:`flowinv.moves.quotient_rows` (see
-    :func:`_amalgam_blocks`), and expansion and contraction edit rows
-    directly; out-moves are the in-moves of the transpose.  The entry cap is
-    read from the rows.  ``recipe`` is what :func:`_realize` needs to build
-    the graph and the script arguments through the move itself: the vertex
-    (expand), the vertex and its star (contract), the vertex and the vector
-    partition (splittings), or the blocks (amalgamations).  ``partitions``
-    is :func:`_split_rows`'s memo.
-    """
-    n = len(m)
-    cols = tuple(zip(*m))
-
-    if n + 1 <= max_vertices:
-        for v in range(n):
-            rows = [row + (0,) for row in m]
-            rows[v] = (0,) * n + (1,)
-            rows.append(m[v] + (0,))
-            yield "expand", tuple(rows), v
-    else:
-        stats.vertex_capped += n
-
-    for v in range(n):
-        if sum(m[v]) != 1:
-            continue
-        vs = m[v].index(1)
-        if vs != v and sum(cols[vs]) == 1:
-            rows = tuple(_drop(m[vs] if u == v else m[u], vs) for u in range(n) if u != vs)
-            yield "contract", rows, (v, vs)
-
-    max_classes = max_vertices - n + 1
-    if max_classes >= 2:
-        for kind, oriented in (("in-split", m), ("out-split", cols)):
-            for v in range(n):
-                for parts, rows in _split_rows(
-                    oriented, v, max_classes, partition_cap, stats, partitions
-                ):
-                    if max(map(max, rows)) > entry_cap:
-                        stats.entry_capped += 1
-                        continue
-                    if kind == "out-split":
-                        rows = tuple(zip(*rows))
-                    yield kind, rows, (v, parts)
-
-    for kind, oriented in (("in-amalgamate", m), ("out-amalgamate", cols)):
-        for blocks in _amalgam_blocks(oriented):
-            rows = quotient_rows(oriented, blocks)
-            if max(map(max, rows)) > entry_cap:
-                stats.entry_capped += 1
-                continue
-            if kind == "out-amalgamate":
-                rows = tuple(zip(*rows))
-            yield kind, rows, blocks
-
-
 def _shape(rows):
     """(vertex count, sorted (out-degree, in-degree) pairs) of the incidence
     rows ``rows``.  No vertex permutation changes it, and a canonical key is
@@ -376,18 +311,10 @@ def _shape(rows):
     return len(rows), tuple(sorted(zip(map(sum, rows), map(sum, zip(*rows)))))
 
 
-def _rows_key(rows, memo):
-    """:func:`flowinv.graph.canonical_rows_key` of ``rows``, through the
-    dict ``memo`` from rows to key."""
-    key = memo.get(rows)
-    if key is None:
-        key = memo[rows] = canonical_rows_key(rows)
-    return key
-
-
 def _realize(g, kind, recipe):
-    """Build the neighbor of g that :func:`_neighbors` described by ``kind``
-    and ``recipe``, through the move itself: returns (script args, graph).
+    """Build the neighbor of g that :meth:`_Search.neighbors` described by
+    ``kind`` and ``recipe``, through the move itself: returns (script args,
+    graph).
 
     A splitting's partition puts, in class i at its vertex, the first
     part-i-many edges of each bundle in g's edge order; every other vertex
@@ -450,6 +377,143 @@ def _require_search_ready(g: MultiGraph, side: str, max_vertices: int) -> GraphR
     return report
 
 
+@dataclass
+class _Search:
+    """One search: its bounds, its counters and its memos.
+
+    ``max_vertices``, ``entry_cap`` and ``partition_cap`` bound the
+    neighbors; ``stats`` counts what the search did and what the bounds cut.
+    ``keyed`` maps each rows to its key, ``partitions`` is
+    :func:`_split_rows`'s memo, and ``links`` maps each key the forward side
+    reached to the (kind, recipe) of the neighbor that first reached it.
+    """
+
+    max_vertices: int
+    entry_cap: int
+    partition_cap: int | None
+    stats: SearchStats = field(default_factory=SearchStats)
+    keyed: dict = field(default_factory=dict)
+    partitions: dict = field(default_factory=dict)
+    links: dict = field(default_factory=dict)
+
+    def neighbors(self, m):
+        """All admissible one-move neighbors of the graph with incidence
+        rows ``m``, in a fixed order, as (kind, rows, recipe) triples.
+
+        ``rows`` is the neighbor's incidence matrix, computed from ``m``
+        alone: a splitting edits rows and columns (see :func:`_split_rows`),
+        an amalgamation is :func:`flowinv.moves.quotient_rows` (see
+        :func:`_amalgam_blocks`), and expansion and contraction edit rows
+        directly; out-moves are the in-moves of the transpose.  The entry
+        cap is read from the rows.  ``recipe`` is what :func:`_realize`
+        needs to build the graph and the script arguments through the move
+        itself: the vertex (expand), the vertex and its star (contract), the
+        vertex and the vector partition (splittings), or the blocks
+        (amalgamations).
+        """
+        stats, entry_cap = self.stats, self.entry_cap
+        n = len(m)
+        cols = tuple(zip(*m))
+
+        if n + 1 <= self.max_vertices:
+            for v in range(n):
+                rows = [row + (0,) for row in m]
+                rows[v] = (0,) * n + (1,)
+                rows.append(m[v] + (0,))
+                yield "expand", tuple(rows), v
+        else:
+            stats.vertex_capped += n
+
+        for v in range(n):
+            if sum(m[v]) != 1:
+                continue
+            vs = m[v].index(1)
+            if vs != v and sum(cols[vs]) == 1:
+                rows = tuple(_drop(m[vs] if u == v else m[u], vs) for u in range(n) if u != vs)
+                yield "contract", rows, (v, vs)
+
+        max_classes = self.max_vertices - n + 1
+        if max_classes >= 2:
+            for kind, oriented in (("in-split", m), ("out-split", cols)):
+                for v in range(n):
+                    for parts, rows in _split_rows(
+                        oriented, v, max_classes, self.partition_cap, stats, self.partitions
+                    ):
+                        if max(map(max, rows)) > entry_cap:
+                            stats.entry_capped += 1
+                            continue
+                        if kind == "out-split":
+                            rows = tuple(zip(*rows))
+                        yield kind, rows, (v, parts)
+
+        for kind, oriented in (("in-amalgamate", m), ("out-amalgamate", cols)):
+            for blocks in _amalgam_blocks(oriented):
+                rows = quotient_rows(oriented, blocks)
+                if max(map(max, rows)) > entry_cap:
+                    stats.entry_capped += 1
+                    continue
+                if kind == "out-amalgamate":
+                    rows = tuple(zip(*rows))
+                yield kind, rows, blocks
+
+    def key(self, rows):
+        """:func:`flowinv.graph.canonical_rows_key` of ``rows``, through
+        the memo ``keyed``."""
+        key = self.keyed.get(rows)
+        if key is None:
+            key = self.keyed[rows] = canonical_rows_key(rows)
+        return key
+
+    def find_link(self, m, key):
+        """The (kind, recipe) of the first neighbor of the rows ``m``, in
+        enumeration order, whose key is ``key``; None if there is none.
+
+        The inverse of a move always exists in the catalogue but may sit
+        past the partition cap, hence the uncapped second pass.  Each pass
+        is a probe that shares this search's memos but counts into a stats
+        of its own.  A neighbor is keyed only if its :func:`_shape` is the
+        key's, which every match passes, so the first match is unchanged.
+        """
+        shape = _shape(key)
+        for cap in (self.partition_cap, None):
+            probe = replace(self, partition_cap=cap, stats=SearchStats())
+            for kind, rows, recipe in probe.neighbors(m):
+                if _shape(rows) == shape and self.key(rows) == key:
+                    return kind, recipe
+        return None
+
+    def replay(self, start, keys, want):
+        """Build the path from ``start`` through the canonical ``keys``;
+        returns the steps.
+
+        On a path the links the search made forward come first, from the
+        start to the meet, and each recipe was enumerated from the rows of
+        the key before it, which are the rows of the graph the replay built
+        for that key; so such a link is built directly, through
+        :func:`_realize`.  A link the search made backward was discovered as
+        the inverse of a move, so :meth:`find_link` finds it again.
+
+        Every step built must key to its link, which the memo answers for a
+        recorded one, and must not drift the (group, det) pair of ``want``,
+        the start's :class:`flowinv.invariants.FranksTriple`; either failure
+        is an internal error.
+        """
+        steps = []
+        cur = start
+        for key in keys:
+            link = self.links.get(key) or self.find_link(cur.incidence().entries, key)
+            if link is not None:
+                step = MoveStep(link[0], *_realize(cur, *link))
+            if link is None or self.key(step.graph.incidence().entries) != key:
+                raise RuntimeError("internal error: discovered step could not be replayed")
+            group, proj = cokernel(bowen_franks_matrix(step.graph))
+            if proj.det != want.determinant or not group_iso(group, want.group):
+                raise RuntimeError("internal error: a step drifted the invariants")
+            steps.append(step)
+            cur = step.graph
+        return tuple(steps)
+
+
 def find_sequence(
     src: MultiGraph,
     dst: MultiGraph,
@@ -472,32 +536,26 @@ def find_sequence(
         raise GraphError(f"max_depth must be non-negative, got {max_depth}")
     report_src = _require_search_ready(src, "start", max_vertices)
     report_dst = _require_search_ready(dst, "goal", max_vertices)
-    stats = SearchStats()
 
     want = franks_triple(src, report=report_src)
     if not equiv_det_pair(want, franks_triple(dst, report=report_dst)):
-        raise NotFoundWithinBounds("invariant-mismatch", stats)
+        raise NotFoundWithinBounds("invariant-mismatch", SearchStats())
 
     entry_cap = max(9, _max_entry(src), _max_entry(dst))
-    bounds = dict(
-        max_vertices=max_vertices, entry_cap=entry_cap, partition_cap=DEFAULT_PARTITION_CAP
-    )
+    search = _Search(max_vertices, entry_cap, DEFAULT_PARTITION_CAP)
+    stats = search.stats
     key_src, key_dst = canonical_key(src), canonical_key(dst)
     if key_src == key_dst:
         return MoveSequence(start=src, steps=(), stats=stats)
 
     # visited maps canonical key -> parent key; the roots have parent None.
-    # A key's parent is the graph that first reached it, and links maps
-    # each key the forward side reached to the (kind, recipe) of that
-    # neighbor.  Frontiers hold (key, rows) pairs.  keyed and partitions are
-    # this search's memos.
+    # A key's parent is the graph that first reached it.  Frontiers hold
+    # (key, rows) pairs; depth counts the levels both sides have walked.
     visited_f = {key_src: None}
     visited_b = {key_dst: None}
-    links = {}
     frontier_f = [(key_src, src.incidence().entries)]
     frontier_b = [(key_dst, dst.incidence().entries)]
-    dist_f = dist_b = 0
-    keyed, partitions = {}, {}
+    depth = 0
 
     def chain(visited, key):
         out = []
@@ -506,127 +564,36 @@ def find_sequence(
             key = visited[key]
         return out
 
-    while dist_f + dist_b < max_depth and frontier_f and frontier_b:
+    while depth < max_depth and frontier_f and frontier_b:
         forward = len(frontier_f) <= len(frontier_b)
         frontier = frontier_f if forward else frontier_b
         visited, other = (visited_f, visited_b) if forward else (visited_b, visited_f)
+        depth += 1
         # The last level's frontier is never expanded, so only a meet can
         # come of it, and a neighbor meets only keys of its own shape.
-        last = dist_f + dist_b + 1 == max_depth
+        last = depth == max_depth
         shapes = {_shape(k) for k in other} if last else None
         next_frontier = []
         for key, m in frontier:
             stats.expanded += 1
-            for kind, rows, recipe in _neighbors(
-                m, stats=stats, partitions=partitions, **bounds
-            ):
+            for kind, rows, recipe in search.neighbors(m):
                 if last and _shape(rows) not in shapes:
                     continue
-                hkey = _rows_key(rows, keyed)
+                hkey = search.key(rows)
                 if hkey in visited:
                     continue
                 visited[hkey] = key
                 if forward:
-                    links[hkey] = kind, recipe
+                    search.links[hkey] = kind, recipe
                 if hkey in other:
                     # The root of each chain has no step.
                     keys = chain(visited_f, hkey)[-2::-1] + chain(visited_b, hkey)[1:]
-                    steps = _replay(
-                        src,
-                        keys,
-                        want,
-                        links=links,
-                        keyed=keyed,
-                        partitions=partitions,
-                        **bounds,
-                    )
+                    steps = search.replay(src, keys, want)
                     return MoveSequence(start=src, steps=steps, stats=stats)
                 next_frontier.append((hkey, rows))
         if forward:
             frontier_f = next_frontier
-            dist_f += 1
         else:
             frontier_b = next_frontier
-            dist_b += 1
 
     raise NotFoundWithinBounds("bounds-exhausted", stats)
-
-
-def _replay(
-    start,
-    keys,
-    want,
-    *,
-    max_vertices,
-    entry_cap,
-    partition_cap,
-    links=None,
-    keyed=None,
-    partitions=None,
-):
-    """Build the path from ``start`` through the canonical ``keys``; returns
-    the steps.
-
-    ``links`` maps each key the search reached forward to the (kind,
-    recipe) of the neighbor that first reached it.  On a path those links
-    come first, from the start to the meet, and each recipe was enumerated
-    from the rows of the key before it, which are the rows of the graph the
-    replay built for that key; so such a link is built directly, through
-    :func:`_realize`.  A link the search made backward was discovered as the
-    inverse of a move, so :func:`_find_link` finds it again by enumerating
-    the current graph's neighbor rows and matching their keys.
-
-    Every step built must key to its link, which the memo answers for a
-    recorded one, and must not drift the (group, det) pair of ``want``, the
-    start's :class:`flowinv.invariants.FranksTriple`; either failure is an
-    internal error.  ``keyed`` (rows to key) and ``partitions`` are the
-    search's memos; any of the three dicts may be left out.
-    """
-    links = {} if links is None else links
-    keyed = {} if keyed is None else keyed
-    steps = []
-    cur = start
-    for key in keys:
-        link = links.get(key) or _find_link(
-            cur.incidence().entries,
-            key,
-            keyed,
-            max_vertices=max_vertices,
-            entry_cap=entry_cap,
-            partition_cap=partition_cap,
-            partitions=partitions,
-        )
-        if link is not None:
-            step = MoveStep(link[0], *_realize(cur, *link))
-        if link is None or _rows_key(step.graph.incidence().entries, keyed) != key:
-            raise RuntimeError("internal error: discovered step could not be replayed")
-        group, proj = cokernel(bowen_franks_matrix(step.graph))
-        if proj.det != want.determinant or not group_iso(group, want.group):
-            raise RuntimeError("internal error: a step drifted the invariants")
-        steps.append(step)
-        cur = step.graph
-    return tuple(steps)
-
-
-def _find_link(m, key, keyed, *, max_vertices, entry_cap, partition_cap, partitions):
-    """The (kind, recipe) of the first neighbor of the rows ``m``, in
-    enumeration order, whose key is ``key``; None if there is none.
-
-    The inverse of a move always exists in the catalogue but may sit past
-    the partition cap, hence the uncapped second pass.  A neighbor is keyed,
-    through the memo ``keyed``, only if its :func:`_shape` is the key's,
-    which every match passes, so the first match is unchanged.
-    """
-    shape = _shape(key)
-    for cap in (partition_cap, None):
-        for kind, rows, recipe in _neighbors(
-            m,
-            max_vertices=max_vertices,
-            entry_cap=entry_cap,
-            partition_cap=cap,
-            stats=SearchStats(),
-            partitions=partitions,
-        ):
-            if _shape(rows) == shape and _rows_key(rows, keyed) == key:
-                return kind, recipe
-    return None

@@ -22,7 +22,7 @@ from flowinv.exactla import (
     pointed_equivalent,
     smith_normal_form,
 )
-from flowinv.flowsearch import SearchStats, find_sequence, verify_sequence
+from flowinv.flowsearch import find_sequence, verify_sequence
 from flowinv.graph import MultiGraph, classify_graph, is_isomorphic, sources, transpose
 from flowinv.invariants import bowen_franks_matrix, equiv_det_pair, franks_triple
 from flowinv.moves import (
@@ -244,7 +244,7 @@ def test_criterion_8_transpose_duality(capsys):
 
 
 def test_criterion_9_search_recovers_scrambles(capsys):
-    from flowinv.flowsearch import _neighbors, _realize
+    from flowinv.flowsearch import _realize, _Search
 
     started = time.monotonic()
     rng = random.Random(1009)
@@ -252,15 +252,8 @@ def test_criterion_9_search_recovers_scrambles(capsys):
         base = _rand_pis_nosource(rng, 3)
         goal = base
         for _ in range(3):
-            nbrs = list(
-                _neighbors(
-                    goal.incidence().entries,
-                    max_vertices=6,
-                    entry_cap=9,
-                    partition_cap=64,
-                    stats=SearchStats(),
-                )
-            )
+            search = _Search(max_vertices=6, entry_cap=9, partition_cap=64)
+            nbrs = list(search.neighbors(goal.incidence().entries))
             kind, _, recipe = rng.choice(nbrs)
             _, goal = _realize(goal, kind, recipe)
         seq = find_sequence(base, goal, max_depth=6)

@@ -24,7 +24,7 @@ from flowinv.graph import (
     parse_graph,
 )
 from flowinv.invariants import franks_triple
-from flowinv.moves import DrinenVector, Partition, apply_move
+from flowinv.moves import MOVES, DrinenVector, Partition, apply_move
 
 
 ROSE4 = "edges 1\n0 0 4\n"
@@ -543,6 +543,84 @@ def test_parse_error_reports_file_and_position(tmp_path, capsys):
     assert "out of range" in err
 
 
+def _fuzz_inputs(st):
+    """Hypothesis strategies for small CLI inputs: graph files in both
+    styles (n <= 4, entries 0..3, an edges block perhaps ending in a bad
+    line), positive matrix files, which the search admits, inline move
+    tokens and move scripts with wrong edge ids, class gaps, class index 0
+    and negative delays."""
+    names = st.sampled_from([*MOVES, "bogus"])
+    vertex = st.sampled_from(["v0", "v1", "v2", "v3", "v4", "v0#2", "v1#3", "x", "0", "@v0"])
+    edge = st.integers(0, 12).map("e{}".format) | st.sampled_from(["e1#2", "x"])
+
+    def matrix(n, low=0):
+        entries = st.lists(st.integers(low, 3), min_size=n, max_size=n)
+        rows = st.lists(entries, min_size=n, max_size=n)
+        return rows.map(
+            lambda rows: f"matrix {n}\n" + "".join(" ".join(map(str, r)) + "\n" for r in rows)
+        )
+
+    def edges(n):
+        good = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.integers(0, 3))
+        bad = st.sampled_from([f"0 {n} 1", "-1 0 1", "0 0", "0 0 1 1", "a 0 1", "0 0 -1", "0 0 x"])
+        lines = st.tuples(st.lists(good.map("{0[0]} {0[1]} {0[2]}".format), max_size=6),
+                          st.lists(bad, max_size=1))
+        return lines.map(lambda ls: f"edges {n}\n" + "".join(line + "\n" for line in ls[0] + ls[1]))
+
+    graph = st.integers(1, 4).flatmap(lambda n: matrix(n) | edges(n))
+    positive = st.integers(1, 4).flatmap(lambda n: matrix(n, low=1))
+    tokens = st.lists(vertex | st.lists(vertex, min_size=1, max_size=3).map(",".join), max_size=3)
+    class_line = st.builds(
+        "class {} {}: {}".format, vertex, st.integers(-1, 3),
+        st.lists(edge, min_size=1, max_size=3).map(",".join),
+    )
+    target = edge | vertex.map("@{}".format)
+    delay_line = st.builds("delay {} {}".format, target, st.integers(-2, 3))
+    step = (
+        st.builds(lambda name, lines: "\n".join([f"move {name}", *lines]),
+                  st.sampled_from(["in-split", "out-split"]), st.lists(class_line, max_size=4))
+        | st.builds(lambda name, lines: "\n".join([f"move {name}", *lines]),
+                    st.sampled_from(["in-delay", "out-delay"]), st.lists(delay_line, max_size=3))
+        | st.builds(lambda name, toks: " ".join(["move", name, *toks]), names, tokens)
+    )
+    script = st.lists(step, min_size=1, max_size=3).map(lambda steps: "\n".join(steps) + "\n")
+    return graph, positive, names, tokens, script
+
+
+def test_fuzzed_cli_inputs_exit_0_or_2(tmp_path, capsys):
+    # Every input ends in exit 0 or 2 and raises nothing, a parse or move
+    # error included.  Sizes stay small: an edges count or a delay in the
+    # millions still ends in a MemoryError (ROADMAP item 4).
+    hyp = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    graph, positive, names, tokens, script = _fuzz_inputs(st)
+
+    @hyp.settings(max_examples=150, deadline=None)
+    @hyp.given(
+        graph, graph, positive, positive, names, tokens, script,
+        st.integers(0, 3), st.integers(1, 5),
+    )
+    def check(left, right, start, goal, name, toks, lines, depth, max_vertices):
+        a = _write(tmp_path, "a.graph", left)
+        b = _write(tmp_path, "b.graph", right)
+        c = _write(tmp_path, "c.graph", start)
+        d = _write(tmp_path, "d.graph", goal)
+        s = _write(tmp_path, "s.script", lines)
+        search = ["--depth", str(depth), "--max-vertices", str(max_vertices)]
+        for argv in (
+            ["classify", a, b],
+            ["classify", "--transpose", a, "--json"],
+            ["move", name, *toks, a],
+            ["move", "--script", s, a, "--json"],
+            ["search", a, b, *search],
+            ["search", c, d, *search, "--json"],
+        ):
+            assert main(argv) in (0, 2), argv
+            capsys.readouterr()
+
+    check()
+
+
 def test_console_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "flowinv", "selftest", "--json"],
@@ -655,7 +733,7 @@ def test_every_move_keyword_round_trips():
     # by parse_move_script and applied by apply_script_step, gives what
     # apply_move gives.
     from flowinv.cli import apply_script_step
-    from flowinv.moves import MOVES, expand, in_split, out_split
+    from flowinv.moves import expand, in_split, out_split
 
     g = MultiGraph(["v", "w"], [(0, 0, "a"), (0, 1, "b"), (1, 0, "c")])
     fed = MultiGraph(["s", "v"], [(0, 1, "x"), (1, 1, "a")])

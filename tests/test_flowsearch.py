@@ -20,8 +20,8 @@ from flowinv.flowsearch import (
     NotFoundWithinBounds,
     SearchStats,
     _max_entry,
-    _neighbors,
     _realize,
+    _Search,
     _split_rows,
     _vector_partitions,
     find_sequence,
@@ -57,15 +57,8 @@ def _rand_pis_graph(rng: random.Random, max_n: int = 3) -> MultiGraph:
 def _scramble(rng: random.Random, g: MultiGraph, moves: int) -> MultiGraph:
     cur = g
     for _ in range(moves):
-        nbrs = list(
-            _neighbors(
-                cur.incidence().entries,
-                max_vertices=6,
-                entry_cap=9,
-                partition_cap=64,
-                stats=SearchStats(),
-            )
-        )
+        search = _Search(max_vertices=6, entry_cap=9, partition_cap=64)
+        nbrs = list(search.neighbors(cur.incidence().entries))
         kind, _, recipe = rng.choice(nbrs)
         _, cur = _realize(cur, kind, recipe)
     return cur
@@ -270,13 +263,9 @@ def _replay_by_enumeration(seq, *, max_vertices, entry_cap, partition_cap):
             found = next(
                 (
                     MoveStep(kind=kind, args=args, graph=h)
-                    for kind, _, recipe in _neighbors(
-                        cur.incidence().entries,
-                        max_vertices=max_vertices,
-                        entry_cap=entry_cap,
-                        partition_cap=cap,
-                        stats=SearchStats(),
-                    )
+                    for kind, _, recipe in _Search(
+                        max_vertices=max_vertices, entry_cap=entry_cap, partition_cap=cap
+                    ).neighbors(cur.incidence().entries)
                     for args, h in [_realize(cur, kind, recipe)]
                     if canonical_key(h) == want
                 ),
@@ -318,15 +307,8 @@ def _golden_scrambles():
         base = _rand_pis_graph(rng)
         goal = base
         for _ in range(3):
-            nbrs = list(
-                _neighbors(
-                    goal.incidence().entries,
-                    max_vertices=6,
-                    entry_cap=9,
-                    partition_cap=64,
-                    stats=SearchStats(),
-                )
-            )
+            search = _Search(max_vertices=6, entry_cap=9, partition_cap=64)
+            nbrs = list(search.neighbors(goal.incidence().entries))
             kind, _, recipe = rng.choice(nbrs)
             _, goal = _realize(goal, kind, recipe)
         assert base.incidence().to_lists() == case["start"]
@@ -336,12 +318,14 @@ def _golden_scrambles():
 
 def test_found_scripts_match_golden_file():
     # The goals pin the neighbor order, the script digests pin every found
-    # step.  Each step must also be what enumerating all neighbors again
+    # step, and the counters pin the search's work: replaying the path adds
+    # none.  Each step must also be what enumerating all neighbors again
     # would pick.
     for case, base, goal in _golden_scrambles():
         seq = find_sequence(base, goal, max_depth=6)
         assert len(seq) == case["moves"]
         assert _digest(_script(seq)) == case["script_sha256"]
+        assert seq.stats.to_dict() == _golden_stats(case)
         entry_cap = max(9, _max_entry(base), _max_entry(goal))
         replayed = _replay_by_enumeration(
             seq, max_vertices=8, entry_cap=entry_cap, partition_cap=DEFAULT_PARTITION_CAP
@@ -399,6 +383,7 @@ def test_cli_search_scripts_match_golden_file(tmp_path, capsys):
         got = json.loads(capsys.readouterr().out)
         assert got["found"] and got["moves"] == case["moves"]
         assert _digest(got["script"]) == case["script_sha256"], k
+        assert got["stats"] == _golden_stats(case), k
         # The script replays, through the move command, to the goal.
         script = tmp_path / f"found{k}.script"
         script.write_text("\n".join(got["script"]) + "\n", encoding="utf-8")
@@ -444,7 +429,7 @@ def test_memoized_partitions_match_the_generator():
             for max_classes in range(2, 7):
                 for cap in (1, 2, 3, 512, None):
                     fresh, memoized = SearchStats(), SearchStats()
-                    want = list(_split_rows(m, k, max_classes, cap, fresh))
+                    want = list(_split_rows_reference(m, k, max_classes, cap, fresh))
                     for _ in range(2):
                         got = list(_split_rows(m, k, max_classes, cap, memoized, memo))
                         assert got == want, (counts, max_classes, cap)
@@ -483,8 +468,8 @@ def _split_rows_reference(m, v, max_classes, partition_cap, stats, partitions=No
 
 
 def _check_split_rows(m, v, max_classes, cap, memo):
-    """_split_rows, with the memo ``memo`` or none, yields the reference's
-    (parts, rows) sequence and counts the same partition cut."""
+    """_split_rows, with the memo ``memo``, empty or filled, yields the
+    reference's (parts, rows) sequence and counts the same partition cut."""
     want_stats, got_stats = SearchStats(), SearchStats()
     want = list(_split_rows_reference(m, v, max_classes, cap, want_stats))
     got = list(_split_rows(m, v, max_classes, cap, got_stats, memo))
@@ -500,7 +485,7 @@ def test_split_rows_match_the_reference():
     m = ((2, 1, 0), (1, 0, 0), (2, 0, 1))
     for cap in (None, 1, 3):
         memo = {}
-        for partitions in (None, memo, memo):
+        for partitions in ({}, memo, memo):
             count = _check_split_rows(m, 0, 4, cap, partitions)
             assert count == cap if cap else count > 3
             assert _check_split_rows(m, 1, 4, cap, partitions) == 0
@@ -521,10 +506,11 @@ def test_split_rows_match_the_reference():
         v = data.draw(st.integers(0, len(m) - 1))
         max_classes = data.draw(st.integers(2, 5))
         cap = data.draw(st.sampled_from((None, 1, 3)))
-        memo = {} if data.draw(st.booleans()) else None
-        # A second call reads the memo the first one filled.
+        shared = data.draw(st.booleans())
+        memo = {}
+        # With a shared memo, a second call reads what the first one filled.
         for _ in range(2):
-            _check_split_rows(m, v, max_classes, cap, memo)
+            _check_split_rows(m, v, max_classes, cap, memo if shared else {})
 
     check()
 
@@ -536,7 +522,7 @@ def test_split_rows_match_the_reference():
 def _check_neighbor_rows(g, stats, **bounds):
     """Every neighbor's rows are exactly the incidence of the graph its
     recipe builds, and their key is that graph's canonical key."""
-    for kind, rows, recipe in _neighbors(g.incidence().entries, stats=stats, **bounds):
+    for kind, rows, recipe in _Search(stats=stats, **bounds).neighbors(g.incidence().entries):
         _, h = _realize(g, kind, recipe)
         assert h.incidence().entries == rows, (kind, recipe)
         if h.n <= DEFAULT_MAX_VERTICES:  # keys of larger graphs can be factorial
@@ -620,13 +606,8 @@ def test_neighbors_of_essential_graphs_are_essential():
     )
     def check(rows, extra, cap, entry_cap):
         m = tuple(map(tuple, rows))
-        for kind, got, _ in _neighbors(
-            m,
-            max_vertices=len(m) + extra,
-            entry_cap=entry_cap,
-            partition_cap=cap,
-            stats=SearchStats(),
-        ):
+        search = _Search(max_vertices=len(m) + extra, entry_cap=entry_cap, partition_cap=cap)
+        for kind, got, _ in search.neighbors(m):
             assert essential(got), (kind, m, got)
 
     check()
@@ -671,15 +652,17 @@ def test_replay_takes_a_link_past_the_partition_cap():
     # The rose with three petals in-splits into the all-ones 3x3 matrix only
     # by its second vector partition, (1), (1), (1); with partition_cap=1 the
     # capped pass yields only (2), (1), so the uncapped pass must find it.
+    # The capped pass cuts the in- and out-splittings again, but its count
+    # is the probe's own: replaying adds nothing to the search's stats.
     rose = _rose(3)
     goal = MultiGraph.from_matrix([[1] * 3] * 3)
     key = canonical_key(goal)
-    bounds = dict(max_vertices=3, entry_cap=9)
-    capped = _neighbors(
-        rose.incidence().entries, partition_cap=1, stats=SearchStats(), **bounds
-    )
+    search = _Search(max_vertices=3, entry_cap=9, partition_cap=1)
+    capped = search.neighbors(rose.incidence().entries)
     assert key not in {canonical_rows_key(rows) for _, rows, _ in capped}
-    steps = flowsearch._replay(rose, [key], franks_triple(rose), partition_cap=1, **bounds)
+    assert search.stats == SearchStats(partition_capped=2)
+    steps = search.replay(rose, [key], franks_triple(rose))
+    assert search.stats == SearchStats(partition_capped=2)
     assert [s.kind for s in steps] == ["in-split"]
     assert steps[0].graph == goal
     assert steps[0].args["partition"].classes == {0: (("e0",), ("e1",), ("e2",))}
@@ -691,21 +674,21 @@ def test_replay_enumerates_only_links_made_backward(monkeypatch):
     # only a backward one is found again by enumeration, capped and then
     # perhaps uncapped.
     calls, seen = [], []
-    neighbors, replay = flowsearch._neighbors, flowsearch._replay
+    neighbors, replay = _Search.neighbors, _Search.replay
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return neighbors(*args, **kwargs)
+    def counted(search, m):
+        calls.append(m)
+        return neighbors(search, m)
 
-    def watched(start, keys, want, **kwargs):
+    def watched(search, start, keys, want):
         before = len(calls)
-        steps = replay(start, keys, want, **kwargs)
-        backward = sum(key not in kwargs["links"] for key in keys)
+        steps = replay(search, start, keys, want)
+        backward = sum(key not in search.links for key in keys)
         seen.append((len(calls) - before, backward, len(keys)))
         return steps
 
-    monkeypatch.setattr(flowsearch, "_neighbors", counted)
-    monkeypatch.setattr(flowsearch, "_replay", watched)
+    monkeypatch.setattr(_Search, "neighbors", counted)
+    monkeypatch.setattr(_Search, "replay", watched)
     rose = _rose(2)
     assert len(find_sequence(rose, expand(rose, 0), max_depth=2)) == 1
     assert seen == [(0, 0, 1)]
@@ -727,9 +710,7 @@ def _forward_path(start, moves, rng, **bounds):
     for _ in range(moves):
         fresh = [
             (kind, rows, recipe)
-            for kind, rows, recipe in _neighbors(
-                cur.incidence().entries, stats=SearchStats(), **bounds
-            )
+            for kind, rows, recipe in _Search(**bounds).neighbors(cur.incidence().entries)
             if canonical_rows_key(rows) not in keys + [canonical_key(start)]
         ]
         kind, rows, recipe = rng.choice(fresh)
@@ -749,9 +730,9 @@ def test_replay_builds_recorded_links_and_rejects_a_tampered_one(monkeypatch):
     for _ in range(10):
         keys, links, rows_of, graphs = _forward_path(start, 3, rng, **bounds)
         neighbors, keyed = [], dict(zip(rows_of, keys))
-        monkeypatch.setattr(flowsearch, "_neighbors", lambda *a, **k: neighbors.append(a))
+        monkeypatch.setattr(_Search, "neighbors", lambda *a: neighbors.append(a))
         monkeypatch.setattr(flowsearch, "canonical_rows_key", lambda rows: neighbors.append(rows))
-        steps = flowsearch._replay(start, keys, want, links=links, keyed=keyed, **bounds)
+        steps = _Search(links=links, keyed=keyed, **bounds).replay(start, keys, want)
         monkeypatch.undo()
         # Every recorded link is built as it is and keyed by the memo.
         assert not neighbors
@@ -764,14 +745,12 @@ def test_replay_builds_recorded_links_and_rejects_a_tampered_one(monkeypatch):
         # wrong step.
         other = next(
             (kind, recipe)
-            for kind, rows, recipe in _neighbors(
-                graphs[0].incidence().entries, stats=SearchStats(), **bounds
-            )
+            for kind, rows, recipe in _Search(**bounds).neighbors(graphs[0].incidence().entries)
             if canonical_rows_key(rows) != keys[1]
         )
         tampered = {**links, keys[1]: other}
         with pytest.raises(RuntimeError, match="internal error"):
-            flowsearch._replay(start, keys, want, links=tampered, keyed=keyed, **bounds)
+            _Search(links=tampered, keyed=keyed, **bounds).replay(start, keys, want)
 
 
 def _accepted_single_blocks(g, amalgamate):
@@ -793,13 +772,8 @@ def _accepted_single_blocks(g, amalgamate):
 
 def _check_amalgamation_groupings(g):
     yielded = {"in-amalgamate": [], "out-amalgamate": []}
-    for kind, _, recipe in _neighbors(
-        g.incidence().entries,
-        max_vertices=g.n,
-        entry_cap=10**9,
-        partition_cap=1,
-        stats=SearchStats(),
-    ):
+    search = _Search(max_vertices=g.n, entry_cap=10**9, partition_cap=1)
+    for kind, _, recipe in search.neighbors(g.incidence().entries):
         if kind in yielded:
             yielded[kind].append(recipe)
     for kind, amalgamate in (("in-amalgamate", in_amalgamate), ("out-amalgamate", out_amalgamate)):

@@ -903,13 +903,8 @@ def test_moves_and_search_leave_split_extras_unbuilt(monkeypatch):
     for mode in ("in", "out"):
         apply_move(g, f"{mode}-split", {"partition": Partition.singletons(g, mode)})
     assert [r.mode for r in results] == ["in", "out"]
-    neighbors = flowsearch._neighbors(
-        g.incidence().entries,
-        max_vertices=4,
-        entry_cap=9,
-        partition_cap=8,
-        stats=flowsearch.SearchStats(),
-    )
+    search = flowsearch._Search(max_vertices=4, entry_cap=9, partition_cap=8)
+    neighbors = search.neighbors(g.incidence().entries)
     for kind, _, recipe in neighbors:
         if kind.endswith("-split"):
             flowsearch._realize(g, kind, recipe)
