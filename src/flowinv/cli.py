@@ -15,9 +15,16 @@ Graph files use the text format of :mod:`flowinv.graph` (``matrix n`` or
 ``class <vertex> <i>: <edge>,<edge>,...`` lines, and a delay by
 ``delay <edge> <k>`` lines (``delay @<vertex> <k>`` pins a vertex without
 incident edges on the delayed side).  Script comments start at a ``#`` that
-begins the line or follows whitespace; a mid-token ``#`` belongs to the
+begins the line or follows any whitespace (``str.isspace``, so tabs,
+no-break and ideographic spaces too); a mid-token ``#`` belongs to the
 token, because split vertices are named like ``v0#2``.  The table in
-:mod:`flowinv.moves` gives each keyword's arguments and so its arity.
+:mod:`flowinv.moves` gives each keyword's arguments and so its arity.  Both
+kinds of file are read as UTF-8; a byte that is not UTF-8 is a parse error
+at its line and column.
+
+Each subcommand handler returns its result, and :func:`main` alone writes
+it: the JSON payload under ``"schema"`` and ``"command"`` with ``--json``,
+else the text lines.  ``main`` alone also maps errors to exit status 2.
 
 Exit status: 2 for parse or validation problems, 1 for a failing selftest,
 0 otherwise — verdicts and exhausted searches are data, not failures.
@@ -54,22 +61,28 @@ from flowinv.selftest import run_selftest
 SCHEMA = 1
 
 
-def _load_graph(path: str) -> MultiGraph:
-    with open(path, encoding="utf-8") as handle:
-        text = handle.read()
+def _read(path: str) -> str:
+    """The text of a graph or script file.  A byte that is not UTF-8 is a
+    ParseError at its line and column, which line splitting counts as the
+    parsers do."""
+    with open(path, "rb") as handle:
+        data = handle.read()
     try:
-        return parse_graph(text)
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lines = (data[: exc.start].decode("utf-8") + "\0").splitlines()
+        message = f"byte {data[exc.start]:#04x} is not UTF-8 ({exc.reason})"
+        error = ParseError(len(lines), len(lines[-1]), message)
+        error.path = path
+        raise error from None
+
+
+def _load_graph(path: str) -> MultiGraph:
+    try:
+        return parse_graph(_read(path))
     except ParseError as exc:
         exc.path = path
         raise
-
-
-def _emit_json(payload: dict) -> None:
-    print(json.dumps({"schema": SCHEMA, **payload}, indent=2))
-
-
-def _bool(value: bool) -> str:
-    return "true" if value else "false"
 
 
 # ---------------------------------------------------------------------------
@@ -94,7 +107,7 @@ def _strip_comment(raw: str) -> str:
     names like ``v0#2`` and ``e1#3``.
     """
     for idx, ch in enumerate(raw):
-        if ch == "#" and (idx == 0 or raw[idx - 1] in " \t"):
+        if ch == "#" and (idx == 0 or raw[idx - 1].isspace()):
             return raw[:idx]
     return raw
 
@@ -254,80 +267,56 @@ def format_move_step(prev: MultiGraph, step: MoveStep) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# Subcommand handlers.
+# Subcommand handlers.  Each returns its JSON payload (without "schema" and
+# "command"), a callable that formats its text lines, and an exit status when
+# that is not 0.
 
 
-def _cmd_check(ns) -> int:
+def _cmd_check(ns):
     g = _load_graph(ns.graph)
-    report = classify_graph(g)
-    if ns.json:
-        _emit_json(
-            {
-                "command": "check",
-                "vertices": g.n,
-                "edges": g.edge_count,
-                "report": report.to_dict(),
-            }
-        )
-        return 0
-    lines = [f"vertices: {g.n}", f"edges: {g.edge_count}"]
-    lines += [f"{key}: {_bool(value)}" for key, value in report.to_dict().items()]
-    print("\n".join(lines))
-    return 0
+    report = classify_graph(g).to_dict()
+    return {"vertices": g.n, "edges": g.edge_count, "report": report}, lambda: [
+        f"vertices: {g.n}",
+        f"edges: {g.edge_count}",
+        *(f"{key}: {json.dumps(value)}" for key, value in report.items()),
+    ]
 
 
-def _cmd_invariants(ns) -> int:
-    g = _load_graph(ns.graph)
-    triple = franks_triple(g)
-    if ns.json:
-        _emit_json({"command": "invariants", "invariants": triple.to_dict()})
-        return 0
-    lines = [
+def _cmd_invariants(ns):
+    triple = franks_triple(_load_graph(ns.graph))
+    return {"invariants": triple.to_dict()}, lambda: [
         f"group: {triple.group}",
         f"unit: {list(triple.unit_class)}",
         f"det: {triple.determinant}",
-        f"pis: {_bool(triple.pis)}",
+        f"pis: {json.dumps(triple.pis)}",
     ]
-    print("\n".join(lines))
-    return 0
 
 
-def _cmd_move(ns) -> int:
+def _cmd_move(ns):
+    if ns.script and len(ns.tokens) != 1:
+        raise MoveError("with --script, give exactly one graph file")
+    if not ns.script and len(ns.tokens) < 2:
+        raise MoveError("usage: move <name> [args...] <graph>, or move --script FILE <graph>")
+    g = _load_graph(ns.tokens[-1])
     if ns.script:
-        if len(ns.tokens) != 1:
-            raise MoveError("with --script, give exactly one graph file")
-        g = _load_graph(ns.tokens[0])
-        with open(ns.script, encoding="utf-8") as handle:
-            steps = parse_move_script(handle.read())
-        if not steps:
-            raise MoveError(f"script {ns.script} contains no moves")
-        for step in steps:
-            g = apply_script_step(g, step)
-        applied = len(steps)
+        steps = parse_move_script(_read(ns.script))
     else:
-        if len(ns.tokens) < 2:
-            raise MoveError("usage: move <name> [args...] <graph>, or move --script FILE <graph>")
-        g = _load_graph(ns.tokens[-1])
-        step = ScriptStep(1, ns.tokens[0], ns.tokens[1:-1])
+        steps = [ScriptStep(1, ns.tokens[0], ns.tokens[1:-1])]
+    if not steps:
+        raise MoveError(f"script {ns.script} contains no moves")
+    for step in steps:
         g = apply_script_step(g, step)
-        applied = 1
     text = format_graph(g)
-    if ns.json:
-        _emit_json(
-            {
-                "command": "move",
-                "applied": applied,
-                "graph": text,
-                "labels": list(g.labels),
-                "matrix": g.incidence().to_lists(),
-            }
-        )
-        return 0
-    sys.stdout.write(text)
-    return 0
+    payload = {
+        "applied": len(steps),
+        "graph": text,
+        "labels": list(g.labels),
+        "matrix": g.incidence().to_lists(),
+    }
+    return payload, text.splitlines
 
 
-def _cmd_classify(ns) -> int:
+def _cmd_classify(ns):
     if ns.transpose and ns.right is not None:
         raise GraphError("classify --transpose takes one graph file, not two")
     left = _load_graph(ns.left)
@@ -337,18 +326,16 @@ def _cmd_classify(ns) -> int:
         if ns.right is None:
             raise GraphError("classify needs two graph files (or one with --transpose)")
         verdict = decide(left, _load_graph(ns.right))
-    if ns.json:
-        _emit_json({"command": "classify", "verdict": verdict.to_dict()})
-        return 0
-    print(f"morita: {verdict.morita.value}")
-    print(f"isomorphic: {verdict.isomorphic.value}")
-    print(f"levels: {', '.join(verdict.levels)}")
-    print(f"tag: {verdict.reason_tag}")
-    print(f"reason: {verdict.reason}")
-    return 0
+    return {"verdict": verdict.to_dict()}, lambda: [
+        f"morita: {verdict.morita.value}",
+        f"isomorphic: {verdict.isomorphic.value}",
+        f"levels: {', '.join(verdict.levels)}",
+        f"tag: {verdict.reason_tag}",
+        f"reason: {verdict.reason}",
+    ]
 
 
-def _cmd_search(ns) -> int:
+def _cmd_search(ns):
     src = _load_graph(ns.start)
     dst = _load_graph(ns.goal)
     try:
@@ -356,63 +343,48 @@ def _cmd_search(ns) -> int:
             src, dst, max_depth=ns.depth, max_vertices=ns.max_vertices
         )
     except NotFoundWithinBounds as exc:
-        if ns.json:
-            _emit_json(
-                {
-                    "command": "search",
-                    "found": False,
-                    "reason": exc.reason,
-                    "message": str(exc),
-                    "stats": exc.stats.to_dict(),
-                }
-            )
-        else:
-            print(f"not found: {exc}")
-            print(f"reason: {exc.reason}")
-        return 0
+        payload = {
+            "found": False,
+            "reason": exc.reason,
+            "message": str(exc),
+            "stats": exc.stats.to_dict(),
+        }
+        return payload, lambda: [
+            f"not found: {payload['message']}",
+            f"reason: {payload['reason']}",
+        ]
     lines = []
     prev = sequence.start
     for step in sequence.steps:
         lines.extend(format_move_step(prev, step))
         prev = step.graph
-    if ns.json:
-        _emit_json(
-            {
-                "command": "search",
-                "found": True,
-                "moves": len(sequence),
-                "script": lines,
-                "stats": sequence.stats.to_dict(),
-            }
-        )
-        return 0
-    print(f"# {len(sequence)} move(s)")
-    for line in lines:
-        print(line)
-    return 0
+    payload = {
+        "found": True,
+        "moves": len(sequence),
+        "script": lines,
+        "stats": sequence.stats.to_dict(),
+    }
+    return payload, lambda: [f"# {len(sequence)} move(s)", *lines]
 
 
-def _cmd_selftest(ns) -> int:
+def _cmd_selftest(ns):
     rows = run_selftest(seed=ns.seed)
-    failed = [row for row in rows if not row[1]]
-    if ns.json:
-        _emit_json(
-            {
-                "command": "selftest",
-                "seed": ns.seed,
-                "checks": [
-                    {"name": name, "passed": passed, "detail": detail}
-                    for name, passed, detail in rows
-                ],
-                "passed": len(rows) - len(failed),
-                "failed": len(failed),
-            }
-        )
-        return 1 if failed else 0
-    for name, passed, detail in rows:
-        print(f"PASS {name}" if passed else f"FAIL {name}: {detail}")
-    print(f"{len(rows)} checks: {len(rows) - len(failed)} passed, {len(failed)} failed")
-    return 1 if failed else 0
+    failed = sum(not passed for _, passed, _ in rows)
+    payload = {
+        "seed": ns.seed,
+        "checks": [
+            {"name": name, "passed": passed, "detail": detail}
+            for name, passed, detail in rows
+        ],
+        "passed": len(rows) - failed,
+        "failed": failed,
+    }
+
+    def text():
+        lines = [f"PASS {name}" if ok else f"FAIL {name}: {detail}" for name, ok, detail in rows]
+        return [*lines, f"{len(rows)} checks: {len(rows) - failed} passed, {failed} failed"]
+
+    return payload, text, 1 if failed else 0
 
 
 # ---------------------------------------------------------------------------
@@ -435,12 +407,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="structural predicates of a graph")
     p.add_argument("graph", help="graph file")
-    p.add_argument("--json", action="store_true", help="emit JSON")
     p.set_defaults(handler=_cmd_check)
 
     p = sub.add_parser("invariants", help="Bowen-Franks group, unit class, det")
     p.add_argument("graph", help="graph file")
-    p.add_argument("--json", action="store_true", help="emit JSON")
     p.set_defaults(handler=_cmd_invariants)
 
     p = sub.add_parser(
@@ -454,7 +424,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("tokens", nargs="+", metavar="ARG", help="move name, arguments, graph file")
     p.add_argument("--script", metavar="FILE", help="move script to replay")
-    p.add_argument("--json", action="store_true", help="emit JSON")
     p.set_defaults(handler=_cmd_move)
 
     p = sub.add_parser("classify", help="Morita/isomorphism verdict for two graphs")
@@ -465,7 +434,6 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="compare the first graph against its own transpose",
     )
-    p.add_argument("--json", action="store_true", help="emit JSON")
     p.set_defaults(handler=_cmd_classify)
 
     p = sub.add_parser("search", help="bounded move-sequence search between two graphs")
@@ -478,29 +446,31 @@ def _build_parser() -> argparse.ArgumentParser:
         default=DEFAULT_MAX_VERTICES,
         help="largest intermediate graph explored",
     )
-    p.add_argument("--json", action="store_true", help="emit JSON")
     p.set_defaults(handler=_cmd_search)
 
     p = sub.add_parser("selftest", help="replay the built-in worked examples")
     p.add_argument("--seed", type=int, default=0, help="seed for the random sweeps")
-    p.add_argument("--json", action="store_true", help="emit JSON")
     p.set_defaults(handler=_cmd_selftest)
 
+    # Last in each subcommand's help, after its own arguments.
+    for p in sub.choices.values():
+        p.add_argument("--json", action="store_true", help="emit JSON")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    ns = parser.parse_args(argv)
+    ns = _build_parser().parse_args(argv)
     try:
-        return ns.handler(ns)
-    except (ParseError, GraphError, MoveError) as exc:
+        payload, text, *status = ns.handler(ns)
+        if ns.json:
+            print(json.dumps({"schema": SCHEMA, "command": ns.command, **payload}, indent=2))
+        else:
+            print("\n".join(text()))
+        return status[0] if status else 0
+    except (ParseError, GraphError, MoveError, OSError) as exc:
         path = getattr(exc, "path", None)
         where = f"{path}: " if path else ""
         print(f"error: {where}{exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:
         # Python refuses to write an integer past its int-string limit with

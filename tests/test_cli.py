@@ -35,7 +35,7 @@ SPLIT_BASE = "matrix 2\n1 1\n1 0\n"
 
 def _write(tmp_path, name: str, text: str) -> str:
     path = tmp_path / name
-    path.write_text(text)
+    path.write_text(text, encoding="utf-8")
     return str(path)
 
 
@@ -543,12 +543,59 @@ def test_parse_error_reports_file_and_position(tmp_path, capsys):
     assert "out of range" in err
 
 
+def test_cli_output_matches_golden_file(tmp_path, monkeypatch, capsys):
+    # Exit code, stdout and stderr of every subcommand in both output modes,
+    # run where the golden file's inputs sit under their relative names.
+    path = Path(__file__).parent / "data" / "cli_golden.json"
+    golden = json.loads(path.read_text(encoding="utf-8"))
+    monkeypatch.chdir(tmp_path)
+    for name, text in golden["files"].items():
+        _write(tmp_path, name, text)
+    assert {case["argv"][0] for case in golden["cases"]} == {
+        "check", "invariants", "move", "classify", "search", "selftest"
+    }
+    for case in golden["cases"]:
+        got = _run(capsys, case["argv"])
+        assert got == (case["code"], case["stdout"], case["stderr"]), case["argv"]
+
+
+@pytest.mark.parametrize(
+    "argv, bad, where",
+    [
+        (["invariants", "B"], "B", "line 2, column 2"),
+        (["classify", "G", "B", "--json"], "B", "line 2, column 2"),
+        (["move", "--script", "S", "G"], "S", "line 2, column 18"),
+    ],
+    ids=["graph", "classify", "script"],
+)
+def test_file_that_is_not_utf8_exits_2(tmp_path, capsys, argv, bad, where):
+    # The column counts characters: the script's "\u00e9" takes two bytes.
+    bad_graph = tmp_path / "bad.graph"
+    bad_graph.write_bytes(b"matrix 1\n1\xff\n")
+    bad_script = tmp_path / "bad.script"
+    bad_script.write_bytes("move expand v0\nmove minus v0 # \u00e9".encode() + b"\xff\n")
+    paths = {"G": _write(tmp_path, "ok.graph", TWO), "B": str(bad_graph), "S": str(bad_script)}
+    message = f"error: {paths[bad]}: {where}: byte 0xff is not UTF-8 (invalid start byte)\n"
+    assert _run(capsys, [paths.get(a, a) for a in argv]) == (2, "", message)
+
+
+@pytest.mark.parametrize("space", ["\t", "\u00a0", "\u3000"], ids=["tab", "no-break", "ideographic"])
+def test_script_comment_after_any_whitespace(tmp_path, capsys, space):
+    graph = _write(tmp_path, "two.graph", TWO)
+    script = _write(tmp_path, "s.script", f"move expand v0{space}# widen\n")
+    inline = _run(capsys, ["move", "expand", "v0", graph])
+    assert inline[0] == 0
+    assert _run(capsys, ["move", "--script", script, graph]) == inline
+
+
 def _fuzz_inputs(st):
     """Hypothesis strategies for small CLI inputs: graph files in both
     styles (n <= 4, entries 0..3, an edges block perhaps ending in a bad
-    line), positive matrix files, which the search admits, inline move
-    tokens and move scripts with wrong edge ids, class gaps, class index 0
-    and negative delays."""
+    line), as bytes that sometimes hold one that is not UTF-8; positive
+    matrix files, which the search admits; inline move tokens; and move
+    scripts with wrong edge ids, class gaps, class index 0 and negative
+    delays, each paired with the same script whose lines carry comments
+    after some kind of whitespace."""
     names = st.sampled_from([*MOVES, "bogus"])
     vertex = st.sampled_from(["v0", "v1", "v2", "v3", "v4", "v0#2", "v1#3", "x", "0", "@v0"])
     edge = st.integers(0, 12).map("e{}".format) | st.sampled_from(["e1#2", "x"])
@@ -567,7 +614,17 @@ def _fuzz_inputs(st):
                           st.lists(bad, max_size=1))
         return lines.map(lambda ls: f"edges {n}\n" + "".join(line + "\n" for line in ls[0] + ls[1]))
 
-    graph = st.integers(1, 4).flatmap(lambda n: matrix(n) | edges(n))
+    def undecodable(text, at, byte):
+        data = text.encode()
+        return data if at < 0 else data[:at] + byte + data[at:]
+
+    # A negative position leaves the file UTF-8.
+    graph = st.builds(
+        undecodable,
+        st.integers(1, 4).flatmap(lambda n: matrix(n) | edges(n)),
+        st.integers(-120, 40),
+        st.sampled_from([b"\xff", b"\x80", b"\xe3\x80"]),
+    )
     positive = st.integers(1, 4).flatmap(lambda n: matrix(n, low=1))
     tokens = st.lists(vertex | st.lists(vertex, min_size=1, max_size=3).map(",".join), max_size=3)
     class_line = st.builds(
@@ -584,7 +641,15 @@ def _fuzz_inputs(st):
         | st.builds(lambda name, toks: " ".join(["move", name, *toks]), names, tokens)
     )
     script = st.lists(step, min_size=1, max_size=3).map(lambda steps: "\n".join(steps) + "\n")
-    return graph, positive, names, tokens, script
+    note = st.sampled_from(["", " # note", "\t# note", "\u00a0# note", "\u3000# note", "\u2003#"])
+
+    def commented(text):
+        lines = text.splitlines()
+        return st.lists(note, min_size=len(lines), max_size=len(lines)).map(
+            lambda notes: (text, "".join(f"{line}{n}\n" for line, n in zip(lines, notes)))
+        )
+
+    return graph, positive, names, tokens, script.flatmap(commented)
 
 
 def test_fuzzed_cli_inputs_exit_0_or_2(tmp_path, capsys):
@@ -600,14 +665,20 @@ def test_fuzzed_cli_inputs_exit_0_or_2(tmp_path, capsys):
         graph, graph, positive, positive, names, tokens, script,
         st.integers(0, 3), st.integers(1, 5),
     )
-    def check(left, right, start, goal, name, toks, lines, depth, max_vertices):
-        a = _write(tmp_path, "a.graph", left)
-        b = _write(tmp_path, "b.graph", right)
+    def check(left, right, start, goal, name, toks, scripts, depth, max_vertices):
+        (tmp_path / "a.graph").write_bytes(left)
+        (tmp_path / "b.graph").write_bytes(right)
+        a, b = str(tmp_path / "a.graph"), str(tmp_path / "b.graph")
         c = _write(tmp_path, "c.graph", start)
         d = _write(tmp_path, "d.graph", goal)
-        s = _write(tmp_path, "s.script", lines)
+        s = _write(tmp_path, "s.script", scripts[0])
+        noted = _write(tmp_path, "noted.script", scripts[1])
         search = ["--depth", str(depth), "--max-vertices", str(max_vertices)]
         for argv in (
+            ["check", a],
+            ["check", b, "--json"],
+            ["invariants", a],
+            ["invariants", b, "--json"],
             ["classify", a, b],
             ["classify", "--transpose", a, "--json"],
             ["move", name, *toks, a],
@@ -617,6 +688,10 @@ def test_fuzzed_cli_inputs_exit_0_or_2(tmp_path, capsys):
         ):
             assert main(argv) in (0, 2), argv
             capsys.readouterr()
+        # Comments after any whitespace change nothing.
+        assert _run(capsys, ["move", "--script", noted, a]) == _run(
+            capsys, ["move", "--script", s, a]
+        )
 
     check()
 

@@ -63,6 +63,8 @@ def test_construction_with_labels_and_edge_ids():
     assert g.labels == ("a", "b")
     assert g.edge_by_id("x").target == 1
     assert g.out_degree(0) == 1 and g.in_degree(0) == 1
+    with pytest.raises(GraphError, match="^no edge with id 'nope'$"):
+        g.edge_by_id("nope")
 
 
 def test_construction_errors():

@@ -303,6 +303,8 @@ def test_amalgamate_rejects_bad_blocks():
         in_amalgamate(g, [[0]])
     with pytest.raises(MoveError):
         in_amalgamate(g, [[0, 1], [1]])
+    with pytest.raises(MoveError, match="^blocks must be nonempty$"):
+        in_amalgamate(g, [["v0", "v1"], []])
 
 
 # ---------------------------------------------------------------------------
@@ -422,6 +424,10 @@ def test_delay_validation_errors():
     with pytest.raises(MoveError):
         # vertex value 0 but max outgoing edge delay 2 violates the max rule
         DrinenVector("source", edges={"a": 2}).validate(g)
+    with pytest.raises(MoveError, match="^delay names vertex 5, graph has 2$"):
+        out_delay(g, DrinenVector("source", {5: 1}))
+    with pytest.raises(MoveError, match="^negative delay at vertex v$"):
+        out_delay(g, DrinenVector("source", {0: -1}))
     with pytest.raises(ValueError):
         DrinenVector("diagonal")
 
@@ -642,6 +648,13 @@ def test_verify_rejects_map_off_the_lattice():
     assert cmap.as_matrix() @ b == IntMatrix.from_rows([[0, 3], [-1, 3]])
     assert smith_diagonal(cmap.as_matrix().hstack(b)) == (1, 1)
     assert not verify_vertex_class_map(g, g, cmap)
+
+
+def test_verify_rejects_well_defined_map_between_unequal_groups():
+    # x -> 2x carries the lattice 2Z of rose(3) into the lattice 4Z of
+    # rose(5), so the map is well defined, but Z/2 is not Z/4.
+    rose3, rose5 = MultiGraph.from_matrix([[3]]), MultiGraph.from_matrix([[5]])
+    assert not verify_vertex_class_map(rose3, rose5, VertexClassMap(((2,),)))
 
 
 def test_verify_rejects_bad_shape():
