@@ -579,7 +579,9 @@ def test_file_that_is_not_utf8_exits_2(tmp_path, capsys, argv, bad, where):
     assert _run(capsys, [paths.get(a, a) for a in argv]) == (2, "", message)
 
 
-@pytest.mark.parametrize("space", ["\t", "\u00a0", "\u3000"], ids=["tab", "no-break", "ideographic"])
+@pytest.mark.parametrize(
+    "space", ["\t", "\u00a0", "\u3000"], ids=["tab", "no-break", "ideographic"]
+)
 def test_script_comment_after_any_whitespace(tmp_path, capsys, space):
     graph = _write(tmp_path, "two.graph", TWO)
     script = _write(tmp_path, "s.script", f"move expand v0{space}# widen\n")
