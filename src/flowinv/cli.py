@@ -18,16 +18,18 @@ incident edges on the delayed side).  Script comments start at a ``#`` that
 begins the line or follows any whitespace (``str.isspace``, so tabs,
 no-break and ideographic spaces too); a mid-token ``#`` belongs to the
 token, because split vertices are named like ``v0#2``.  The table in
-:mod:`flowinv.moves` gives each keyword's arguments and so its arity.  Both
-kinds of file are read as UTF-8; a byte that is not UTF-8 is a parse error
-at its line and column.
+:mod:`flowinv.moves` gives each keyword's arguments, and so its arity and,
+by their names, its script form.  Both kinds of file are read as UTF-8; a
+byte that is not UTF-8 is a parse error at its line and column.
 
 Each subcommand handler returns its result, and :func:`main` alone writes
 it: the JSON payload under ``"schema"`` and ``"command"`` with ``--json``,
 else the text lines.  ``main`` alone also maps errors to exit status 2.
 
 Exit status: 2 for parse or validation problems, 1 for a failing selftest,
-0 otherwise — verdicts and exhausted searches are data, not failures.
+141 when stdout is closed before the result is written (128 + SIGPIPE, with
+nothing on stderr), 0 otherwise — verdicts and exhausted searches are data,
+not failures.  An error in a ``--script`` file names the file and the line.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 
 from flowinv.classify import decide, decide_transpose
@@ -125,9 +128,9 @@ def parse_move_script(text: str) -> list[ScriptStep]:
                 raise ParseError(lineno, 1, "move line needs a move name")
             steps.append(ScriptStep(lineno, tokens[1], tokens[2:]))
             continue
+        if tokens[0] in ("class", "delay") and not steps:
+            raise ParseError(lineno, 1, f"{tokens[0]} line before any move line")
         if tokens[0] == "class":
-            if not steps:
-                raise ParseError(lineno, 1, "class line before any move line")
             head, _, tail = line.partition(":")
             parts = head.split()
             if len(parts) != 3 or not tail.strip():
@@ -142,8 +145,6 @@ def parse_move_script(text: str) -> list[ScriptStep]:
             steps[-1].class_lines.append((lineno, parts[1], index, edge_ids))
             continue
         if tokens[0] == "delay":
-            if not steps:
-                raise ParseError(lineno, 1, "delay line before any move line")
             if len(tokens) != 3:
                 raise ParseError(lineno, 1, "expected 'delay <edge> <k>' or 'delay @<vertex> <k>'")
             try:
@@ -192,41 +193,36 @@ def _vector_from_lines(g: MultiGraph, kind: str, delay_lines) -> DrinenVector:
 
 
 def apply_script_step(g: MultiGraph, step: ScriptStep) -> MultiGraph:
-    """Resolve one script step against the current graph and apply it; the
-    move table names the values read from its lines or tokens."""
+    """Resolve one script step against the current graph and apply it.
+
+    The argument names in the move table choose where the values come from:
+    a ``partition`` from class lines, a ``vector`` from delay lines,
+    ``blocks`` from comma-joined tokens, and any other argument from one
+    plain token each."""
     name = step.name
-    if name in ("in-split", "out-split"):
-        if step.tokens:
-            raise ParseError(
-                step.lineno, 1, f"{name} takes class lines, not inline arguments"
-            )
-        if not step.class_lines:
-            raise ParseError(step.lineno, 1, f"{name} needs class lines")
-        if step.delay_lines:
-            raise ParseError(step.lineno, 1, "delay lines only follow a delay move")
-        mode, _ = name.split("-")
-        values = [_partition_from_lines(g, mode, step.class_lines)]
-    elif step.class_lines:
-        raise ParseError(
-            step.class_lines[0][0], 1, "class lines only follow in-split/out-split"
-        )
-    elif name in ("in-delay", "out-delay"):
-        if step.tokens:
-            raise ParseError(
-                step.lineno, 1, f"{name} takes delay lines, not inline arguments"
-            )
-        mode, _ = name.split("-")
-        values = [_vector_from_lines(g, move_side(mode).vector_kind, step.delay_lines)]
-    elif step.delay_lines:
+    spec = move_spec(name)
+    names = spec.required + spec.optional
+    if step.class_lines and "partition" not in names:
+        raise ParseError(step.class_lines[0][0], 1, "class lines only follow in-split/out-split")
+    lines = "class" if "partition" in names else "delay" if "vector" in names else None
+    if lines and step.tokens:
+        raise ParseError(step.lineno, 1, f"{name} takes {lines} lines, not inline arguments")
+    if lines == "class" and not step.class_lines:
+        raise ParseError(step.lineno, 1, f"{name} needs class lines")
+    if step.delay_lines and lines != "delay":
         raise ParseError(step.delay_lines[0][0], 1, "delay lines only follow a delay move")
-    elif name in ("in-amalgamate", "out-amalgamate"):
+    mode = name.split("-")[0]
+    if lines == "class":
+        values = [_partition_from_lines(g, mode, step.class_lines)]
+    elif lines == "delay":
+        values = [_vector_from_lines(g, move_side(mode).vector_kind, step.delay_lines)]
+    elif "blocks" in names:
         if not step.tokens:
             raise ParseError(step.lineno, 1, f"{name} needs at least one block")
         values = [[token.split(",") for token in step.tokens]]
     else:
         values = step.tokens
-    spec = move_spec(name)
-    low, names = len(spec.required), spec.required + spec.optional
+    low = len(spec.required)
     if not low <= len(values) <= len(names):
         raise ParseError(
             step.lineno,
@@ -238,23 +234,18 @@ def apply_script_step(g: MultiGraph, step: ScriptStep) -> MultiGraph:
 
 def format_move_step(prev: MultiGraph, step: MoveStep) -> list[str]:
     """Render one applied move as replayable script lines: the inverse of
-    :func:`apply_script_step`."""
+    :func:`apply_script_step`, whose form the move table chooses."""
     kind, args = step.kind, step.args
     spec = move_spec(kind)
-    values = [args[name] for name in spec.required]
-    values += [args[name] for name in spec.optional if args.get(name) is not None]
-    if kind in ("in-split", "out-split"):
-        (partition,) = values
+    if "partition" in spec.required:
+        partition = args["partition"]
         lines = [f"move {kind}"]
         for v in sorted(partition.classes):
             for i, cls in enumerate(partition.classes[v], start=1):
                 lines.append(f"class {prev.label(v)} {i}: {','.join(cls)}")
         return lines
-    if kind in ("in-amalgamate", "out-amalgamate"):
-        (blocks,) = values
-        return [f"move {kind} " + " ".join(",".join(block) for block in blocks)]
-    if kind in ("in-delay", "out-delay"):
-        (vector,) = values
+    if "vector" in spec.required:
+        vector = args["vector"]
         lines = [f"move {kind}"]
         for eid in sorted(vector.edges):
             if vector.edges[eid]:
@@ -263,7 +254,30 @@ def format_move_step(prev: MultiGraph, step: MoveStep) -> list[str]:
             if vector.vertices[v] and not vector.side.edges(prev, v):
                 lines.append(f"delay @{prev.label(v)} {vector.vertices[v]}")
         return lines
+    if "blocks" in spec.required:
+        return [f"move {kind} " + " ".join(",".join(block) for block in args["blocks"])]
+    values = [args[name] for name in spec.required]
+    values += [args[name] for name in spec.optional if args.get(name) is not None]
     return [" ".join(["move", kind, *map(str, values)])]
+
+
+def _apply_script(g: MultiGraph, path: str) -> tuple[MultiGraph, int]:
+    """Apply the move script at ``path``; returns the final graph and the
+    number of moves.  Every parse or move error names the file and its
+    line: a step's MoveError or GraphError sits at its ``move`` line."""
+    try:
+        steps = parse_move_script(_read(path))
+        for step in steps:
+            try:
+                g = apply_script_step(g, step)
+            except (MoveError, GraphError) as exc:
+                raise ParseError(step.lineno, 1, str(exc)) from None
+    except ParseError as exc:
+        exc.path = path
+        raise
+    if not steps:
+        raise MoveError(f"script {path} contains no moves")
+    return g, len(steps)
 
 
 # ---------------------------------------------------------------------------
@@ -299,16 +313,12 @@ def _cmd_move(ns):
         raise MoveError("usage: move <name> [args...] <graph>, or move --script FILE <graph>")
     g = _load_graph(ns.tokens[-1])
     if ns.script:
-        steps = parse_move_script(_read(ns.script))
+        g, applied = _apply_script(g, ns.script)
     else:
-        steps = [ScriptStep(1, ns.tokens[0], ns.tokens[1:-1])]
-    if not steps:
-        raise MoveError(f"script {ns.script} contains no moves")
-    for step in steps:
-        g = apply_script_step(g, step)
+        g, applied = apply_script_step(g, ScriptStep(1, ns.tokens[0], ns.tokens[1:-1])), 1
     text = format_graph(g)
     payload = {
-        "applied": len(steps),
+        "applied": applied,
         "graph": text,
         "labels": list(g.labels),
         "matrix": g.incidence().to_lists(),
@@ -466,7 +476,15 @@ def main(argv=None) -> int:
             print(json.dumps({"schema": SCHEMA, "command": ns.command, **payload}, indent=2))
         else:
             print("\n".join(text()))
+        sys.stdout.flush()
         return status[0] if status else 0
+    except BrokenPipeError:
+        # The reader closed stdout.  Send what is still buffered to the null
+        # device, so the flush at exit cannot fail again, and exit as a
+        # process killed by SIGPIPE would.
+        with open(os.devnull, "wb") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        return 141
     except (ParseError, GraphError, MoveError, OSError) as exc:
         path = getattr(exc, "path", None)
         where = f"{path}: " if path else ""

@@ -492,13 +492,6 @@ class PointedGroup:
         return self.point[len(self.group.torsion):]
 
 
-def _content(vec) -> int:
-    c = 0
-    for x in vec:
-        c = gcd(c, abs(x))
-    return c
-
-
 def _coprime_base(numbers) -> list[int]:
     """Pairwise coprime integers >= 2 over which every given positive integer
     is a product of powers.
@@ -589,8 +582,8 @@ def pointed_equivalent(p: PointedGroup, q: PointedGroup) -> Ternary:
     >>> pointed_equivalent(PointedGroup(g, (0, 2, 2)), PointedGroup(g, (0, 1, 2)))
     <Ternary.NO: 'no'>
     """
-    c = _content(p.free_part())
-    if not group_iso(p.group, q.group) or c != _content(q.free_part()):
+    c = gcd(*p.free_part())
+    if not group_iso(p.group, q.group) or c != gcd(*q.free_part()):
         return Ternary.NO
     torsion = p.group.torsion
     xs = [gcd(x, d) for x, d in zip(p.torsion_part(), torsion)]

@@ -184,25 +184,14 @@ def _vector_partitions(total, max_parts):
 
     Parts are emitted in lexicographically non-increasing order, so each
     multiset appears exactly once; used to enumerate edge partitions up to
-    the interchange of parallel edges.  Only what fits is built: each part
-    is drawn, in descending order, from the vectors within what remains and
-    not above the previous part, and it must cover the first nonzero
-    coordinate of what remains, since no later part, being no larger, could.
-    The last allowed part is all that remains.
+    the interchange of parallel edges.  Each part is drawn from
+    :func:`itertools.product` over one descending range per coordinate,
+    from what remains down to 0, or down to 1 at the first nonzero
+    coordinate, which the part must cover since no later part, being no
+    larger, could.  The product comes in descending order, and the vectors
+    above the previous part are filtered out.  The last allowed part is all
+    that remains.
     """
-
-    def candidates(remaining, bound):
-        lead = next(i for i, r in enumerate(remaining) if r)
-        out = [((), True)]  # (prefix, prefix equals the bound's prefix)
-        for i, r in enumerate(remaining):
-            low = 1 if i == lead else 0
-            nxt = []
-            for x, tight in out:
-                top = bound[i] if tight and bound[i] < r else r
-                for c in range(top, low - 1, -1):
-                    nxt.append((x + (c,), tight and c == bound[i]))
-            out = nxt
-        return [x for x, _ in out]
 
     def rec(remaining, bound, slots):
         if not any(remaining):
@@ -212,7 +201,9 @@ def _vector_partitions(total, max_parts):
             if remaining <= bound:
                 yield [remaining]
             return
-        for part in candidates(remaining, bound):
+        lead = next(i for i, r in enumerate(remaining) if r)
+        ranges = [range(r, 0 if i == lead else -1, -1) for i, r in enumerate(remaining)]
+        for part in filter(bound.__ge__, itertools.product(*ranges)):
             rest = tuple(r - p for r, p in zip(remaining, part))
             for tail in rec(rest, part, slots - 1):
                 yield [part] + tail
@@ -253,18 +244,15 @@ def _split_rows(m, v, max_classes, partition_cap, stats, partitions):
         splits = partitions[at]
     heads = [row[:v] for row in m]
     tails = [row[v + 1 :] for row in m]
-    emitted = 0
-    for parts in splits:
-        if partition_cap is not None and emitted >= partition_cap:
-            stats.partition_capped += 1
-            break
-        emitted += 1
+    for parts in itertools.islice(splits, partition_cap):
         split_col = [(0,) * len(parts)] * len(m)
         for u, col in zip(order, zip(*parts)):
             split_col[u] = col
         rows = [head + col + tail for head, col, tail in zip(heads, split_col, tails)]
         rows[v : v + 1] = rows[v : v + 1] * len(parts)
         yield parts, tuple(rows)
+    if partition_cap is not None and len(splits) > partition_cap:
+        stats.partition_capped += 1
 
 
 def _amalgam_blocks(m):

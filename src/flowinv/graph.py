@@ -11,7 +11,7 @@ import itertools
 import re
 import sys
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import partial
 from operator import add, itemgetter
 from typing import NamedTuple
@@ -423,17 +423,7 @@ class GraphReport:
     purely_infinite_simple: bool
 
     def to_dict(self) -> dict:
-        return {
-            "has_sources": self.has_sources,
-            "has_sinks": self.has_sinks,
-            "irreducible": self.irreducible,
-            "essential": self.essential,
-            "trivial": self.trivial,
-            "every_cycle_has_exit": self.every_cycle_has_exit,
-            "every_vertex_reaches_cycle_or_sink": self.every_vertex_reaches_cycle_or_sink,
-            "simple_lpa": self.simple_lpa,
-            "purely_infinite_simple": self.purely_infinite_simple,
-        }
+        return asdict(self)
 
 
 def is_cyclic_component(g: MultiGraph, comp: list[int]) -> bool:

@@ -182,10 +182,7 @@ class VertexClassMap:
     vectors: tuple[tuple[int, ...], ...]
 
     def as_matrix(self) -> IntMatrix:
-        tgt_n = len(self.vectors[0])
-        return IntMatrix.from_rows(
-            [[vec[i] for vec in self.vectors] for i in range(tgt_n)]
-        )
+        return IntMatrix.from_rows(zip(*self.vectors))
 
 
 @dataclass(frozen=True)

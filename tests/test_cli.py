@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -319,9 +320,12 @@ def test_move_script_errors_exit_2(tmp_path, capsys, script, message):
 def test_delay_moves_reject_inline_tokens(tmp_path, capsys, name):
     graph = _write(tmp_path, "base.graph", SPLIT_BASE)
     script = _write(tmp_path, "delay.script", f"move {name} v1 bogus\ndelay e1 2\n")
-    message = f"error: line 1, column 1: {name} takes delay lines, not inline arguments\n"
-    assert _run(capsys, ["move", "--script", script, graph]) == (2, "", message)
-    assert _run(capsys, ["move", name, "v1", graph]) == (2, "", message)
+    # A script error names the script; an inline one has no file to name.
+    message = f"line 1, column 1: {name} takes delay lines, not inline arguments\n"
+    assert _run(capsys, ["move", "--script", script, graph]) == (
+        2, "", f"error: {script}: {message}"
+    )
+    assert _run(capsys, ["move", name, "v1", graph]) == (2, "", f"error: {message}")
 
 
 @pytest.mark.parametrize(
@@ -344,7 +348,28 @@ def test_vertex_move_arity_errors_exit_2(tmp_path, capsys, line, message):
     path = _write(tmp_path, "bad.script", line + "\n")
     code, out, err = _run(capsys, ["move", "--script", path, graph])
     assert code == 2 and not out
-    assert err == f"error: line 1, column 1: {message}\n"
+    assert err == f"error: {path}: line 1, column 1: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "script, error",
+    [
+        ("move expand v0\n\nmove expand v9\n", "line 3, column 1: no vertex named 'v9'"),
+        ("move expand v0\nmove eliminate v0\n", "line 2, column 1: vertex v0 is not a source"),
+        (
+            "move expand v0\nmove in-split\nclass v0 1: e0\ndelay e1 1\n",
+            "line 4, column 1: delay lines only follow a delay move",
+        ),
+        ("move teleport\nclass v0 1: e0\n", "line 1, column 1: unknown move 'teleport'"),
+        ("move in-split\nclass v9 1: e0\n", "line 1, column 1: no vertex named 'v9'"),
+    ],
+    ids=["graph-error", "move-error", "stray-delay-line", "unknown-move", "class-vertex"],
+)
+def test_script_errors_name_the_script_and_line(tmp_path, capsys, script, error):
+    # A later step's error sits at its own move line, or at the stray line.
+    graph = _write(tmp_path, "two.graph", TWO)
+    path = _write(tmp_path, "steps.script", script)
+    assert _run(capsys, ["move", "--script", path, graph]) == (2, "", f"error: {path}: {error}\n")
 
 
 @pytest.mark.parametrize(
@@ -690,12 +715,32 @@ def test_fuzzed_cli_inputs_exit_0_or_2(tmp_path, capsys):
         ):
             assert main(argv) in (0, 2), argv
             capsys.readouterr()
-        # Comments after any whitespace change nothing.
-        assert _run(capsys, ["move", "--script", noted, a]) == _run(
-            capsys, ["move", "--script", s, a]
-        )
+        # Comments after any whitespace change nothing but the script's name
+        # in an error.
+        def scripted(path):
+            code, out, err = _run(capsys, ["move", "--script", path, a])
+            return code, out, err.replace(path, "SCRIPT")
+
+        assert scripted(noted) == scripted(s)
 
     check()
+
+
+def test_closed_stdout_exits_141_quietly(tmp_path):
+    # A reader that stops early is not an error: no traceback, no "error:"
+    # line, and the exit status of a process that SIGPIPE ended.
+    graph = _write(tmp_path, "two.graph", TWO)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "flowinv", "invariants", "--json", graph],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (141, b"")
 
 
 def test_console_entry_point_runs():

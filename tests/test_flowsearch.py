@@ -251,6 +251,28 @@ def test_bounded_partitions_match_generate_then_filter():
                 assert list(_vector_partitions(total, max_parts)) == want, (total, max_parts)
 
 
+def test_bounded_partitions_match_the_oracle_up_to_five_coordinates():
+    # The search hands _vector_partitions bundle vectors of up to six
+    # sources; past the grid above, draw totals of up to five coordinates
+    # with sum at most 7.
+    hyp = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    totals = st.integers(1, 5).flatmap(
+        lambda k: st.lists(st.integers(0, k - 1), max_size=7).map(
+            lambda picks: tuple(map(picks.count, range(k)))
+        )
+    )
+
+    @hyp.seed(5)
+    @hyp.settings(max_examples=300, deadline=None)
+    @hyp.given(totals, st.integers(1, 6))
+    def check(total, max_parts):
+        want = [parts for parts in _all_vector_partitions(total) if len(parts) <= max_parts]
+        assert list(_vector_partitions(total, max_parts)) == want
+
+    check()
+
+
 def _replay_by_enumeration(seq, *, max_vertices, entry_cap, partition_cap):
     """Re-find every step of ``seq`` as the first neighbor, in enumeration
     order, with the next graph's key: capped first, then uncapped."""
