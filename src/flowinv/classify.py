@@ -73,19 +73,6 @@ def _vector_text(xs) -> str:
     return f"[{', '.join(map(_int_text, xs))}]"
 
 
-def _non_pis_verdict(re_dict: dict, rf_dict: dict) -> Verdict:
-    return Verdict(
-        morita=Ternary.UNKNOWN,
-        isomorphic=Ternary.UNKNOWN,
-        reason_tag=TAG_NON_PIS,
-        reason=(
-            "at least one graph does not present a purely infinite simple "
-            "algebra, so the invariant classification does not apply"
-        ),
-        witness={"left_report": re_dict, "right_report": rf_dict},
-    )
-
-
 def decide(e: MultiGraph, f: MultiGraph) -> Verdict:
     """Classify the two graphs' algebras up to Morita equivalence and
     isomorphism.
@@ -99,77 +86,60 @@ def decide(e: MultiGraph, f: MultiGraph) -> Verdict:
     report_e = classify_graph(e)
     report_f = classify_graph(f)
     if not (report_e.purely_infinite_simple and report_f.purely_infinite_simple):
-        return _non_pis_verdict(report_e.to_dict(), report_f.to_dict())
+        return Verdict(
+            morita=Ternary.UNKNOWN,
+            isomorphic=Ternary.UNKNOWN,
+            reason_tag=TAG_NON_PIS,
+            reason=(
+                "at least one graph does not present a purely infinite simple "
+                "algebra, so the invariant classification does not apply"
+            ),
+            witness={"left_report": report_e.to_dict(), "right_report": report_f.to_dict()},
+        )
 
     te = franks_triple(e, report=report_e)
     tf = franks_triple(f, report=report_f)
-    witness = {"left": te.to_dict(), "right": tf.to_dict()}
-
     if not group_iso(te.group, tf.group):
-        return Verdict(
-            morita=Ternary.NO,
-            isomorphic=Ternary.NO,
-            reason_tag=TAG_K0_MISMATCH,
-            reason=(
-                "Bowen-Franks groups differ: "
-                f"{te.group.text(_int_text)} versus {tf.group.text(_int_text)}"
-            ),
-            witness=witness,
+        morita, isomorphic, reason_tag = Ternary.NO, Ternary.NO, TAG_K0_MISMATCH
+        reason = (
+            "Bowen-Franks groups differ: "
+            f"{te.group.text(_int_text)} versus {tf.group.text(_int_text)}"
         )
-
-    pointed = pointed_equivalent(te.pointed, tf.pointed)
-
-    if te.determinant == tf.determinant:
-        if pointed is Ternary.YES:
-            return Verdict(
-                morita=Ternary.YES,
-                isomorphic=Ternary.YES,
-                reason_tag=TAG_TRIPLE_MATCH,
-                reason=(
-                    "group, unit class and determinant all match: "
-                    f"{te.group.text(_int_text)}, unit {_vector_text(te.unit_class)}, "
-                    f"det {_int_text(te.determinant)}"
-                ),
-                witness=witness,
+    else:
+        pointed = pointed_equivalent(te.pointed, tf.pointed)
+        if te.determinant == tf.determinant and pointed is Ternary.YES:
+            morita, isomorphic, reason_tag = Ternary.YES, Ternary.YES, TAG_TRIPLE_MATCH
+            reason = (
+                "group, unit class and determinant all match: "
+                f"{te.group.text(_int_text)}, unit {_vector_text(te.unit_class)}, "
+                f"det {_int_text(te.determinant)}"
             )
-        return Verdict(
-            morita=Ternary.YES,
-            isomorphic=Ternary.NO,
-            reason_tag=TAG_UNIT_MISMATCH,
-            reason=(
+        elif te.determinant == tf.determinant:
+            morita, isomorphic, reason_tag = Ternary.YES, Ternary.NO, TAG_UNIT_MISMATCH
+            reason = (
                 "group and determinant match, but no automorphism of "
                 f"{te.group.text(_int_text)} carries unit class "
                 f"{_vector_text(te.unit_class)} to {_vector_text(tf.unit_class)}"
-            ),
-            witness=witness,
-        )
-
-    # Groups match, determinants differ: equal magnitude, opposite sign.
-    if pointed is Ternary.NO:
-        return Verdict(
-            morita=Ternary.UNKNOWN,
-            isomorphic=Ternary.NO,
-            reason_tag=TAG_SIGN_GAP,
-            reason=(
+            )
+        # Groups match, determinants differ: equal magnitude, opposite sign.
+        elif pointed is Ternary.NO:
+            morita, isomorphic, reason_tag = Ternary.UNKNOWN, Ternary.NO, TAG_SIGN_GAP
+            reason = (
                 f"determinants {_int_text(te.determinant)} and "
                 f"{_int_text(tf.determinant)} differ "
                 "in sign (whether that separates Morita classes is open), "
                 "and the unit classes already rule out isomorphism"
-            ),
-            witness=witness,
-        )
-    return Verdict(
-        morita=Ternary.UNKNOWN,
-        isomorphic=Ternary.UNKNOWN,
-        reason_tag=TAG_SIGN_GAP,
-        reason=(
-            f"determinants {_int_text(te.determinant)} and "
-            f"{_int_text(tf.determinant)} differ in "
-            "sign; whether a sign flip can separate Morita classes is an "
-            "open hypothesis, so no verdict is returned"
-        ),
-        witness=witness,
-    )
+            )
+        else:
+            morita, isomorphic, reason_tag = Ternary.UNKNOWN, Ternary.UNKNOWN, TAG_SIGN_GAP
+            reason = (
+                f"determinants {_int_text(te.determinant)} and "
+                f"{_int_text(tf.determinant)} differ in "
+                "sign; whether a sign flip can separate Morita classes is an "
+                "open hypothesis, so no verdict is returned"
+            )
+    witness = {"left": te.to_dict(), "right": tf.to_dict()}
+    return Verdict(morita, isomorphic, reason_tag, reason, witness)
 
 
 def decide_transpose(g: MultiGraph) -> Verdict:

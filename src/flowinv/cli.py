@@ -35,6 +35,7 @@ not failures.  An error in a ``--script`` file names the file and the line.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import os
@@ -64,6 +65,17 @@ from flowinv.selftest import run_selftest
 SCHEMA = 1
 
 
+@contextlib.contextmanager
+def _in_file(path: str):
+    """Name ``path`` in a ParseError raised in the block, for ``main`` to
+    print before its line and column."""
+    try:
+        yield
+    except ParseError as exc:
+        exc.path = path
+        raise
+
+
 def _read(path: str) -> str:
     """The text of a graph or script file.  A byte that is not UTF-8 is a
     ParseError at its line and column, which line splitting counts as the
@@ -75,17 +87,12 @@ def _read(path: str) -> str:
     except UnicodeDecodeError as exc:
         lines = (data[: exc.start].decode("utf-8") + "\0").splitlines()
         message = f"byte {data[exc.start]:#04x} is not UTF-8 ({exc.reason})"
-        error = ParseError(len(lines), len(lines[-1]), message)
-        error.path = path
-        raise error from None
+        raise ParseError(len(lines), len(lines[-1]), message) from None
 
 
 def _load_graph(path: str) -> MultiGraph:
-    try:
+    with _in_file(path):
         return parse_graph(_read(path))
-    except ParseError as exc:
-        exc.path = path
-        raise
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +205,9 @@ def apply_script_step(g: MultiGraph, step: ScriptStep) -> MultiGraph:
     The argument names in the move table choose where the values come from:
     a ``partition`` from class lines, a ``vector`` from delay lines,
     ``blocks`` from comma-joined tokens, and any other argument from one
-    plain token each."""
+    plain token each.  A stray or malformed class or delay line is a
+    ParseError at that line; every other error names no line, and a script
+    puts it at the step's ``move`` line."""
     name = step.name
     spec = move_spec(name)
     names = spec.required + spec.optional
@@ -206,9 +215,9 @@ def apply_script_step(g: MultiGraph, step: ScriptStep) -> MultiGraph:
         raise ParseError(step.class_lines[0][0], 1, "class lines only follow in-split/out-split")
     lines = "class" if "partition" in names else "delay" if "vector" in names else None
     if lines and step.tokens:
-        raise ParseError(step.lineno, 1, f"{name} takes {lines} lines, not inline arguments")
+        raise MoveError(f"{name} takes {lines} lines, not inline arguments")
     if lines == "class" and not step.class_lines:
-        raise ParseError(step.lineno, 1, f"{name} needs class lines")
+        raise MoveError(f"{name} needs class lines")
     if step.delay_lines and lines != "delay":
         raise ParseError(step.delay_lines[0][0], 1, "delay lines only follow a delay move")
     mode = name.split("-")[0]
@@ -218,17 +227,13 @@ def apply_script_step(g: MultiGraph, step: ScriptStep) -> MultiGraph:
         values = [_vector_from_lines(g, move_side(mode).vector_kind, step.delay_lines)]
     elif "blocks" in names:
         if not step.tokens:
-            raise ParseError(step.lineno, 1, f"{name} needs at least one block")
+            raise MoveError(f"{name} needs at least one block")
         values = [[token.split(",") for token in step.tokens]]
     else:
         values = step.tokens
     low = len(spec.required)
     if not low <= len(values) <= len(names):
-        raise ParseError(
-            step.lineno,
-            1,
-            f"move {name} takes {low} to {len(names)} arguments, got {len(values)}",
-        )
+        raise MoveError(f"move {name} takes {low} to {len(names)} arguments, got {len(values)}")
     return apply_move(g, name, dict(zip(names, values)))
 
 
@@ -265,16 +270,13 @@ def _apply_script(g: MultiGraph, path: str) -> tuple[MultiGraph, int]:
     """Apply the move script at ``path``; returns the final graph and the
     number of moves.  Every parse or move error names the file and its
     line: a step's MoveError or GraphError sits at its ``move`` line."""
-    try:
+    with _in_file(path):
         steps = parse_move_script(_read(path))
         for step in steps:
             try:
                 g = apply_script_step(g, step)
             except (MoveError, GraphError) as exc:
                 raise ParseError(step.lineno, 1, str(exc)) from None
-    except ParseError as exc:
-        exc.path = path
-        raise
     if not steps:
         raise MoveError(f"script {path} contains no moves")
     return g, len(steps)

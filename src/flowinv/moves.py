@@ -185,6 +185,19 @@ class VertexClassMap:
         return IntMatrix.from_rows(zip(*self.vectors))
 
 
+def _class_map(width: int, images) -> VertexClassMap:
+    """The 0/1 class map into ``width`` target vertices that sends each
+    source vertex, in order, to the sum of the target vertices ``images``
+    lists for it."""
+    vectors = []
+    for image in images:
+        vec = [0] * width
+        for idx in image:
+            vec[idx] = 1
+        vectors.append(tuple(vec))
+    return VertexClassMap(tuple(vectors))
+
+
 @dataclass(frozen=True)
 class SplitFactorization:
     """A_E = R @ S and (for source-free E) A_split = S @ R.
@@ -218,13 +231,9 @@ class SplitResult:
     def class_map(self) -> VertexClassMap:
         """v -> v#1 for an in-splitting; v -> the sum of its copies for an
         out-splitting."""
-        vectors = []
-        for block in self.blocks:
-            vec = [0] * self.graph.n
-            for idx in block if self.mode == "out" else block[:1]:
-                vec[idx] = 1
-            vectors.append(tuple(vec))
-        return VertexClassMap(tuple(vectors))
+        if self.mode == "out":
+            return _class_map(self.graph.n, self.blocks)
+        return _class_map(self.graph.n, (block[:1] for block in self.blocks))
 
     @cached_property
     def factorization(self) -> SplitFactorization | None:
@@ -748,25 +757,13 @@ def minus1(g: MultiGraph, at=None) -> MultiGraph:
 def elimination_class_map(g: MultiGraph, v) -> VertexClassMap:
     """Class map of source elimination: from eliminate_source(g, v) into g."""
     v = g.vertex(v)
-    vectors = []
-    for u in range(g.n):
-        if u == v:
-            continue
-        vec = [0] * g.n
-        vec[u] = 1
-        vectors.append(tuple(vec))
-    return VertexClassMap(tuple(vectors))
+    return _class_map(g.n, ((u,) for u in range(g.n) if u != v))
 
 
 def expansion_class_map(g: MultiGraph, v) -> VertexClassMap:
     """Class map of expansion: from g into expand(g, v), each w to itself."""
     g.vertex(v)
-    vectors = []
-    for u in range(g.n):
-        vec = [0] * (g.n + 1)
-        vec[u] = 1
-        vectors.append(tuple(vec))
-    return VertexClassMap(tuple(vectors))
+    return _class_map(g.n + 1, ((u,) for u in range(g.n)))
 
 
 def verify_vertex_class_map(src: MultiGraph, tgt: MultiGraph, cmap: VertexClassMap) -> bool:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+import os
 import random
 
 import pytest
@@ -256,6 +258,22 @@ def test_reason_texts_are_pinned(left, right, reason):
     # their bit length.
     v = decide(MultiGraph.from_matrix(left), MultiGraph.from_matrix(right))
     assert v.reason == reason
+
+
+def test_verdicts_match_golden_file():
+    # One pair per branch of decide, the two determinant-sign-gap branches
+    # and the non-PIS refusal included: morita, isomorphic, levels, tag,
+    # reason and witness, compared as JSON text so the key order at every
+    # depth is pinned too.
+    path = os.path.join(os.path.dirname(__file__), "data", "verdicts_golden.json")
+    with open(path, encoding="utf-8") as fh:
+        cases = json.load(fh)["cases"]
+    assert len(cases) == 6
+    for case in cases:
+        left = MultiGraph.from_matrix(case["left"])
+        right = MultiGraph.from_matrix(case["right"])
+        got = json.dumps(decide(left, right).to_dict())
+        assert got == json.dumps(case["expect"]), case["branch"]
 
 
 @pytest.mark.skipif(int_string_limit() == 0, reason="this Python has no int-string limit")

@@ -320,12 +320,30 @@ def test_move_script_errors_exit_2(tmp_path, capsys, script, message):
 def test_delay_moves_reject_inline_tokens(tmp_path, capsys, name):
     graph = _write(tmp_path, "base.graph", SPLIT_BASE)
     script = _write(tmp_path, "delay.script", f"move {name} v1 bogus\ndelay e1 2\n")
-    # A script error names the script; an inline one has no file to name.
-    message = f"line 1, column 1: {name} takes delay lines, not inline arguments\n"
+    # A script error names the script and the line; an inline one has
+    # neither to name.
+    message = f"{name} takes delay lines, not inline arguments\n"
     assert _run(capsys, ["move", "--script", script, graph]) == (
-        2, "", f"error: {script}: {message}"
+        2, "", f"error: {script}: line 1, column 1: {message}"
     )
     assert _run(capsys, ["move", name, "v1", graph]) == (2, "", f"error: {message}")
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["expand"], "move expand takes 1 to 1 arguments, got 0"),
+        (["contract", "v0", "v0", "v0"], "move contract takes 2 to 2 arguments, got 3"),
+        (["minus", "v0", "v0"], "move minus takes 0 to 1 arguments, got 2"),
+        (["out-amalgamate"], "out-amalgamate needs at least one block"),
+        (["in-split"], "in-split needs class lines"),
+        (["out-split", "v0"], "out-split takes class lines, not inline arguments"),
+    ],
+    ids=["arity-low", "arity-high", "arity-optional", "no-block", "no-class-lines", "split-tokens"],
+)
+def test_inline_move_errors_name_no_line(tmp_path, capsys, args, message):
+    graph = _write(tmp_path, "rose.graph", "matrix 1\n2\n")
+    assert _run(capsys, ["move", *args, graph]) == (2, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize(

@@ -883,6 +883,15 @@ def test_is_isomorphic_respects_vertex_budget():
         is_isomorphic(g, g)
 
 
+def test_is_isomorphic_compares_counts_before_the_vertex_budget():
+    # Graphs whose vertex or edge counts differ are never isomorphic, so the
+    # budget does not apply to them, whichever argument is the large one.
+    big = MultiGraph.from_matrix([[1] * 9 for _ in range(9)])
+    denser = MultiGraph.from_matrix([[2] + [1] * 8 for _ in range(9)])
+    for a, b in [(big, _rose(2)), (_rose(2), big), (big, denser), (denser, big)]:
+        assert not is_isomorphic(a, b)
+
+
 def test_canonical_key_is_permutation_invariant():
     rng = random.Random(23)
     for _ in range(50):

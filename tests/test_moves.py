@@ -628,6 +628,45 @@ def test_expansion_class_map_verifies():
         assert verify_vertex_class_map(g, expand(g, v), expansion_class_map(g, v))
 
 
+@pytest.mark.parametrize(
+    "seed, expected",
+    [
+        (
+            7,
+            {
+                "elimination": ((0, 1, 0), (0, 0, 1)),
+                "expansion": ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)),
+                "in": ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)),
+                "out": ((1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 1, 1, 1)),
+            },
+        ),
+        (
+            36,
+            {
+                "elimination": ((1, 0, 0), (0, 0, 1)),
+                "expansion": ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)),
+                "in": ((1, 0, 0, 0, 0, 0), (0, 0, 1, 0, 0, 0), (0, 0, 0, 1, 0, 0)),
+                "out": ((1, 0, 0, 0, 0), (0, 1, 1, 0, 0), (0, 0, 0, 1, 1)),
+            },
+        ),
+    ],
+)
+def test_class_map_vectors_are_pinned(seed, expected):
+    # Seeded 3-vertex graphs with one source: [[0, 1, 2], [0, 0, 2],
+    # [0, 1, 2]] and [[0, 0, 1], [0, 0, 2], [2, 0, 0]].  The vectors were
+    # written by the code before the class maps shared one builder.
+    rng = random.Random(seed)
+    g = _rand_graph(rng)
+    (v,) = sources(g)
+    got = {
+        "elimination": elimination_class_map(g, v).vectors,
+        "expansion": expansion_class_map(g, v).vectors,
+        "in": in_split(g, _rand_partition(rng, g, "in")).class_map.vectors,
+        "out": out_split(g, _rand_partition(rng, g, "out")).class_map.vectors,
+    }
+    assert got == expected
+
+
 def test_verify_rejects_zero_map():
     from flowinv.moves import VertexClassMap
 
