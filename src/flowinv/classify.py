@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from flowinv.exactla import Ternary, group_iso, pointed_equivalent
-from flowinv.graph import MultiGraph, classify_graph, int_string_limit
+from flowinv.graph import MultiGraph, classify_graph, int_string_limit, transpose
 from flowinv.invariants import franks_triple
 
 TAG_K0_MISMATCH = "k0-mismatch"
@@ -145,14 +145,13 @@ def decide(e: MultiGraph, f: MultiGraph) -> Verdict:
 def decide_transpose(g: MultiGraph) -> Verdict:
     """Compare a graph's algebra with its transpose's.
 
-    The verdict is ``decide(g, transpose(g))``, reason text included.  The
-    transpose is built from the transposed matrix, so, as in ``decide``, no
-    edge is built.
+    The verdict is ``decide(g, transpose(g))``, reason text included.
+    :func:`~flowinv.graph.transpose` builds the transposed matrix and derives
+    edges only when they are read, so, as in ``decide``, no edge is built.
 
     Transposing the incidence matrix preserves the Bowen-Franks group and
     the determinant, so the two algebras are Morita equivalent whenever both
     graphs are purely infinite simple; the unit classes may still differ and
     decide the isomorphism question.
     """
-    gt = MultiGraph(g.labels, matrix=zip(*g.incidence().entries))
-    return decide(g, gt)
+    return decide(g, transpose(g))

@@ -118,6 +118,22 @@ def _first_edge_error(items, ids, n: int) -> GraphError:
     raise AssertionError("every edge is in range and has a fresh id")
 
 
+def _reversed(sources, targets, ids):
+    """The edge rule of :meth:`MultiGraph.transpose`: each edge reversed."""
+    return targets, sources, ids
+
+
+def _derivation(parent: "MultiGraph", rule):
+    """The pending derivation of a child that a move built from ``parent``'s
+    matrix with the edge rule ``rule``: the nearest ancestor whose edges
+    exist or come from its matrix alone, and the rules from its edges to the
+    child's, in order."""
+    if parent._pending is None:
+        return parent, (rule,)
+    base, rules = parent._pending
+    return base, (*rules, rule)
+
+
 def _slices(edges, sizes) -> tuple:
     """``edges`` cut into consecutive tuples of the given sizes."""
     edges = tuple(edges)
@@ -143,6 +159,19 @@ class MultiGraph:
     or ``edge_by_id`` and cached.  A graph built from an edge list keeps its
     edges, ids and order as given.
 
+    The moves that name no edge (:meth:`transpose`, :meth:`permuted`, and
+    expansion, contraction, source elimination, the shift move and the sign
+    gadgets of :mod:`flowinv.moves`) build the child's matrix from the
+    parent's and attach the move's edge rule, a function from the parent's
+    edge columns (sources, targets, ids) to the child's.  The child's edges
+    are derived on first read, with the ids and order the move gives them:
+    the nearest ancestor that has its edges, or derives them from its matrix
+    alone, is held with the tuple of rules that lead from it, and the rules
+    are applied in a loop.  So a long chain of such moves neither recurses
+    nor keeps the intermediate graphs alive.  The amalgamations build a
+    matrix-only graph; the splittings and delays, which name edges, build
+    the child from its edge list.
+
     A matrix given as an :class:`~flowinv.exactla.IntMatrix` (as
     :func:`parse_graph` gives it) keeps its entries as they are, since its
     entries are ints already; any other matrix has every entry converted
@@ -160,9 +189,9 @@ class MultiGraph:
     read.
     """
 
-    __slots__ = ("_labels", "_edges", "_matrix", "_out", "_in")
+    __slots__ = ("_labels", "_edges", "_matrix", "_out", "_in", "_pending")
 
-    def __init__(self, vertices, edges=(), *, matrix=None):
+    def __init__(self, vertices, edges=(), *, matrix=None, _derive=None):
         if isinstance(vertices, int):
             labels = tuple(f"v{i}" for i in range(vertices))
         else:
@@ -191,6 +220,7 @@ class MultiGraph:
                 raise GraphError(f"negative multiplicity at ({i}, {j})")
             self._matrix = IntMatrix(n, n, rows)
             self._edges = self._out = self._in = None
+            self._pending = None if _derive is None else _derivation(*_derive)
             return
 
         items = list(edges)
@@ -217,10 +247,21 @@ class MultiGraph:
             n, n, tuple(tuple(cells[i : i + n]) for i in range(0, n * n, n))
         )
         self._edges = tuple(built)
-        self._out = self._in = None
+        self._out = self._in = self._pending = None
 
     def _materialize(self) -> None:
-        """Derive the edges of a matrix-built graph: row-major, ids e0, e1, ..."""
+        """Derive the edges of a matrix-built graph.  A move's child applies
+        its pending rules, in order, to the edge columns of the ancestor it
+        holds; any other graph's edges are row-major, ids e0, e1, ..."""
+        if self._pending is not None:
+            base, rules = self._pending
+            columns = edge_columns(base.edges)
+            for rule in rules:
+                # Stored as tuples, so no chain of iterators grows with the rules.
+                columns = tuple(map(tuple, rule(*columns)))
+            self._edges = tuple(make_edges(zip(*columns)))
+            self._pending = None
+            return
         m = self._matrix.entries
         chain, repeat = itertools.chain.from_iterable, itertools.repeat
         sources = chain(map(repeat, range(self.n), map(sum, m)))
@@ -305,20 +346,31 @@ class MultiGraph:
         return self._matrix
 
     def transpose(self) -> "MultiGraph":
-        sources, targets, ids = edge_columns(self.edges)
-        return MultiGraph(self._labels, make_edges(zip(targets, sources, ids)))
+        """The graph with every edge reversed, built from the transposed
+        matrix; edge ids and order are kept."""
+        n = self.n
+        rows = IntMatrix(n, n, tuple(zip(*self._matrix.entries)))
+        return MultiGraph(self._labels, matrix=rows, _derive=(self, _reversed))
 
     def permuted(self, perm) -> "MultiGraph":
-        """Relabel vertices: old vertex i becomes position perm[i]."""
+        """Relabel vertices: old vertex i becomes position perm[i].  Edge ids
+        and order are kept."""
         perm = tuple(perm)
         if sorted(perm) != list(range(self.n)):
             raise GraphError("not a permutation")
         labels = [None] * self.n
+        order = [0] * self.n
         for old, new in enumerate(perm):
             labels[new] = self._labels[old]
-        sources, targets, ids = edge_columns(self.edges)
+            order[new] = old
+        m = self._matrix.entries
+        rows = [[m[i][j] for j in order] for i in order]
         at = perm.__getitem__
-        return MultiGraph(labels, make_edges(zip(map(at, sources), map(at, targets), ids)))
+
+        def edges(sources, targets, ids):
+            return map(at, sources), map(at, targets), ids
+
+        return MultiGraph(labels, matrix=rows, _derive=(self, edges))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MultiGraph):

@@ -15,6 +15,16 @@ incidence rows for the amalgamations.  The mirror feeds it the reversed
 triples or the transposed matrix and reverses what it returns.  So the
 mirror keeps edge ids and edge order, and no graph is transposed.
 
+The moves that name no edge (source elimination, expansion, contraction,
+the shift move and the sign gadgets) build the child's incidence matrix from
+the parent's, in O(n^2).  Each hands the child its edge rule, a function
+from the parent's edge columns (sources, targets, ids) to the child's, and
+the child's edges are derived from it on first read (see
+:class:`~flowinv.graph.MultiGraph`); so a caller that reads only matrices,
+as the search and the classifier do, builds no edge.  The amalgamations
+build a matrix-only graph.  The splittings and delays name edges and build
+the child from its edge list.
+
 Each script keyword's argument names are written once, in ``MOVES``;
 :func:`apply_move` and the command line's script reader and writer read them.
 
@@ -36,7 +46,6 @@ from flowinv.graph import (
     Edge,
     GraphError,
     MultiGraph,
-    edge_columns,
     is_cyclic_component,
     make_edges,
     strongly_connected_components,
@@ -48,9 +57,8 @@ class MoveError(ValueError):
     """A move's hypotheses are not met by the given arguments."""
 
 
-# (target, source, id) of a (source, target, id) triple, and its id.
+# (target, source, id) of a (source, target, id) triple.
 _REVERSED = itemgetter(1, 0, 2)
-_ID = itemgetter(2)
 
 
 def _fresh_label(used, base: str) -> str:
@@ -71,6 +79,27 @@ def _fresh_edge_id(used, base: str) -> str:
         k += 1
     used.add(f"{base}.{k}")
     return f"{base}.{k}"
+
+
+def _with_new_edges(sources, targets, ids, pairs, base: str):
+    """The edge columns with one edge per (source, target) of ``pairs``
+    appended, in order, each with the next fresh id made from ``base``."""
+    used = set(ids)
+    fresh = [_fresh_edge_id(used, base) for _ in pairs]
+    return [*sources, *(s for s, _ in pairs)], [*targets, *(t for _, t in pairs)], [*ids, *fresh]
+
+
+def _drop_leaving(gone: int, at):
+    """The edge rule that drops the edges leaving ``gone`` and moves every
+    other edge's endpoints u to at[u]; ids and order are kept."""
+    remap = at.__getitem__
+
+    def edges(sources, targets, ids):
+        keep = [u != gone for u in sources]
+        sources, targets, ids = (compress(col, keep) for col in (sources, targets, ids))
+        return map(remap, sources), map(remap, targets), ids
+
+    return edges
 
 
 # ---------------------------------------------------------------------------
@@ -441,19 +470,26 @@ def out_amalgamate(g: MultiGraph, blocks) -> MultiGraph:
 # Source elimination, expansion, contraction.
 
 
-def eliminate_source(g: MultiGraph, v) -> MultiGraph:
-    """Remove a source vertex together with all the edges it emits."""
+def _removable_source(g: MultiGraph, v) -> int:
+    """The index of vertex v, which :func:`eliminate_source` may remove: a
+    source that is not the only vertex; else a MoveError."""
     v = g.vertex(v)
     if g.in_degree(v) != 0:
         raise MoveError(f"vertex {g.label(v)} is not a source")
     if g.n < 2:
         raise MoveError("cannot remove the only vertex")
+    return v
+
+
+def eliminate_source(g: MultiGraph, v) -> MultiGraph:
+    """Remove a source vertex together with all the edges it emits."""
+    v = _removable_source(g, v)
     labels = [g.label(u) for u in range(g.n) if u != v]
-    at = [u - (u > v) for u in range(g.n)].__getitem__
-    sources, targets, ids = edge_columns(g.edges)
-    keep = [u != v for u in sources]
-    sources, targets, ids = (compress(col, keep) for col in (sources, targets, ids))
-    return MultiGraph(labels, make_edges(zip(map(at, sources), map(at, targets), ids)))
+    kept = [u for u in range(g.n) if u != v]
+    m = g.incidence().entries
+    rows = [[m[i][j] for j in kept] for i in kept]
+    at = [u - (u > v) for u in range(g.n)]
+    return MultiGraph(labels, matrix=rows, _derive=(g, _drop_leaving(v, at)))
 
 
 def expand(g: MultiGraph, v) -> MultiGraph:
@@ -463,12 +499,17 @@ def expand(g: MultiGraph, v) -> MultiGraph:
     star = g.n
     labels = list(g.labels)
     labels.append(_fresh_label(labels, g.label(v) + "*"))
-    sources, targets, ids = edge_columns(g.edges)
-    at = list(range(g.n))
-    at[v] = star
-    edges = make_edges(zip(map(at.__getitem__, sources), targets, ids))
-    edges.append(Edge(v, star, _fresh_edge_id(set(ids), "f")))
-    return MultiGraph(labels, edges)
+    m = g.incidence().entries
+    rows = [row + (0,) for row in m]
+    rows[v] = (0,) * star + (1,)
+    rows.append(m[v] + (0,))
+
+    def edges(sources, targets, ids):
+        at = list(range(star))
+        at[v] = star
+        return _with_new_edges(map(at.__getitem__, sources), targets, ids, [(v, star)], "f")
+
+    return MultiGraph(labels, matrix=rows, _derive=(g, edges))
 
 
 def contract(g: MultiGraph, v, v_star) -> MultiGraph:
@@ -483,23 +524,23 @@ def contract(g: MultiGraph, v, v_star) -> MultiGraph:
         raise MoveError("expansion pattern needs two distinct vertices")
     if g.out_degree(v) != 1:
         raise MoveError(f"vertex {g.label(v)} must have exactly one outgoing edge")
-    bridge = g.out_edges(v)[0]
-    if bridge.target != vs:
+    m = g.incidence().entries
+    if m[v][vs] != 1:
         raise MoveError(
             f"the edge leaving {g.label(v)} must point at {g.label(vs)}"
         )
     if g.in_degree(vs) != 1:
         raise MoveError(f"vertex {g.label(vs)} must have exactly one incoming edge")
     labels = [g.label(u) for u in range(g.n) if u != vs]
-    # Old vertex u goes to u's new index; v* merges into v.  Only the bridge
-    # enters v*, and it is dropped.
+    # v takes over row v*, which replaces v's single edge, the bridge; the
+    # bridge alone enters v*, so column v* goes with it.
+    kept = [u for u in range(g.n) if u != vs]
+    rows = [[m[vs if i == v else i][j] for j in kept] for i in kept]
+    # Old vertex u goes to u's new index; v* merges into v.  The bridge, the
+    # one edge leaving v, is dropped.
     at = [u - (u > vs) for u in range(g.n)]
     at[vs] = at[v]
-    sources, targets, ids = edge_columns(g.edges)
-    keep = [eid != bridge.id for eid in ids]
-    sources, targets, ids = (compress(col, keep) for col in (sources, targets, ids))
-    remap = at.__getitem__
-    return MultiGraph(labels, make_edges(zip(map(remap, sources), map(remap, targets), ids)))
+    return MultiGraph(labels, matrix=rows, _derive=(g, _drop_leaving(v, at)))
 
 
 # ---------------------------------------------------------------------------
@@ -683,16 +724,24 @@ def shift(g: MultiGraph, v, w) -> MultiGraph:
                 f"row {g.label(v)} does not dominate row {g.label(w)} at "
                 f"target {g.label(j)}: {m[v][j]} < {m[w][j]}"
             )
-    # The first m[w][j] edges from v to each j, in edge order, go.
-    drop: dict[int, int] = {j: m[w][j] for j in range(g.n) if m[w][j]}
-    gone = set()
-    for e in g.out_edges(v):
-        if drop.get(e.target, 0) > 0:
-            drop[e.target] -= 1
-            gone.add(e.id)
-    edges = [e for e in g.edges if e.id not in gone]
-    edges.append(Edge(v, w, _fresh_edge_id(set(map(_ID, edges)), "s")))
-    return MultiGraph(g.labels, edges)
+    rows = [list(row) for row in m]
+    rows[v] = [a - b for a, b in zip(m[v], m[w])]
+    rows[v][w] += 1
+    drop = {j: k for j, k in enumerate(m[w]) if k}
+
+    def edges(sources, targets, ids):
+        # The first m[w][j] edges from v to each j, in edge order, go.
+        left = dict(drop)
+        keep = []
+        for src, tgt in zip(sources, targets):
+            gone = src == v and left.get(tgt, 0) > 0
+            if gone:
+                left[tgt] -= 1
+            keep.append(not gone)
+        sources, targets, ids = (list(compress(col, keep)) for col in (sources, targets, ids))
+        return _with_new_edges(sources, targets, ids, [(v, w)], "s")
+
+    return MultiGraph(g.labels, matrix=rows, _derive=(g, edges))
 
 
 # ---------------------------------------------------------------------------
@@ -728,11 +777,16 @@ def minus(g: MultiGraph, at=None) -> MultiGraph:
     labels = list(g.labels)
     labels.append(_fresh_label(labels, "w0"))
     labels.append(_fresh_label(labels, "w1"))
-    used = set(map(_ID, g.edges))
-    edges = list(g.edges)
-    for src, tgt in [(at, a), (a, at), (a, a), (a, b), (b, a), (b, b)]:
-        edges.append(Edge(src, tgt, _fresh_edge_id(used, "m")))
-    return MultiGraph(labels, edges)
+    gadget = [(at, a), (a, at), (a, a), (a, b), (b, a), (b, b)]
+    rows = [[*row, 0, 0] for row in g.incidence().entries]
+    rows += [[0] * (g.n + 2), [0] * (g.n + 2)]
+    for src, tgt in gadget:
+        rows[src][tgt] += 1
+
+    def edges(sources, targets, ids):
+        return _with_new_edges(sources, targets, ids, gadget, "m")
+
+    return MultiGraph(labels, matrix=rows, _derive=(g, edges))
 
 
 def minus1(g: MultiGraph, at=None) -> MultiGraph:
@@ -746,8 +800,14 @@ def minus1(g: MultiGraph, at=None) -> MultiGraph:
     h = minus(g, at)
     labels = list(h.labels)
     labels.append(_fresh_label(labels, "w2"))
-    used = set(map(_ID, h.edges))
-    return MultiGraph(labels, [*h.edges, Edge(h.n, at, _fresh_edge_id(used, "m"))])
+    c = h.n
+    rows = [[*row, 0] for row in h.incidence().entries]
+    rows.append([int(u == at) for u in range(c + 1)])
+
+    def edges(sources, targets, ids):
+        return _with_new_edges(sources, targets, ids, [(c, at)], "m")
+
+    return MultiGraph(labels, matrix=rows, _derive=(h, edges))
 
 
 # ---------------------------------------------------------------------------
@@ -755,8 +815,10 @@ def minus1(g: MultiGraph, at=None) -> MultiGraph:
 
 
 def elimination_class_map(g: MultiGraph, v) -> VertexClassMap:
-    """Class map of source elimination: from eliminate_source(g, v) into g."""
-    v = g.vertex(v)
+    """Class map of source elimination: from eliminate_source(g, v) into g.
+    A vertex that :func:`eliminate_source` refuses is refused with its
+    MoveError."""
+    v = _removable_source(g, v)
     return _class_map(g.n, ((u,) for u in range(g.n) if u != v))
 
 

@@ -133,6 +133,44 @@ def test_huge_multiplicity_answers_within_budget(tmp_path, text):
 
 
 @pytest.mark.skipif(resource is None, reason="needs POSIX resource limits")
+def test_expansion_of_a_huge_multiplicity_answers_within_budget(tmp_path):
+    # expand builds the child's matrix; none of the 10^7 edges is built.
+    path = _write(tmp_path, "huge.graph", "matrix 1\n10000000\n")
+    done = _run_capped(["move", "expand", "v0", path, "--json"], 2.0, 1 << 30)
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout)
+    assert result["labels"] == ["v0", "v0*"]
+    assert result["matrix"] == [[0, 1], [10000000, 0]]
+
+
+@pytest.mark.skipif(resource is None, reason="needs POSIX resource limits")
+def test_search_to_a_huge_expansion_answers_within_budget(tmp_path):
+    # The search replays the expansion it found through the move itself.
+    start = _write(tmp_path, "start.graph", "matrix 1\n100000000\n")
+    goal = _write(tmp_path, "goal.graph", "matrix 2\n0 1\n100000000 0\n")
+    done = _run_capped(["search", start, goal, "--json"], 2.0, 1 << 30)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["script"] == ["move expand v0"]
+
+
+def test_split_after_thousands_of_matrix_first_moves(tmp_path, capsys):
+    # 2,000 moves that name no edge, then a split that names edges: the ids
+    # it names are derived through every step, in a loop, and the result is
+    # the split's alone, since each expansion is undone by its contraction.
+    graph = _write(tmp_path, "g.graph", "matrix 2\n1 1\n1 0\n")
+    split = "move in-split\nclass v0 1: e0\nclass v0 2: e2\n"
+    chain = "move expand v0\nmove contract v0 v0*\n" * 1000
+    outputs = []
+    for name, text in (("long.script", chain + split), ("short.script", split)):
+        script = _write(tmp_path, name, text)
+        assert main(["move", "--script", script, graph, "--json"]) == 0
+        outputs.append(json.loads(capsys.readouterr().out))
+    assert outputs[0]["applied"] == 2001
+    assert outputs[0]["labels"] == outputs[1]["labels"] == ["v0#1", "v0#2", "v1#1"]
+    assert outputs[0]["matrix"] == outputs[1]["matrix"] == [[1, 0, 1], [1, 0, 1], [0, 1, 0]]
+
+
+@pytest.mark.skipif(resource is None, reason="needs POSIX resource limits")
 def test_large_torsion_classify_answers_within_budget():
     # A 40-vertex graph whose torsion has a 27-digit invariant factor: the
     # unit-class orbit test must not factor it.

@@ -26,7 +26,7 @@ from flowinv.exactla import (
     pointed_equivalent,
     smith_diagonal,
 )
-from flowinv.graph import GraphError, MultiGraph, is_isomorphic, sources, transpose
+from flowinv.graph import GraphError, MultiGraph, is_isomorphic, make_edges, sources, transpose
 from flowinv.invariants import bowen_franks_matrix, franks_triple
 from flowinv.moves import (
     DrinenVector,
@@ -620,6 +620,19 @@ def test_elimination_class_map_verifies():
     assert verify_vertex_class_map(small, g, elimination_class_map(g, 0))
 
 
+@pytest.mark.parametrize(
+    "rows, message",
+    [([[1, 1], [1, 1]], "vertex v0 is not a source"), ([[0]], "cannot remove the only vertex")],
+    ids=["not-a-source", "only-vertex"],
+)
+def test_elimination_class_map_refuses_what_eliminate_source_refuses(rows, message):
+    g = MultiGraph.from_matrix(rows)
+    with pytest.raises(MoveError, match=f"^{message}$"):
+        eliminate_source(g, 0)
+    with pytest.raises(MoveError, match=f"^{message}$"):
+        elimination_class_map(g, 0)
+
+
 def test_expansion_class_map_verifies():
     rng = random.Random(45)
     for _ in range(20):
@@ -833,8 +846,9 @@ _EDGE_MOVES = {
 
 
 def test_edge_building_moves_match_golden_file():
-    # 1,569 cases of the moves that build their result from an edge list,
-    # on 144 seeded graphs: matrix-built ones and edge lists in shuffled
+    # 1,569 cases of the moves that name no edge, which build the child's
+    # matrix and derive its edges on first read, on 144 seeded graphs:
+    # matrix-built ones and edge lists in shuffled
     # order with ids such as "a#1", "f", "m.0" and automatic ones, so the
     # fresh-id branches of expand, shift and the sign gadgets run, and
     # labels the new ones collide with.  Labels, edges in order with their
@@ -858,6 +872,46 @@ def test_edge_building_moves_match_golden_file():
             got["in"] = [[e.id for e in h.in_edges(v)] for v in range(h.n)]
             got["matrix"] = h.incidence().to_lists()
         assert got == case["expect"], f"case {k}: {case['move']}"
+
+
+def test_matrix_first_moves_build_no_edge_and_derive_their_matrix(monkeypatch):
+    # Each move of the golden file builds the child's matrix and no edge;
+    # the edges it derives on first read, counted, give back that matrix.
+    path = os.path.join(os.path.dirname(__file__), "data", "moves_edges_golden.json")
+    with open(path, encoding="utf-8") as fh:
+        golden = json.load(fh)
+    built = []
+
+    def counted(triples):
+        built.append(1)
+        return make_edges(triples)
+
+    answered = 0
+    for k, case in enumerate(golden["cases"]):
+        if "error" in case["expect"]:
+            continue
+        g = _golden_graph(golden["graphs"][case["graph"]])
+        g.edges  # the parent's edges exist before the move
+        with monkeypatch.context() as patch:
+            for module in (flowinv.graph, flowinv.moves):
+                patch.setattr(module, "make_edges", counted)
+            h = _EDGE_MOVES[case["move"]](g, *case["args"])
+            assert not built, f"case {k}: {case['move']} built edges"
+        assert h.incidence().to_lists() == case["expect"]["matrix"], k
+        assert MultiGraph(h.labels, h.edges).incidence() == h.incidence(), k
+        answered += 1
+    assert answered >= 1000
+
+
+def test_long_chains_of_matrix_first_moves_derive_edges_in_a_loop():
+    # 3,003 moves on top of one another: the edges come from the root's by
+    # one pass over the rules, with no recursion.
+    g = MultiGraph(["a", "b"], [(0, 1, "x"), (1, 0, "y"), (1, 1, "z"), (0, 1, "w")])
+    h = g
+    for _ in range(1001):
+        h = contract(expand(h, 0), 0, 2).transpose()
+    assert h.incidence().to_lists() == [[0, 1], [2, 1]]
+    assert h.edges == ((1, 0, "x"), (0, 1, "y"), (1, 1, "z"), (1, 0, "w"))
 
 
 def _eager_split_extras(g: MultiGraph, p: Partition, mode: str, res):
