@@ -402,6 +402,10 @@ class AbelianGroup:
         return " + ".join(parts) if parts else "0"
 
 
+# Logged operations a projection replays between two reductions mod e.
+_REDUCE_EVERY = 1024
+
+
 @dataclass(frozen=True)
 class CokernelProjection:
     """Maps an integer vector to its class in coker(A) coordinates.
@@ -423,10 +427,28 @@ class CokernelProjection:
         return IntMatrix.from_rows(_replay_rows(self.log, len(self.diagonal)))
 
     def __call__(self, vec) -> tuple[int, ...]:
+        """The coordinates of ``vec``: the log replayed on it, then entry i
+        taken mod d_i for each torsion factor d_i.
+
+        When no d_i is 0, each divides the last one, e, and reduction mod e
+        is a ring map, so it commutes with every logged operation and leaves
+        each y_i mod d_i as it is.  A long log is then replayed in blocks of
+        ``_REDUCE_EVERY`` operations, the vector reduced mod e after each,
+        so its entries stay below e instead of growing like those of U.  A
+        free summand (a 0 on the diagonal) reads its entry whole, so its log
+        is replayed exactly, as is any log of one block or less.
+        """
         y = [int(x) for x in vec]
         if len(y) != len(self.diagonal):
             raise ValueError("vector length mismatch")
-        _replay(self.log, y)
+        log = self.log
+        if len(log) <= _REDUCE_EVERY or 0 in self.diagonal:
+            _replay(log, y)
+        else:
+            e = self.diagonal[-1]
+            for start in range(0, len(log), _REDUCE_EVERY):
+                _replay(log[start : start + _REDUCE_EVERY], y)
+                y = [x % e for x in y]
         torsion = [y[i] % d for i, d in enumerate(self.diagonal) if d >= 2]
         free = [y[i] for i, d in enumerate(self.diagonal) if d == 0]
         return tuple(torsion + free)

@@ -33,6 +33,21 @@ class ParseError(ValueError):
         self.message = message
 
 
+# The most vertices a graph read from text, or grown by a delay, may have.
+# Each graph keeps its dense n x n incidence matrix, so the count is checked
+# before anything of size n is allocated.  A graph at the budget is read in
+# under 1 GiB, and a sparse graph of 4000 vertices is within it.
+MAX_VERTICES = 5_000
+
+
+def vertex_budget_breach(n: int) -> str | None:
+    """The error text for a graph of ``n`` vertices when that is more than
+    MAX_VERTICES, else None."""
+    if n > MAX_VERTICES:
+        return f"{n} vertices exceed the vertex budget of {MAX_VERTICES}"
+    return None
+
+
 class Edge(NamedTuple):
     """An edge from ``source`` to ``target``, named ``id``.  Being a tuple, it
     unpacks, orders, and compares equal to the plain (source, target, id)."""
@@ -412,51 +427,66 @@ def sinks(g: MultiGraph) -> list[int]:
 
 
 def strongly_connected_components(g: MultiGraph) -> list[list[int]]:
-    """Tarjan's algorithm, iterative; components in discovery order."""
-    n = g.n
-    index = [None] * n
-    low = [0] * n
-    on_stack = [False] * n
-    stack: list[int] = []
-    counter = itertools.count()
-    components: list[list[int]] = []
-    succ = [[w for w, k in enumerate(row) if k] for row in g.incidence().entries]
+    """Tarjan's algorithm, iterative; components in discovery order, each
+    with its vertices sorted.
 
-    for root in range(n):
-        if index[root] is not None:
+    ``index[v]`` is -1 until v is reached, then its discovery number while
+    v is on the stack, then n once its component is out.  Discovery numbers
+    are below n, so the one test ``index[w] < low`` both asks whether w is
+    on the stack and takes the minimum.  Each frame of the depth-first walk
+    holds its vertex's successor iterator: a ``for`` that breaks has reached
+    a new vertex, and its ``else`` finishes the frame's vertex.
+    """
+    n = g.n
+    vertices = range(n)
+    succ = [list(itertools.compress(vertices, row)) for row in g.incidence().entries]
+    index = [-1] * n
+    low = [0] * n
+    stack: list[int] = []
+    components: list[list[int]] = []
+    count = 0
+    for root in vertices:
+        if index[root] >= 0:
             continue
-        work = [(root, 0)]
+        index[root] = low[root] = count
+        count += 1
+        stack.append(root)
+        work = [(root, iter(succ[root]))]
         while work:
-            v, pi = work[-1]
-            if pi == 0:
-                index[v] = low[v] = next(counter)
-                stack.append(v)
-                on_stack[v] = True
-            advanced = False
-            for i in range(pi, len(succ[v])):
-                w = succ[v][i]
-                if index[w] is None:
-                    work[-1] = (v, i + 1)
-                    work.append((w, 0))
-                    advanced = True
+            v, successors = work[-1]
+            lv = low[v]
+            for w in successors:
+                i = index[w]
+                if i < 0:
+                    low[v] = lv
+                    index[w] = low[w] = count
+                    count += 1
+                    stack.append(w)
+                    work.append((w, iter(succ[w])))
                     break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                components.append(sorted(comp))
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
+                if i < lv:
+                    lv = i
+            else:
+                work.pop()
+                if lv < index[v]:
+                    # Not a component's root, so v has a parent frame.
+                    parent = work[-1][0]
+                    if lv < low[parent]:
+                        low[parent] = lv
+                elif stack[-1] == v:
+                    stack.pop()
+                    index[v] = n
+                    components.append([v])
+                else:
+                    at = len(stack) - 1
+                    while stack[at] != v:
+                        at -= 1
+                    comp = stack[at:]
+                    del stack[at:]
+                    for w in comp:
+                        index[w] = n
+                    comp.sort()
+                    components.append(comp)
     return components
 
 
@@ -748,6 +778,9 @@ def parse_graph(text: str) -> MultiGraph:
         raise _int_error(ln, body, 1, toks[1], "vertex count") from None
     if n < 1:
         raise ParseError(ln, _column(body, 1), "vertex count must be at least 1")
+    breach = vertex_budget_breach(n)
+    if breach:
+        raise ParseError(ln, _column(body, 1), breach)
 
     lines = lines[1:]
     if kind == "matrix":

@@ -49,6 +49,7 @@ from flowinv.graph import (
     is_cyclic_component,
     make_edges,
     strongly_connected_components,
+    vertex_budget_breach,
 )
 from flowinv.invariants import bowen_franks_matrix
 
@@ -620,8 +621,12 @@ def _delay_triples(labels, d: DrinenVector, triples, suffix: str):
 
     The kernel of both delays: an in-delay is this out-delay of the reversed
     triples, read back reversed, with chain vertices labelled ``v_i`` where
-    the out-delay's are ``v^i``.  Returns the new labels and triples.
+    the out-delay's are ``v^i``.  Returns the new labels and triples.  A
+    delay that would grow the graph past the vertex budget is refused first.
     """
+    breach = vertex_budget_breach(len(labels) + sum(d.vertices.values()))
+    if breach:
+        raise MoveError(breach)
     new_index = {}
     new_labels = []
     taken = set(labels)

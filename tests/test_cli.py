@@ -18,6 +18,7 @@ except ImportError:  # not POSIX
 from flowinv.cli import format_move_step, main, parse_move_script
 from flowinv.flowsearch import MoveStep
 from flowinv.graph import (
+    MAX_VERTICES,
     MultiGraph,
     ParseError,
     int_string_limit,
@@ -190,6 +191,32 @@ def test_huge_class_index_is_a_gap_not_a_range(tmp_path):
     done = _run_capped(["move", "--script", script, graph], 2.0, 1 << 30)
     assert done.returncode == 2 and not done.stdout
     assert "classes at v0 must be numbered 1..1000000000 without gaps" in done.stderr
+
+
+@pytest.mark.skipif(resource is None, reason="needs POSIX resource limits")
+def test_vertex_count_past_the_budget_exits_2_before_allocating(tmp_path):
+    # An edges header allocates n by n; the budget is checked first.
+    path = _write(tmp_path, "wide.graph", "edges 100000000\n")
+    done = _run_capped(["invariants", path], 2.0, 1 << 30)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == (
+        f"error: {path}: line 1, column 7: 100000000 vertices exceed the "
+        f"vertex budget of {MAX_VERTICES}\n"
+    )
+
+
+@pytest.mark.skipif(resource is None, reason="needs POSIX resource limits")
+@pytest.mark.parametrize("name", ["out-delay", "in-delay"])
+def test_delay_past_the_vertex_budget_exits_2_before_allocating(tmp_path, name):
+    # The delayed graph's vertex count is checked before its chains are built.
+    graph = _write(tmp_path, "one.graph", "matrix 1\n2\n")
+    script = _write(tmp_path, "long.script", f"move {name}\ndelay e0 100000000\n")
+    done = _run_capped(["move", "--script", script, graph], 2.0, 1 << 30)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == (
+        f"error: {script}: line 1, column 1: 100000001 vertices exceed the "
+        f"vertex budget of {MAX_VERTICES}\n"
+    )
 
 
 LIMIT = int_string_limit()
@@ -737,8 +764,10 @@ def _fuzz_inputs(st):
 
 def test_fuzzed_cli_inputs_exit_0_or_2(tmp_path, capsys):
     # Every input ends in exit 0 or 2 and raises nothing, a parse or move
-    # error included.  Sizes stay small: an edges count or a delay in the
-    # millions still ends in a MemoryError (ROADMAP item 4).
+    # error included.  Sizes stay small: a vertex count or a delay past the
+    # vertex budget exits 2 at once (see the capped tests above), but one
+    # within it, or a multiplicity in the millions that a split or delay
+    # turns into edges, can still take seconds and hundreds of MB.
     hyp = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
     graph, positive, names, tokens, script = _fuzz_inputs(st)

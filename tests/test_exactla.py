@@ -11,10 +11,12 @@ from math import gcd, prod
 
 import pytest
 
+from flowinv import exactla
 from flowinv.exactla import (
     AbelianGroup,
     _eliminate,
     _quotient,
+    _replay,
     IntMatrix,
     PointedGroup,
     Ternary,
@@ -540,6 +542,75 @@ def test_cokernel_projection_matches_snf_transform():
         want = [y[i] % d for i, d in enumerate(diag) if d >= 2]
         want += [y[i] for i, d in enumerate(diag) if d == 0]
         assert project(vec) == tuple(want)
+
+
+# ---------------------------------------------------------------------------
+# The replay mod e: against the exact replay of the whole log.
+
+
+def _project_exact(project, vec) -> tuple[int, ...]:
+    """The coordinates of ``vec`` by the exact replay: every logged operation
+    on the unreduced entries, then y_i mod d_i, free entries whole."""
+    y = list(vec)
+    _replay(project.log, y)
+    torsion = [y[i] % d for i, d in enumerate(project.diagonal) if d >= 2]
+    return tuple(torsion + [y[i] for i, d in enumerate(project.diagonal) if d == 0])
+
+
+@pytest.mark.parametrize("block", [1, 3, 8])
+def test_replay_mod_e_matches_exact_replay(monkeypatch, block):
+    # A small block sends short logs down the reduced path; singular
+    # matrices, whose diagonal ends in 0, keep the exact one.
+    monkeypatch.setattr(exactla, "_REDUCE_EVERY", block)
+    rng = random.Random(70 + block)
+    reduced = singular = 0
+    for _ in range(80):
+        n = rng.randint(2, 7)
+        m = _rand_matrix(rng, n, -6, 6) if rng.random() < 0.7 else _singular(rng, n)
+        _, project = cokernel(m)
+        if 0 in project.diagonal:
+            singular += 1
+        elif len(project.log) > block:
+            reduced += 1
+        for _ in range(3):
+            vec = [rng.randint(-10**6, 10**6) for _ in range(n)]
+            assert project(vec) == _project_exact(project, vec), m.to_lists()
+    assert reduced >= 20 and singular >= 10, (reduced, singular)
+
+
+def test_replay_mod_e_matches_exact_replay_on_long_logs():
+    # Bowen-Franks-like matrices of n 32..40, whose logs pass the default
+    # block, so the reduction runs as it does in a real projection.
+    rng = random.Random(74)
+    for n in (32, 36, 40):
+        m = IntMatrix.from_rows(
+            [[int(i == j) - rng.randint(0, 3) for j in range(n)] for i in range(n)]
+        )
+        _, project = cokernel(m)
+        assert len(project.log) > exactla._REDUCE_EVERY and 0 not in project.diagonal
+        for vec in ([1] * n, [rng.randint(-99, 99) for _ in range(n)]):
+            assert project(vec) == _project_exact(project, vec)
+
+
+def test_lattice_contains_mod_e_matches_exact_replay_on_any_shape(monkeypatch):
+    # Wide matrices can end their diagonal without a 0 and take the reduced
+    # replay; tall ones add a free summand per extra row and keep the exact.
+    monkeypatch.setattr(exactla, "_REDUCE_EVERY", 2)
+    rng = random.Random(75)
+    shapes = set()
+    for _ in range(200):
+        rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+        m = IntMatrix.from_rows(
+            [[rng.randint(-5, 5) for _ in range(cols)] for _ in range(rows)]
+        )
+        vec = m.mul_vector([rng.randint(-3, 3) for _ in range(cols)])
+        if rng.random() < 0.5:
+            vec = tuple(x + rng.randint(-2, 2) for x in vec)
+        _, project = _quotient(m)
+        want = not any(_project_exact(project, vec))
+        assert lattice_contains(m, vec) is want is _in_column_lattice(m, vec), m.to_lists()
+        shapes.add((rows > cols) - (rows < cols))
+    assert shapes == {-1, 0, 1}
 
 
 def test_projection_vanishes_exactly_on_column_lattice_property():

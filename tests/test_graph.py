@@ -11,6 +11,7 @@ import pytest
 import flowinv
 from flowinv.exactla import IntMatrix
 from flowinv.graph import (
+    MAX_VERTICES,
     Edge,
     GraphError,
     MultiGraph,
@@ -355,6 +356,125 @@ def test_strongly_connected_components():
     comps = [sorted(c) for c in strongly_connected_components(g)]
     assert sorted(comps) == [[0, 1], [2]]
     assert len(strongly_connected_components(_rose(1))) == 1
+
+
+def _scc_reference(rows) -> list[list[int]]:
+    """Tarjan's algorithm as strongly_connected_components ran it before
+    its frames held iterators: a successor index per frame, an on-stack
+    flag per vertex.  Kept as the oracle for the order of the components."""
+    n = len(rows)
+    index = [None] * n
+    low = [0] * n
+    on_stack = [False] * n
+    stack: list[int] = []
+    counter = itertools.count()
+    components: list[list[int]] = []
+    succ = [[w for w, k in enumerate(row) if k] for row in rows]
+    for root in range(n):
+        if index[root] is not None:
+            continue
+        work = [(root, 0)]
+        while work:
+            v, pi = work[-1]
+            if pi == 0:
+                index[v] = low[v] = next(counter)
+                stack.append(v)
+                on_stack[v] = True
+            advanced = False
+            for i in range(pi, len(succ[v])):
+                w = succ[v][i]
+                if index[w] is None:
+                    work[-1] = (v, i + 1)
+                    work.append((w, 0))
+                    advanced = True
+                    break
+                if on_stack[w]:
+                    low[v] = min(low[v], index[w])
+            if advanced:
+                continue
+            work.pop()
+            if low[v] == index[v]:
+                comp = []
+                while True:
+                    w = stack.pop()
+                    on_stack[w] = False
+                    comp.append(w)
+                    if w == v:
+                        break
+                components.append(sorted(comp))
+            if work:
+                parent = work[-1][0]
+                low[parent] = min(low[parent], low[v])
+    return components
+
+
+def _scc_closure(rows) -> set[frozenset[int]]:
+    """The strongly connected components as the classes of mutual
+    reachability, from the transitive closure (Warshall, one bit mask of
+    reachable vertices per vertex)."""
+    n = len(rows)
+    reach = [
+        sum(1 << w for w, k in enumerate(row) if k) | 1 << v for v, row in enumerate(rows)
+    ]
+    for k in range(n):
+        bit = 1 << k
+        for v in range(n):
+            if reach[v] & bit:
+                reach[v] |= reach[k]
+    return {
+        frozenset(w for w in range(n) if reach[v] >> w & 1 and reach[w] >> v & 1)
+        for v in range(n)
+    }
+
+
+def _scc_family_rows(rng: random.Random, family: str, n: int) -> list[list[int]]:
+    """A random square matrix of one family: sparse, dense, a DAG on a
+    shuffled order, a chain with a few back edges, or any of these with
+    some vertices cut off."""
+    order = list(range(n))
+    rng.shuffle(order)
+    rows = [[0] * n for _ in range(n)]
+    if family == "sparse":
+        for v in range(n):
+            for _ in range(rng.randint(0, 2)):
+                rows[v][rng.randrange(n)] += 1
+    elif family == "dense":
+        rows = [[rng.randint(0, 3) for _ in range(n)] for _ in range(n)]
+    elif family == "dag":
+        for a in range(n):
+            for b in range(a + 1, n):
+                if rng.random() < 0.3:
+                    rows[order[a]][order[b]] = 1
+    elif family == "chain":
+        for a in range(n - 1):
+            rows[order[a]][order[a + 1]] = 1
+        for _ in range(rng.randint(0, 3)):
+            a = rng.randrange(n)
+            rows[order[a]][order[rng.randrange(a + 1)]] += 1
+    else:
+        rows = _scc_family_rows(rng, rng.choice(("sparse", "dense", "chain")), n)
+        for v in rng.sample(range(n), rng.randint(1, n)):
+            rows[v] = [0] * n
+            for row in rows:
+                row[v] = 0
+    return rows
+
+
+@pytest.mark.parametrize("family", ["sparse", "dense", "dag", "chain", "isolated"])
+def test_scc_matches_closure_and_reference_order(family):
+    rng = random.Random(f"scc-{family}")
+    shapes = set()
+    for _ in range(300):
+        rows = _scc_family_rows(rng, family, rng.randint(1, 40))
+        comps = strongly_connected_components(MultiGraph.from_matrix(rows))
+        assert comps == _scc_reference(rows), rows
+        assert all(comp == sorted(comp) for comp in comps)
+        closure = _scc_closure(rows)
+        assert len(comps) == len(closure) and set(map(frozenset, comps)) == closure, rows
+        shapes.add((len(comps) > 1, max(map(len, comps)) > 1))
+    # DAGs and bare chains have singleton components only; the other
+    # families also draw graphs with one component and with several.
+    assert len(shapes) >= (1 if family in ("dag", "chain") else 3), shapes
 
 
 # ---------------------------------------------------------------------------
@@ -839,6 +959,17 @@ def test_parse_error_table(text, line, col, message):
     with pytest.raises(ParseError) as exc:
         parse_graph(text)
     assert (exc.value.line, exc.value.col, exc.value.message) == (line, col, message)
+
+
+@pytest.mark.parametrize("kind, col", [("matrix", 8), ("edges", 7)])
+def test_parse_refuses_a_vertex_count_past_the_budget(kind, col):
+    with pytest.raises(ParseError) as exc:
+        parse_graph(f"{kind} {MAX_VERTICES + 1}\n0 0 1\n")
+    assert (exc.value.line, exc.value.col, exc.value.message) == (
+        1,
+        col,
+        f"{MAX_VERTICES + 1} vertices exceed the vertex budget of {MAX_VERTICES}",
+    )
 
 
 @pytest.mark.skipif(int_string_limit() == 0, reason="this Python has no int-string limit")

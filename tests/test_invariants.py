@@ -186,3 +186,24 @@ def test_franks_triples_match_large_golden_file(tmp_path, capsys):
         out = capsys.readouterr().out
         assert json.loads(out)["invariants"] == case["triple"], label
         assert hashlib.sha256(out.encode()).hexdigest() == case["invariants_json_sha256"], label
+
+
+def test_franks_triples_match_seeded_golden_file(tmp_path, capsys):
+    # The seeded 100- and 120-vertex graphs (entries 0..3 drawn by
+    # random.Random(0), row by row), whose logs of 51,656 and 117,061 row
+    # operations are replayed in blocks reduced mod the last invariant
+    # factor.  Each case holds the triple and the sha256 of
+    # `invariants --json`, written by the exact replay of the whole log.
+    path = os.path.join(os.path.dirname(__file__), "data", "franks_golden_xl.json")
+    with open(path, encoding="utf-8") as fh:
+        cases = json.load(fh)["cases"]
+    assert [(case["seed"], case["n"]) for case in cases] == [(0, 100), (0, 120)]
+    for case in cases:
+        n, rng = case["n"], random.Random(case["seed"])
+        g = MultiGraph.from_matrix([[rng.randint(0, 3) for _ in range(n)] for _ in range(n)])
+        graph_file = tmp_path / f"seeded{n}.graph"
+        graph_file.write_text(format_graph(g, style="matrix"))
+        assert main(["invariants", str(graph_file), "--json"]) == 0
+        out = capsys.readouterr().out
+        assert json.loads(out)["invariants"] == case["triple"], f"n={n}"
+        assert hashlib.sha256(out.encode()).hexdigest() == case["invariants_json_sha256"], f"n={n}"

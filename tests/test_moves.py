@@ -26,7 +26,15 @@ from flowinv.exactla import (
     pointed_equivalent,
     smith_diagonal,
 )
-from flowinv.graph import GraphError, MultiGraph, is_isomorphic, make_edges, sources, transpose
+from flowinv.graph import (
+    MAX_VERTICES,
+    GraphError,
+    MultiGraph,
+    is_isomorphic,
+    make_edges,
+    sources,
+    transpose,
+)
 from flowinv.invariants import bowen_franks_matrix, franks_triple
 from flowinv.moves import (
     DrinenVector,
@@ -430,6 +438,22 @@ def test_delay_validation_errors():
         out_delay(g, DrinenVector("source", {0: -1}))
     with pytest.raises(ValueError):
         DrinenVector("diagonal")
+
+
+def test_delay_past_the_vertex_budget_is_refused(monkeypatch):
+    # The chains would add MAX_VERTICES - 1 vertices to the graph's two.
+    g = MultiGraph(["v", "w"], [(0, 1, "a"), (1, 0, "b")])
+    text = f"^{MAX_VERTICES + 1} vertices exceed the vertex budget of {MAX_VERTICES}$"
+    with pytest.raises(MoveError, match=text):
+        out_delay(g, DrinenVector.from_edges(g, "source", {"a": MAX_VERTICES - 1}))
+    with pytest.raises(MoveError, match=text):
+        in_delay(g, DrinenVector.from_edges(g, "range", {"b": MAX_VERTICES - 1}))
+    # At a budget of 7, a delay to 7 vertices is made and one to 8 is not.
+    monkeypatch.setattr(flowinv.graph, "MAX_VERTICES", 7)
+    for d, kind in ((out_delay, "source"), (in_delay, "range")):
+        assert d(g, DrinenVector.from_edges(g, kind, {"a": 3, "b": 2})).n == 7
+        with pytest.raises(MoveError, match="^8 vertices exceed the vertex budget of 7$"):
+            d(g, DrinenVector.from_edges(g, kind, {"a": 3, "b": 3}))
 
 
 def test_proper_in_partition_vector_matches_split_invariants():
