@@ -430,24 +430,21 @@ class CokernelProjection:
         """The coordinates of ``vec``: the log replayed on it, then entry i
         taken mod d_i for each torsion factor d_i.
 
+        The log is replayed in blocks of ``_REDUCE_EVERY`` operations.
         When no d_i is 0, each divides the last one, e, and reduction mod e
         is a ring map, so it commutes with every logged operation and leaves
-        each y_i mod d_i as it is.  A long log is then replayed in blocks of
-        ``_REDUCE_EVERY`` operations, the vector reduced mod e after each,
-        so its entries stay below e instead of growing like those of U.  A
-        free summand (a 0 on the diagonal) reads its entry whole, so its log
-        is replayed exactly, as is any log of one block or less.
+        each y_i mod d_i as it is; the vector is then reduced mod e after
+        each block, so its entries stay below e instead of growing like
+        those of U.  Zeros sort last, so e is 0 exactly when there is a free
+        summand, which reads its entry whole: that log is replayed exactly.
         """
         y = [int(x) for x in vec]
         if len(y) != len(self.diagonal):
             raise ValueError("vector length mismatch")
-        log = self.log
-        if len(log) <= _REDUCE_EVERY or 0 in self.diagonal:
-            _replay(log, y)
-        else:
-            e = self.diagonal[-1]
-            for start in range(0, len(log), _REDUCE_EVERY):
-                _replay(log[start : start + _REDUCE_EVERY], y)
+        log, e = self.log, self.diagonal[-1] if self.diagonal else 0
+        for start in range(0, len(log), _REDUCE_EVERY):
+            _replay(log[start : start + _REDUCE_EVERY], y)
+            if e:
                 y = [x % e for x in y]
         torsion = [y[i] % d for i, d in enumerate(self.diagonal) if d >= 2]
         free = [y[i] for i, d in enumerate(self.diagonal) if d == 0]

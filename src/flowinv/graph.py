@@ -75,62 +75,31 @@ def make_edges(triples) -> list:
     return list(map(_new_edge, triples))
 
 
-def _plain_columns(items):
-    """The sources, targets and ids of ``items`` when every item is a
-    triple with int endpoints and a str id, told by the types of the
-    columns; else None."""
-    if not set(map(len, items)) <= {3}:
-        return None
-    sources, targets, ids = columns = edge_columns(items)
-    if set(map(type, sources + targets)) <= {int} and set(map(type, ids)) <= {str}:
-        return columns
-    return None
-
-
-def _as_edge(item, n: int) -> Edge:
-    """The Edge of one edge-list item: (source, target, id), an Edge among
-    them, or (source, target) with id None.  Endpoints become ints and an id
-    other than None a str; an item out of range becomes an edge from -1 to
-    -1, for the range check to catch."""
-    if len(item) == 2:
-        src, tgt = item
-        eid = None
-    else:
-        src, tgt, eid = item
-    eid = None if eid is None else str(eid)
-    if 0 <= src < n and 0 <= tgt < n:
-        return _new_edge((int(src), int(tgt), eid))
-    return _new_edge((-1, -1, eid))
-
-
-def _auto_ids(ids) -> list:
-    """``ids`` with each None replaced by the next of e0, e1, ... that no
-    earlier id in the list holds."""
-    out, seen, auto = [], set(), 0
-    for eid in ids:
+def _edges_item_by_item(items, n: int) -> list:
+    """The Edges of edge-list ``items``, converted one by one: endpoints
+    become ints, an id a str, and an id of None the next of e0, e1, ...
+    that no earlier item holds.  Raises the GraphError of the first item
+    that is out of range or reuses an earlier id; an item's range is
+    checked before its id."""
+    built, seen, auto = [], set(), 0
+    for item in items:
+        if len(item) == 2:
+            (src, tgt), eid = item, None
+        else:
+            src, tgt, eid = item
+        if not (0 <= src < n and 0 <= tgt < n):
+            raise GraphError(f"edge endpoint out of range: ({src}, {tgt})")
         if eid is None:
             while f"e{auto}" in seen:
                 auto += 1
             eid = f"e{auto}"
             auto += 1
-        seen.add(eid)
-        out.append(eid)
-    return out
-
-
-def _first_edge_error(items, ids, n: int) -> GraphError:
-    """The error of the first item that is out of range or whose id (in
-    ``ids``) an earlier item holds; an item's range is checked before its
-    id."""
-    seen = set()
-    for item, eid in zip(items, ids):
-        src, tgt = item[0], item[1]
-        if not (0 <= src < n and 0 <= tgt < n):
-            return GraphError(f"edge endpoint out of range: ({src}, {tgt})")
+        eid = str(eid)
         if eid in seen:
-            return GraphError(f"duplicate edge id {eid!r}")
+            raise GraphError(f"duplicate edge id {eid!r}")
         seen.add(eid)
-    raise AssertionError("every edge is in range and has a fresh id")
+        built.append(_new_edge((int(src), int(tgt), eid)))
+    return built
 
 
 def _reversed(sources, targets, ids):
@@ -190,18 +159,19 @@ class MultiGraph:
     A matrix given as an :class:`~flowinv.exactla.IntMatrix` (as
     :func:`parse_graph` gives it) keeps its entries as they are, since its
     entries are ints already; any other matrix has every entry converted
-    with ``int()``.  Either way its shape and signs are checked.
+    with ``int()``, and an entry the conversion would change, such as 1.5,
+    is an error.  Either way its shape and signs are checked.
 
-    An edge list is checked as a whole.  Its items are (source, target, id)
-    triples, :class:`Edge` among them, or (source, target) pairs; an id of
-    None is filled with the next of ``e0, e1, ...`` that no earlier item
-    holds.  A list of triples with int endpoints and str ids, told by the
-    types of its columns, is taken in bulk (Edges as they are); any other
-    list is converted item by item.  Then min and max check the endpoints
-    and a set checks that the ids are unique.  Only when a check fails is
-    the list walked again, to name the first offending item; its range is
-    checked before its id.  Out- and in-edges are grouped on their first
-    read.
+    An edge list's items are (source, target, id) triples, :class:`Edge`
+    among them, or (source, target) pairs.  A list of Edges with int
+    endpoints and str ids, as the splittings and delays hand over, is
+    checked in bulk and kept as it is: min and max check the endpoints and
+    a set checks that the ids are unique.  Any other list, and any list
+    that fails the bulk check, is converted item by item: endpoints become
+    ints, an id a str, and an id of None the next of ``e0, e1, ...`` that
+    no earlier item holds.  That pass raises the error of the first item
+    that is out of range or reuses an earlier id, checking an item's range
+    before its id.  Out- and in-edges are grouped on their first read.
     """
 
     __slots__ = ("_labels", "_edges", "_matrix", "_out", "_in", "_pending")
@@ -222,7 +192,16 @@ class MultiGraph:
             if isinstance(matrix, IntMatrix):
                 rows = matrix.entries
             else:
-                rows = tuple(tuple(map(int, row)) for row in matrix)
+                given = tuple(map(tuple, matrix))
+                rows = tuple(tuple(map(int, row)) for row in given)
+                if rows != given:
+                    i, j, x = next(
+                        (i, j, x)
+                        for i, row in enumerate(given)
+                        for j, x in enumerate(row)
+                        if x != int(x)
+                    )
+                    raise GraphError(f"non-integer multiplicity {x!r} at ({i}, {j})")
             if len(rows) != n or any(len(r) != n for r in rows):
                 raise GraphError(f"incidence matrix must be square of size {n}")
             if min(map(min, rows)) < 0:
@@ -238,22 +217,21 @@ class MultiGraph:
             self._pending = None if _derive is None else _derivation(*_derive)
             return
 
-        items = list(edges)
-        columns = _plain_columns(items)
-        if columns is None:
-            built = [_as_edge(item, n) for item in items]
-            sources, targets, ids = columns = edge_columns(built)
-            if None in ids:
-                columns = sources, targets, _auto_ids(ids)
-                built = make_edges(zip(*columns))
-        elif set(map(type, items)) <= {Edge}:
-            built = items
-        else:
-            built = make_edges(items)
-        sources, targets, ids = columns
-        ends = sources + targets
-        if ends and (min(ends) < 0 or max(ends) >= n) or len(set(ids)) != len(ids):
-            raise _first_edge_error(items, ids, n)
+        built = list(edges)
+        bulk = set(map(type, built)) <= {Edge}
+        if bulk:
+            sources, targets, ids = edge_columns(built)
+            ends = sources + targets
+            bulk = (
+                set(map(type, ends)) <= {int}
+                and set(map(type, ids)) <= {str}
+                and 0 <= min(ends, default=0)
+                and max(ends, default=0) < n
+                and len(set(ids)) == len(ids)
+            )
+        if not bulk:
+            built = _edges_item_by_item(built, n)
+            sources, targets, _ = edge_columns(built)
 
         cells = [0] * (n * n)
         for cell, k in Counter(map(add, map(n.__mul__, sources), targets)).items():

@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import random
 import re
+from fractions import Fraction
 
 import pytest
 
@@ -104,6 +105,38 @@ def test_matrix_construction_error_messages(n, rows, message):
         with pytest.raises(GraphError) as exc:
             MultiGraph(n, matrix=matrix)
         assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ([[1.5, 1], [1, 0.9]], "non-integer multiplicity 1.5 at (0, 0)"),
+        ([[1, 1], [1, 0.9]], "non-integer multiplicity 0.9 at (1, 1)"),
+        ([[-1, 2.5], [0, 0]], "non-integer multiplicity 2.5 at (0, 1)"),
+        ([[1, 1], [-0.5, 0]], "non-integer multiplicity -0.5 at (1, 0)"),
+        ([[1, Fraction(1, 2)], [0, 0]], "non-integer multiplicity Fraction(1, 2) at (0, 1)"),
+        ([["2", 1], [1, 0]], "non-integer multiplicity '2' at (0, 0)"),
+        ([[1, 2, 0.25], [0, 0, 0], [0, 0, 0]], "non-integer multiplicity 0.25 at (0, 2)"),
+    ],
+)
+def test_non_integer_multiplicities_are_errors(rows, message):
+    # int() would truncate such an entry into another graph, so the first
+    # one in row-major order is named, before any negative entry.
+    for build in (MultiGraph.from_matrix, lambda r: MultiGraph(len(r), matrix=r)):
+        with pytest.raises(GraphError) as exc:
+            build(rows)
+        assert str(exc.value) == message
+
+
+def test_integral_multiplicities_convert_and_int_matrices_stay():
+    for rows in ([[2.0, True], [False, 1]], [[Fraction(2), 1], [0, 1.0]]):
+        entries = MultiGraph.from_matrix(rows).incidence().entries
+        assert entries == ((2, 1), (0, 1))
+        assert {type(k) for row in entries for k in row} == {int}
+    m = IntMatrix(2, 2, ((1, 2), (0, 1)))
+    assert MultiGraph(2, matrix=m).incidence().entries is m.entries
+    # Rows given as an iterator, as a move hands over a transposed matrix.
+    assert MultiGraph(2, matrix=zip((1, 0), (2, 1))).incidence() == m
 
 
 def _square_matrices(st):
@@ -276,6 +309,73 @@ def test_edge_list_build_matches_reference_loop():
     check()
 
 
+def _valid_edges(count: int) -> list:
+    """``count`` Edges on vertices 0..2 with ids k0, k1, ..., as a move
+    hands them over."""
+    return [Edge(k % 3, k * 7 % 3, f"k{k}") for k in range(count)]
+
+
+def _random_edge_item(rng: random.Random, n: int):
+    """A seeded edge-list item for n vertices, mostly valid: the kinds of
+    _edge_items, drawn without hypothesis."""
+
+    def endpoint():
+        pick = rng.random()
+        if pick < 0.7:
+            return rng.randrange(n)
+        if pick < 0.8:
+            return rng.randint(-1, n)
+        if pick < 0.9:
+            return rng.random() < 0.5
+        return rng.choice([0.0, 0.5, n - 0.5, -0.5, float(n), float("nan")])
+
+    def eid():
+        pick = rng.random()
+        if pick < 0.3:
+            return None
+        if pick < 0.45:
+            return rng.randint(0, 3)
+        if pick < 0.65:
+            return rng.choice(["e0", "e1", "e2", "x", "a#1", "1"])
+        return f"k{rng.randint(0, 99)}"
+
+    kind = rng.randrange(4)
+    if kind == 0:
+        return Edge(rng.randrange(n), rng.randrange(n), eid())
+    if kind == 1:
+        return Edge(endpoint(), endpoint(), eid())
+    if kind == 2:
+        return (endpoint(), endpoint())
+    return (endpoint(), endpoint(), eid())
+
+
+def test_edge_list_build_matches_reference_on_seeded_lists():
+    # The seeded counterpart of the property test above, which runs without
+    # hypothesis: mixed lists of Edges, pairs and triples with None, int or
+    # str ids, bool and float endpoints, duplicate ids and out-of-range
+    # items; and lists of Edges with int endpoints and str ids, which the
+    # bulk check takes unless one item is out of range or reuses an id.
+    rng = random.Random(2611)
+    kinds = {"graph": 0, "error": 0}
+    for _ in range(3000):
+        n = rng.randint(1, 4)
+        size = rng.randint(0, 10)
+        if rng.random() < 0.4:
+            items = [
+                Edge(rng.randrange(n), rng.randrange(n), f"k{rng.randrange(16)}")
+                for _ in range(size)
+            ]
+            if items and rng.random() < 0.3:
+                items[rng.randrange(size)] = Edge(rng.randrange(n), rng.randint(-1, n), "x")
+        else:
+            items = [_random_edge_item(rng, n) for _ in range(size)]
+        want = _build_outcome(_build_reference, n, items)
+        assert _build_outcome(MultiGraph, n, items) == want, (n, items)
+        assert _build_outcome(MultiGraph, n, iter(items)) == want, (n, items)
+        kinds[want[0]] += 1
+    assert min(kinds.values()) > 1000, kinds
+
+
 @pytest.mark.parametrize(
     "n, items, message",
     [
@@ -293,12 +393,15 @@ def test_edge_list_build_matches_reference_loop():
         (2, [(float("nan"), 0)], "edge endpoint out of range: (nan, 0)"),
         (2, [(True, 2)], "edge endpoint out of range: (True, 2)"),
         (1, [(0, -1, "x"), (0, 0, "x")], "edge endpoint out of range: (0, -1)"),
+        (3, [*_valid_edges(10_000), Edge(2, 0, "k17")], "duplicate edge id 'k17'"),
+        (3, [*_valid_edges(10_000), Edge(1, 3, "z")], "edge endpoint out of range: (1, 3)"),
     ],
 )
 def test_edge_list_first_error_wins(n, items, message):
     # The first offending item in list order is named; within an item the
     # range check comes before the duplicate check.  Texts from the
-    # per-item loop, _build_reference.
+    # per-item loop, _build_reference.  The long lists of Edges fail the
+    # bulk check only at their last item, which the per-item pass names.
     for build in (_build_reference, MultiGraph):
         with pytest.raises(GraphError) as exc:
             build(n, items)

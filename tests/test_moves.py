@@ -811,8 +811,11 @@ def _edge_list(g: MultiGraph) -> dict:
     }
 
 
-def _golden_result(case) -> dict:
-    g = _golden_graph(case["graph"])
+def _golden_result(case, g=None) -> dict:
+    """The result of a case of moves_golden.json, in the file's terms; the
+    move is made on ``g`` when given, else on the case's graph."""
+    if g is None:
+        g = _golden_graph(case["graph"])
     move = case["move"]
     mode = move.split("-", 1)[0]
     if move.endswith("-split"):
@@ -855,6 +858,32 @@ def test_mirrored_moves_match_golden_file():
         except (MoveError, GraphError) as exc:
             got = {"error": type(exc).__name__, "message": str(exc)}
         assert got == case["expect"], f"case {k}: {case['move']}"
+
+
+def test_split_and_delay_children_take_the_bulk_check(monkeypatch):
+    # The splittings and delays hand their child a list of Edges with int
+    # endpoints and str ids, which MultiGraph takes through its bulk check:
+    # with the per-item pass made to fail, every golden split and delay
+    # that succeeds still builds its golden result.  These are the only
+    # edge-list builds of the moves; classify set-up splits its graphs.
+    path = os.path.join(os.path.dirname(__file__), "data", "moves_golden.json")
+    with open(path, encoding="utf-8") as fh:
+        cases = json.load(fh)["cases"]
+
+    def refuse(items, n):
+        raise AssertionError("the per-item pass ran")
+
+    built = 0
+    for k, case in enumerate(cases):
+        if case["move"].endswith("-amalgamate") or "error" in case["expect"]:
+            continue
+        g = _golden_graph(case["graph"])
+        with monkeypatch.context() as patch:
+            patch.setattr(flowinv.graph, "_edges_item_by_item", refuse)
+            got = _golden_result(case, g)
+        assert got == case["expect"], f"case {k}: {case['move']}"
+        built += 1
+    assert built == 230
 
 
 _EDGE_MOVES = {
