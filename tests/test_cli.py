@@ -762,14 +762,13 @@ def _fuzz_inputs(st):
     return graph, positive, names, tokens, script.flatmap(commented)
 
 
-def test_fuzzed_cli_inputs_exit_0_or_2(tmp_path, capsys):
+def test_fuzzed_cli_inputs_exit_0_or_2(tmp_path, capsys, hypothesis_api):
     # Every input ends in exit 0 or 2 and raises nothing, a parse or move
     # error included.  Sizes stay small: a vertex count or a delay past the
     # vertex budget exits 2 at once (see the capped tests above), but one
     # within it, or a multiplicity in the millions that a split or delay
     # turns into edges, can still take seconds and hundreds of MB.
-    hyp = pytest.importorskip("hypothesis")
-    st = pytest.importorskip("hypothesis.strategies")
+    hyp, st = hypothesis_api
     graph, positive, names, tokens, script = _fuzz_inputs(st)
 
     @hyp.settings(max_examples=150, deadline=None)

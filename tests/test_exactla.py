@@ -239,9 +239,8 @@ def test_snf_matches_minor_gcd_oracle():
         assert list(smith_normal_form(m).diagonal()) == _factors_by_minors(m)
 
 
-def test_snf_contract_property():
-    hyp = pytest.importorskip("hypothesis")
-    st = pytest.importorskip("hypothesis.strategies")
+def test_snf_contract_property(hypothesis_api):
+    hyp, st = hypothesis_api
 
     @hyp.settings(max_examples=150, deadline=None)
     @hyp.given(_matrices(st))
@@ -428,13 +427,12 @@ def test_smith_pass_matches_reference_on_dense_bowen_franks_matrices():
         assert determinant == det(b)
 
 
-def test_smith_pass_matches_reference_property():
+def test_smith_pass_matches_reference_property(hypothesis_api):
     # The pass holds only its active block, so the draws reach each part of
     # that bookkeeping: tall and wide shapes, zero rows and columns, entries
     # from 0 and +-1 up to +-10^40, and matrices of low rank, whose block is
     # all zero after a few pivots and ends the loop early.
-    hyp = pytest.importorskip("hypothesis")
-    st = pytest.importorskip("hypothesis.strategies")
+    hyp, st = hypothesis_api
     entries = st.one_of(
         st.sampled_from([0, 0, 1, -1]),
         st.integers(-10, 10),
@@ -613,9 +611,8 @@ def test_lattice_contains_mod_e_matches_exact_replay_on_any_shape(monkeypatch):
     assert shapes == {-1, 0, 1}
 
 
-def test_projection_vanishes_exactly_on_column_lattice_property():
-    hyp = pytest.importorskip("hypothesis")
-    st = pytest.importorskip("hypothesis.strategies")
+def test_projection_vanishes_exactly_on_column_lattice_property(hypothesis_api):
+    hyp, st = hypothesis_api
 
     @st.composite
     def cases(draw):

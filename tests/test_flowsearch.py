@@ -251,12 +251,11 @@ def test_bounded_partitions_match_generate_then_filter():
                 assert list(_vector_partitions(total, max_parts)) == want, (total, max_parts)
 
 
-def test_bounded_partitions_match_the_oracle_up_to_five_coordinates():
+def test_bounded_partitions_match_the_oracle_up_to_five_coordinates(hypothesis_api):
     # The search hands _vector_partitions bundle vectors of up to six
     # sources; past the grid above, draw totals of up to five coordinates
     # with sum at most 7.
-    hyp = pytest.importorskip("hypothesis")
-    st = pytest.importorskip("hypothesis.strategies")
+    hyp, st = hypothesis_api
     totals = st.integers(1, 5).flatmap(
         lambda k: st.lists(st.integers(0, k - 1), max_size=7).map(
             lambda picks: tuple(map(picks.count, range(k)))
@@ -365,9 +364,8 @@ def test_meets_on_the_last_level_match_golden_file():
         assert _digest(_script(seq)) == case["script_sha256"]
 
 
-def test_shape_is_a_permutation_invariant():
-    hyp = pytest.importorskip("hypothesis")
-    st = pytest.importorskip("hypothesis.strategies")
+def test_shape_is_a_permutation_invariant(hypothesis_api):
+    hyp, st = hypothesis_api
 
     @hyp.settings(max_examples=200, deadline=None)
     @hyp.given(
@@ -500,7 +498,7 @@ def _check_split_rows(m, v, max_classes, cap, memo):
     return len(want)
 
 
-def test_split_rows_match_the_reference():
+def test_split_rows_match_the_reference(hypothesis_api):
     # Vertex 0 has a loop of 2 and receives 1 and 2 edges from vertices 1
     # and 2; vertices 1 and 2 each receive one edge (vertex 2 its loop), a
     # bundle sum below 2, so they have no splitting.
@@ -513,8 +511,7 @@ def test_split_rows_match_the_reference():
             assert _check_split_rows(m, 1, 4, cap, partitions) == 0
             assert _check_split_rows(m, 2, 4, cap, partitions) == 0
 
-    hyp = pytest.importorskip("hypothesis")
-    st = pytest.importorskip("hypothesis.strategies")
+    hyp, st = hypothesis_api
 
     rows = st.integers(1, 4).flatmap(
         lambda n: st.lists(
@@ -574,9 +571,8 @@ def test_neighbor_rows_match_realized_golden_graphs():
     assert stats.partition_capped and stats.entry_capped
 
 
-def test_neighbor_rows_match_realized_random_graphs():
-    hyp = pytest.importorskip("hypothesis")
-    st = pytest.importorskip("hypothesis.strategies")
+def test_neighbor_rows_match_realized_random_graphs(hypothesis_api):
+    hyp, st = hypothesis_api
     seen = SearchStats()
 
     @hyp.settings(max_examples=100, deadline=None)
@@ -604,11 +600,10 @@ def test_neighbor_rows_match_realized_random_graphs():
     assert seen.partition_capped and seen.vertex_capped and seen.entry_capped
 
 
-def test_neighbors_of_essential_graphs_are_essential():
+def test_neighbors_of_essential_graphs_are_essential(hypothesis_api):
     # The search admits only essential graphs, so it walks no source
     # elimination: no neighbor it enumerates has a zero row or column.
-    hyp = pytest.importorskip("hypothesis")
-    st = pytest.importorskip("hypothesis.strategies")
+    hyp, st = hypothesis_api
 
     def essential(rows):
         return all(map(any, rows)) and all(map(any, zip(*rows)))
@@ -819,9 +814,8 @@ def test_amalgamation_neighbors_are_the_accepted_groupings_golden():
     assert found > 100
 
 
-def test_amalgamation_neighbors_are_the_accepted_groupings_random():
-    hyp = pytest.importorskip("hypothesis")
-    st = pytest.importorskip("hypothesis.strategies")
+def test_amalgamation_neighbors_are_the_accepted_groupings_random(hypothesis_api):
+    hyp, st = hypothesis_api
 
     @hyp.settings(max_examples=200, deadline=None)
     @hyp.given(

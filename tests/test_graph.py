@@ -148,9 +148,8 @@ def _square_matrices(st):
     )
 
 
-def test_matrix_built_graph_matches_eager_edge_list():
-    hyp = pytest.importorskip("hypothesis")
-    st = pytest.importorskip("hypothesis.strategies")
+def test_matrix_built_graph_matches_eager_edge_list(hypothesis_api):
+    hyp, st = hypothesis_api
 
     @hyp.settings(max_examples=150, deadline=None)
     @hyp.given(_square_matrices(st))
@@ -286,13 +285,12 @@ def _edge_items(st, n):
     )
 
 
-def test_edge_list_build_matches_reference_loop():
+def test_edge_list_build_matches_reference_loop(hypothesis_api):
     # Mixed lists of Edge items, 2-tuples and 3-tuples with None, int or str
     # ids, out-of-range and duplicate items, bool and float endpoints: the
     # one-pass build and the per-item loop give equal graphs (matrix, edges,
     # each vertex's out- and in-edges, in order) or the same GraphError.
-    hyp = pytest.importorskip("hypothesis")
-    st = pytest.importorskip("hypothesis.strategies")
+    hyp, st = hypothesis_api
 
     @hyp.settings(max_examples=400, deadline=None)
     @hyp.given(
@@ -768,9 +766,8 @@ def _dense_matrices(st):
     )
 
 
-def test_report_matches_reference_on_drawn_graphs():
-    hyp = pytest.importorskip("hypothesis")
-    st = pytest.importorskip("hypothesis.strategies")
+def test_report_matches_reference_on_drawn_graphs(hypothesis_api):
+    hyp, st = hypothesis_api
 
     @hyp.settings(max_examples=400, deadline=None)
     @hyp.given(st.one_of(_sparse_matrices(st), _dense_matrices(st)))
@@ -994,9 +991,8 @@ def _graph_texts(st):
     return texts()
 
 
-def test_parse_matches_reference_parser():
-    hyp = pytest.importorskip("hypothesis")
-    st = pytest.importorskip("hypothesis.strategies")
+def test_parse_matches_reference_parser(hypothesis_api):
+    hyp, st = hypothesis_api
 
     @hyp.settings(max_examples=600, deadline=None)
     @hyp.given(_graph_texts(st))
@@ -1007,9 +1003,8 @@ def test_parse_matches_reference_parser():
     check()
 
 
-def test_parse_returns_a_graph_or_raises_parse_error():
-    hyp = pytest.importorskip("hypothesis")
-    st = pytest.importorskip("hypothesis.strategies")
+def test_parse_returns_a_graph_or_raises_parse_error(hypothesis_api):
+    hyp, st = hypothesis_api
 
     @hyp.settings(max_examples=400, deadline=None)
     @hyp.given(st.one_of(st.text(), _graph_texts(st)))
@@ -1176,7 +1171,7 @@ def _permute(m, p):
     return [[m[p[i]][p[j]] for j in range(n)] for i in range(n)]
 
 
-def test_canonical_key_matches_brute_force_oracle():
+def test_canonical_key_matches_brute_force_oracle(hypothesis_api):
     # Exhaustively up to 3 vertices with entries 0..1: equal keys exactly
     # when the brute-force forms agree.
     for n in range(1, 4):
@@ -1192,8 +1187,7 @@ def test_canonical_key_matches_brute_force_oracle():
     two_c3 = [[int(j == 3 * (i // 3) + (i + 1) % 3) for j in range(6)] for i in range(6)]
     assert canonical_rows_key(c6) != canonical_rows_key(two_c3)
 
-    hyp = pytest.importorskip("hypothesis")
-    st = pytest.importorskip("hypothesis.strategies")
+    hyp, st = hypothesis_api
 
     @hyp.settings(max_examples=120, deadline=None)
     @hyp.given(_square_matrices(st), st.data())
@@ -1303,9 +1297,8 @@ def test_discrete_refinement_order_matches_product_oracle():
     assert 0 < discrete < len(cases)
 
 
-def test_refinement_matches_reference_on_drawn_matrices():
-    hyp = pytest.importorskip("hypothesis")
-    st = pytest.importorskip("hypothesis.strategies")
+def test_refinement_matches_reference_on_drawn_matrices(hypothesis_api):
+    hyp, st = hypothesis_api
 
     square = st.integers(1, 7).flatmap(
         lambda n: st.lists(
