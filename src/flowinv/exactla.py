@@ -32,6 +32,22 @@ class Ternary(Enum):
         raise TypeError("Ternary verdicts must be compared explicitly")
 
 
+def exact_int(x) -> int:
+    """``int(x)`` when that equals ``x``, as for ``2``, ``2.0`` or ``True``.
+
+    A value that ``int()`` would change or cannot convert (``1.5``,
+    ``nan``, ``inf``, ``None``, the string ``'2'``) is a ValueError that
+    names it, so no number is truncated on its way in.
+    """
+    try:
+        k = int(x)
+        if k == x:
+            return k
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ValueError(f"{x!r} is not an integer")
+
+
 @dataclass(frozen=True)
 class IntMatrix:
     """Dense integer matrix, row-major, immutable."""
@@ -42,7 +58,7 @@ class IntMatrix:
 
     @staticmethod
     def from_rows(rows) -> "IntMatrix":
-        data = tuple(tuple(int(x) for x in row) for row in rows)
+        data = tuple(tuple(map(exact_int, row)) for row in rows)
         if not data:
             raise ValueError("matrix needs at least one row")
         width = len(data[0])
@@ -108,7 +124,7 @@ class IntMatrix:
         )
 
     def mul_vector(self, vec) -> tuple[int, ...]:
-        v = tuple(int(x) for x in vec)
+        v = tuple(map(exact_int, vec))
         if len(v) != self.cols:
             raise ValueError("vector length mismatch")
         return tuple(sum(a * b for a, b in zip(row, v)) for row in self.entries)
@@ -438,7 +454,7 @@ class CokernelProjection:
         those of U.  Zeros sort last, so e is 0 exactly when there is a free
         summand, which reads its entry whole: that log is replayed exactly.
         """
-        y = [int(x) for x in vec]
+        y = list(map(exact_int, vec))
         if len(y) != len(self.diagonal):
             raise ValueError("vector length mismatch")
         log, e = self.log, self.diagonal[-1] if self.diagonal else 0

@@ -14,12 +14,15 @@ incidence rows until it returns:
 
 - It records, for each visited key (:func:`flowinv.graph.canonical_rows_key`
   of a neighbor's rows, computed from its parent's rows alone), only its
-  parent's key, and for each key the forward side reached, the (kind,
-  recipe) of the neighbor that first reached it.
+  parent's key, and for each key the start's side reached, the (kind,
+  recipe) of the neighbor that first reached it.  The walk holds its two
+  sides, from the start and from the goal, as one pair of visited maps and
+  one pair of frontiers, and takes each neighbor's rows from the moves' own
+  rules.
 - The replay of a found path builds graphs, with their edges, labels and
   script arguments, through the moves themselves and only for its steps.
-  A link the forward side made is built from its recorded recipe; one the
-  backward side made is the inverse of the move it recorded, so it is found
+  A link the start's side made is built from its recorded recipe; one the
+  goal's side made is the inverse of the move it recorded, so it is found
   again by enumerating the graph's rows, building only the neighbor whose
   key matches.
 - It skips work whose result is already known or cannot matter.  The shape
@@ -62,8 +65,10 @@ from flowinv.moves import (
     Partition,
     apply_move,
     contract,
+    contraction_rows,
     eliminate_source,  # noqa: F401 - unused, but bench/tracing.py wraps this name
     expand,
+    expansion_rows,
     in_amalgamate,
     in_split,
     move_side,
@@ -288,10 +293,6 @@ def _max_entry(g) -> int:
     return max((max(row) for row in g.incidence().entries), default=0)
 
 
-def _drop(row, v):
-    return row[:v] + row[v + 1 :]
-
-
 def _shape(rows):
     """(vertex count, sorted (out-degree, in-degree) pairs) of the incidence
     rows ``rows``.  No vertex permutation changes it, and a canonical key is
@@ -304,9 +305,9 @@ def _realize(g, kind, recipe):
     ``kind`` and ``recipe``, through the move itself: returns (script args,
     graph).
 
-    A splitting's partition puts, in class i at its vertex, the first
-    part-i-many edges of each bundle in g's edge order; every other vertex
-    keeps its single class.
+    A splitting's partition puts, in class i at its vertex, the next
+    part-i-many edges of each bundle in g's edge order, dealt from one
+    iterator per bundle; every other vertex keeps its single class.
     """
     if kind == "expand":
         return {"vertex": g.label(recipe)}, expand(g, recipe)
@@ -320,14 +321,11 @@ def _realize(g, kind, recipe):
         bundles: dict[int, list[str]] = {}
         for e in side.edges(g, v):
             bundles.setdefault(side.far(e), []).append(e.id)
-        queues = [bundles[u] for u in sorted(bundles)]
-        classes = []
-        for part in parts:
-            cls = []
-            for queue, take in zip(queues, part):
-                cls.extend(queue[:take])
-                del queue[:take]
-            classes.append(cls)
+        queues = [iter(bundles[u]) for u in sorted(bundles)]
+        classes = [
+            [eid for queue, take in zip(queues, part) for eid in itertools.islice(queue, take)]
+            for part in parts
+        ]
         p = Partition({**Partition.trivial(g, mode).classes, v: classes})
         # Looked up per call, not at import, so a wrapper put on a move is called.
         split = {"in": in_split, "out": out_split}[mode]
@@ -372,7 +370,7 @@ class _Search:
     ``max_vertices``, ``entry_cap`` and ``partition_cap`` bound the
     neighbors; ``stats`` counts what the search did and what the bounds cut.
     ``keyed`` maps each rows to its key, ``partitions`` is
-    :func:`_split_rows`'s memo, and ``links`` maps each key the forward side
+    :func:`_split_rows`'s memo, and ``links`` maps each key the start's side
     reached to the (kind, recipe) of the neighbor that first reached it.
     """
 
@@ -389,10 +387,12 @@ class _Search:
         rows ``m``, in a fixed order, as (kind, rows, recipe) triples.
 
         ``rows`` is the neighbor's incidence matrix, computed from ``m``
-        alone: a splitting edits rows and columns (see :func:`_split_rows`),
-        an amalgamation is :func:`flowinv.moves.quotient_rows` (see
-        :func:`_amalgam_blocks`), and expansion and contraction edit rows
-        directly; out-moves are the in-moves of the transpose.  The entry
+        alone by the moves' own rules: an expansion is
+        :func:`flowinv.moves.expansion_rows`, a contraction
+        :func:`flowinv.moves.contraction_rows` and an amalgamation
+        :func:`flowinv.moves.quotient_rows` (see :func:`_amalgam_blocks`);
+        a splitting edits rows and columns (see :func:`_split_rows`).
+        Out-moves are the in-moves of the transpose.  The entry
         cap is read from the rows.  ``recipe`` is what :func:`_realize`
         needs to build the graph and the script arguments through the move
         itself: the vertex (expand), the vertex and its star (contract), the
@@ -405,10 +405,7 @@ class _Search:
 
         if n + 1 <= self.max_vertices:
             for v in range(n):
-                rows = [row + (0,) for row in m]
-                rows[v] = (0,) * n + (1,)
-                rows.append(m[v] + (0,))
-                yield "expand", tuple(rows), v
+                yield "expand", expansion_rows(m, v), v
         else:
             stats.vertex_capped += n
 
@@ -417,8 +414,7 @@ class _Search:
                 continue
             vs = m[v].index(1)
             if vs != v and sum(cols[vs]) == 1:
-                rows = tuple(_drop(m[vs] if u == v else m[u], vs) for u in range(n) if u != vs)
-                yield "contract", rows, (v, vs)
+                yield "contract", contraction_rows(m, v, vs), (v, vs)
 
         max_classes = self.max_vertices - n + 1
         if max_classes >= 2:
@@ -474,11 +470,11 @@ class _Search:
         """Build the path from ``start`` through the canonical ``keys``;
         returns the steps.
 
-        On a path the links the search made forward come first, from the
+        On a path the links the start's side made come first, from the
         start to the meet, and each recipe was enumerated from the rows of
         the key before it, which are the rows of the graph the replay built
         for that key; so such a link is built directly, through
-        :func:`_realize`.  A link the search made backward was discovered as
+        :func:`_realize`.  A link the goal's side made was discovered as
         the inverse of a move, so :meth:`find_link` finds it again.
 
         Every step built must key to its link, which the memo answers for a
@@ -536,52 +532,50 @@ def find_sequence(
     if key_src == key_dst:
         return MoveSequence(start=src, steps=(), stats=stats)
 
-    # visited maps canonical key -> parent key; the roots have parent None.
-    # A key's parent is the graph that first reached it.  Frontiers hold
-    # (key, rows) pairs; depth counts the levels both sides have walked.
-    visited_f = {key_src: None}
-    visited_b = {key_dst: None}
-    frontier_f = [(key_src, src.incidence().entries)]
-    frontier_b = [(key_dst, dst.incidence().entries)]
+    # One walk from two sides: side 0 from the start, side 1 from the goal.
+    # visited[side] maps each key the side reached to its parent's key, the
+    # root's parent being None; a key's parent is the graph that first
+    # reached it.  frontiers[side] holds (key, rows) pairs, and each
+    # neighbor's rows come from the moves' own rules (expansion_rows,
+    # contraction_rows, quotient_rows) or from _split_rows.  The smaller
+    # frontier expands, side 0 on a tie; depth counts the levels both sides
+    # have walked, and only side 0 records links for the replay.
+    visited = ({key_src: None}, {key_dst: None})
+    frontiers = [[(key_src, src.incidence().entries)], [(key_dst, dst.incidence().entries)]]
     depth = 0
 
-    def chain(visited, key):
+    def chain(side, key):
         out = []
         while key is not None:
             out.append(key)
-            key = visited[key]
+            key = visited[side][key]
         return out
 
-    while depth < max_depth and frontier_f and frontier_b:
-        forward = len(frontier_f) <= len(frontier_b)
-        frontier = frontier_f if forward else frontier_b
-        visited, other = (visited_f, visited_b) if forward else (visited_b, visited_f)
+    while depth < max_depth and all(frontiers):
+        side = int(len(frontiers[0]) > len(frontiers[1]))
+        mine, other = visited[side], visited[1 - side]
         depth += 1
         # The last level's frontier is never expanded, so only a meet can
         # come of it, and a neighbor meets only keys of its own shape.
         last = depth == max_depth
         shapes = {_shape(k) for k in other} if last else None
         next_frontier = []
-        for key, m in frontier:
+        for key, m in frontiers[side]:
             stats.expanded += 1
             for kind, rows, recipe in search.neighbors(m):
                 if last and _shape(rows) not in shapes:
                     continue
                 hkey = search.key(rows)
-                if hkey in visited:
+                if hkey in mine:
                     continue
-                visited[hkey] = key
-                if forward:
+                mine[hkey] = key
+                if side == 0:
                     search.links[hkey] = kind, recipe
                 if hkey in other:
                     # The root of each chain has no step.
-                    keys = chain(visited_f, hkey)[-2::-1] + chain(visited_b, hkey)[1:]
-                    steps = search.replay(src, keys, want)
-                    return MoveSequence(start=src, steps=steps, stats=stats)
+                    keys = chain(0, hkey)[-2::-1] + chain(1, hkey)[1:]
+                    return MoveSequence(src, search.replay(src, keys, want), stats)
                 next_frontier.append((hkey, rows))
-        if forward:
-            frontier_f = next_frontier
-        else:
-            frontier_b = next_frontier
+        frontiers[side] = next_frontier
 
     raise NotFoundWithinBounds("bounds-exhausted", stats)

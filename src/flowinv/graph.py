@@ -16,7 +16,7 @@ from functools import partial
 from operator import add, itemgetter
 from typing import NamedTuple
 
-from flowinv.exactla import IntMatrix
+from flowinv.exactla import IntMatrix, exact_int
 
 
 class GraphError(ValueError):
@@ -159,8 +159,9 @@ class MultiGraph:
     A matrix given as an :class:`~flowinv.exactla.IntMatrix` (as
     :func:`parse_graph` gives it) keeps its entries as they are, since its
     entries are ints already; any other matrix has every entry converted
-    with ``int()``, and an entry the conversion would change, such as 1.5,
-    is an error.  Either way its shape and signs are checked.
+    with ``int()``, and an entry the conversion would change or cannot make,
+    such as 1.5, NaN, infinity or None, is an error that names its place.
+    Either way its shape and signs are checked.
 
     An edge list's items are (source, target, id) triples, :class:`Edge`
     among them, or (source, target) pairs.  A list of Edges with int
@@ -193,15 +194,19 @@ class MultiGraph:
                 rows = matrix.entries
             else:
                 given = tuple(map(tuple, matrix))
-                rows = tuple(tuple(map(int, row)) for row in given)
+                try:
+                    rows = tuple(tuple(map(int, row)) for row in given)
+                except (TypeError, ValueError, OverflowError):
+                    rows = None
                 if rows != given:
-                    i, j, x = next(
-                        (i, j, x)
-                        for i, row in enumerate(given)
-                        for j, x in enumerate(row)
-                        if x != int(x)
-                    )
-                    raise GraphError(f"non-integer multiplicity {x!r} at ({i}, {j})")
+                    for i, row in enumerate(given):
+                        for j, x in enumerate(row):
+                            try:
+                                exact_int(x)
+                            except ValueError:
+                                raise GraphError(
+                                    f"non-integer multiplicity {x!r} at ({i}, {j})"
+                                ) from None
             if len(rows) != n or any(len(r) != n for r in rows):
                 raise GraphError(f"incidence matrix must be square of size {n}")
             if min(map(min, rows)) < 0:

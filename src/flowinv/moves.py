@@ -22,8 +22,11 @@ from the parent's edge columns (sources, targets, ids) to the child's, and
 the child's edges are derived from it on first read (see
 :class:`~flowinv.graph.MultiGraph`); so a caller that reads only matrices,
 as the search and the classifier do, builds no edge.  The amalgamations
-build a matrix-only graph.  The splittings and delays name edges and build
-the child from its edge list.
+build a matrix-only graph.  The rows of an expansion, a contraction and an
+amalgamation come from one rule each (:func:`expansion_rows`,
+:func:`contraction_rows`, :func:`quotient_rows`), which the search calls
+too.  The splittings and delays name edges and build the child from its
+edge list.
 
 Each script keyword's argument names are written once, in ``MOVES``;
 :func:`apply_move` and the command line's script reader and writer read them.
@@ -41,7 +44,7 @@ from itertools import compress
 from operator import itemgetter
 from typing import Callable, NamedTuple
 
-from flowinv.exactla import IntMatrix, cokernel, group_iso, smith_diagonal
+from flowinv.exactla import IntMatrix, cokernel, exact_int, group_iso, smith_diagonal
 from flowinv.graph import (
     Edge,
     GraphError,
@@ -152,7 +155,7 @@ class Partition:
 
     def __init__(self, classes):
         self.classes = {
-            int(v): tuple(tuple(str(e) for e in cls) for cls in classlist)
+            exact_int(v): tuple(tuple(str(e) for e in cls) for cls in classlist)
             for v, classlist in classes.items()
             if classlist
         }
@@ -471,6 +474,28 @@ def out_amalgamate(g: MultiGraph, blocks) -> MultiGraph:
 # Source elimination, expansion, contraction.
 
 
+def expansion_rows(m, v) -> tuple[tuple[int, ...], ...]:
+    """Incidence rows of the expansion of the rows ``m`` at vertex v: the new
+    last vertex v* takes over v's row, and v's one edge goes to v*."""
+    rows = [row + (0,) for row in m]
+    rows[v] = (0,) * len(m) + (1,)
+    rows.append(m[v] + (0,))
+    return tuple(rows)
+
+
+def contraction_rows(m, v, vs) -> tuple[tuple[int, ...], ...]:
+    """Incidence rows of the contraction of v* = ``vs`` into v, which
+    :func:`contract` checks is an expansion pattern: v takes over row v*,
+    which replaces v's single edge, the bridge; the bridge alone enters v*,
+    so column v* goes with it."""
+    return _drop_vertex([m[vs] if u == v else row for u, row in enumerate(m)], vs)
+
+
+def _drop_vertex(m, v) -> tuple[tuple[int, ...], ...]:
+    """The rows ``m`` without vertex v's row and column."""
+    return tuple(row[:v] + row[v + 1 :] for u, row in enumerate(m) if u != v)
+
+
 def _removable_source(g: MultiGraph, v) -> int:
     """The index of vertex v, which :func:`eliminate_source` may remove: a
     source that is not the only vertex; else a MoveError."""
@@ -486,9 +511,7 @@ def eliminate_source(g: MultiGraph, v) -> MultiGraph:
     """Remove a source vertex together with all the edges it emits."""
     v = _removable_source(g, v)
     labels = [g.label(u) for u in range(g.n) if u != v]
-    kept = [u for u in range(g.n) if u != v]
-    m = g.incidence().entries
-    rows = [[m[i][j] for j in kept] for i in kept]
+    rows = _drop_vertex(g.incidence().entries, v)
     at = [u - (u > v) for u in range(g.n)]
     return MultiGraph(labels, matrix=rows, _derive=(g, _drop_leaving(v, at)))
 
@@ -500,10 +523,7 @@ def expand(g: MultiGraph, v) -> MultiGraph:
     star = g.n
     labels = list(g.labels)
     labels.append(_fresh_label(labels, g.label(v) + "*"))
-    m = g.incidence().entries
-    rows = [row + (0,) for row in m]
-    rows[v] = (0,) * star + (1,)
-    rows.append(m[v] + (0,))
+    rows = expansion_rows(g.incidence().entries, v)
 
     def edges(sources, targets, ids):
         at = list(range(star))
@@ -533,10 +553,7 @@ def contract(g: MultiGraph, v, v_star) -> MultiGraph:
     if g.in_degree(vs) != 1:
         raise MoveError(f"vertex {g.label(vs)} must have exactly one incoming edge")
     labels = [g.label(u) for u in range(g.n) if u != vs]
-    # v takes over row v*, which replaces v's single edge, the bridge; the
-    # bridge alone enters v*, so column v* goes with it.
-    kept = [u for u in range(g.n) if u != vs]
-    rows = [[m[vs if i == v else i][j] for j in kept] for i in kept]
+    rows = contraction_rows(m, v, vs)
     # Old vertex u goes to u's new index; v* merges into v.  The bridge, the
     # one edge leaving v, is dropped.
     at = [u - (u > vs) for u in range(g.n)]
@@ -562,8 +579,8 @@ class DrinenVector:
         except (KeyError, TypeError):
             raise ValueError("kind must be 'source' or 'range'") from None
         self.kind = kind
-        self.vertices = {int(v): int(d) for v, d in (vertices or {}).items()}
-        self.edges = {str(e): int(d) for e, d in (edges or {}).items()}
+        self.vertices = {exact_int(v): exact_int(d) for v, d in (vertices or {}).items()}
+        self.edges = {str(e): exact_int(d) for e, d in (edges or {}).items()}
 
     def vertex_value(self, v: int) -> int:
         return self.vertices.get(v, 0)

@@ -165,6 +165,32 @@ def test_matrix_construction_and_arithmetic():
     assert a.hstack(b).to_lists() == [[1, 2, 1, 0], [3, 4, 0, 1]]
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: IntMatrix.from_rows([[1.5, 2]]),
+        lambda: IntMatrix.identity(2).mul_vector([1.5, 1]),
+        lambda: cokernel(IntMatrix.from_rows([[-3]]))[1]([1.5]),
+    ],
+    ids=["from_rows", "mul_vector", "projection"],
+)
+def test_non_integral_numbers_are_refused(call):
+    # int() would read 1.5 as 1 and answer for another input.
+    with pytest.raises(ValueError, match=r"^1\.5 is not an integer$"):
+        call()
+
+
+def test_exact_int_converts_integral_values_only():
+    for x, k in ((2, 2), (2.0, 2), (True, 1), (Fraction(-4), -4), (10**40, 10**40)):
+        assert exactla.exact_int(x) == k and type(exactla.exact_int(x)) is int
+    for bad in (1.5, -0.5, float("nan"), float("inf"), None, "2", Fraction(1, 2)):
+        with pytest.raises(ValueError, match="is not an integer$"):
+            exactla.exact_int(bad)
+    assert IntMatrix.from_rows([[2.0, True]]).entries == ((2, 1),)
+    assert IntMatrix.identity(2).mul_vector([2.0, False]) == (2, 0)
+    assert cokernel(IntMatrix.from_rows([[-3]]))[1]([4.0]) == (1,)
+
+
 def test_matrix_rejects_ragged_rows():
     with pytest.raises(ValueError):
         IntMatrix.from_rows([[1, 2], [3]])

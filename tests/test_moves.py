@@ -148,6 +148,42 @@ def test_side_value_error_texts_are_pinned(call, message):
     assert type(info.value) is ValueError and str(info.value) == message
 
 
+def test_partition_refuses_non_integral_vertices():
+    # int() would truncate 0.7 to vertex 0 and split it.
+    with pytest.raises(ValueError, match=r"^0\.7 is not an integer$") as info:
+        Partition({0.7: [["a"], ["c"]]})
+    assert type(info.value) is ValueError
+    for bad in (float("nan"), None, "0"):
+        with pytest.raises(ValueError, match="is not an integer$"):
+            Partition({bad: [["a"]]})
+    p = Partition({0.0: [["a"], ["c"]], True: [["b"]]})
+    assert list(p.classes) == [0, 1] and {type(v) for v in p.classes} == {int}
+    g = _split_base()
+    assert in_split(g, p).graph == in_split(g, Partition({0: [["a"], ["c"]], 1: [["b"]]})).graph
+
+
+def test_drinen_vector_refuses_non_integral_values():
+    with pytest.raises(ValueError, match=r"^1\.5 is not an integer$") as info:
+        DrinenVector("source", {0: 1.5})
+    assert type(info.value) is ValueError
+    with pytest.raises(ValueError, match=r"^0\.5 is not an integer$"):
+        DrinenVector("source", {0.5: 1})
+    with pytest.raises(ValueError, match=r"^inf is not an integer$"):
+        DrinenVector("range", edges={"a": float("inf")})
+    d = DrinenVector("source", {True: 2.0}, {"a": True})
+    assert d.vertices == {1: 2} and d.edges == {"a": 1}
+    assert {type(k) for k in (*d.vertices, *d.vertices.values(), *d.edges.values())} == {int}
+
+
+def test_drinen_vector_from_edges_refuses_non_integral_delays():
+    # int() would delay e0 by 1, and out_delay would return that graph.
+    g = MultiGraph.from_matrix([[1, 1], [1, 0]])
+    with pytest.raises(ValueError, match=r"^1\.9 is not an integer$"):
+        DrinenVector.from_edges(g, "source", {"e0": 1.9})
+    d = DrinenVector.from_edges(g, "source", {"e0": 1.0})
+    assert out_delay(g, d) == out_delay(g, DrinenVector.from_edges(g, "source", {"e0": 1}))
+
+
 def test_partition_helpers():
     g = _split_base()
     triv = Partition.trivial(g, "in")
