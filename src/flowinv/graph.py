@@ -108,10 +108,10 @@ def _reversed(sources, targets, ids):
 
 
 def _derivation(parent: "MultiGraph", rule):
-    """The pending derivation of a child that a move built from ``parent``'s
-    matrix with the edge rule ``rule``: the nearest ancestor whose edges
-    exist or come from its matrix alone, and the rules from its edges to the
-    child's, in order."""
+    """The pending derivation of a child that a move built from ``parent``
+    with the edge rule ``rule``: the nearest ancestor whose edges exist or
+    come from its matrix alone, and the rules from its edges to the child's,
+    in order."""
     if parent._pending is None:
         return parent, (rule,)
     base, rules = parent._pending
@@ -143,18 +143,21 @@ class MultiGraph:
     or ``edge_by_id`` and cached.  A graph built from an edge list keeps its
     edges, ids and order as given.
 
+    A move builds its child from the parent: it hands over the child's
+    labels and its edge rule, a function from the parent's edge columns
+    (sources, targets, ids) to the child's, as ``_derive=(parent, rule)``.
     The moves that name no edge (:meth:`transpose`, :meth:`permuted`, and
     expansion, contraction, source elimination, the shift move and the sign
-    gadgets of :mod:`flowinv.moves`) build the child's matrix from the
-    parent's and attach the move's edge rule, a function from the parent's
-    edge columns (sources, targets, ids) to the child's.  The child's edges
-    are derived on first read, with the ids and order the move gives them:
-    the nearest ancestor that has its edges, or derives them from its matrix
-    alone, is held with the tuple of rules that lead from it, and the rules
-    are applied in a loop.  So a long chain of such moves neither recurses
-    nor keeps the intermediate graphs alive.  The amalgamations build a
-    matrix-only graph; the splittings and delays, which name edges, build
-    the child from its edge list.
+    gadgets of :mod:`flowinv.moves`) also hand over the child's matrix,
+    built from the parent's, and the child's edges are derived on first
+    read, with the ids and order the rule gives them: the nearest ancestor
+    that has its edges, or derives them from its matrix alone, is held with
+    the tuple of rules that lead from it, and the rules are applied in a
+    loop.  So a long chain of such moves neither recurses nor keeps the
+    intermediate graphs alive.  A rule handed over with no matrix, as the
+    splittings and delays hand theirs, is applied at once, and the child's
+    matrix is counted from the edges it gives.  The amalgamations build a
+    matrix-only graph.
 
     A matrix given as an :class:`~flowinv.exactla.IntMatrix` (as
     :func:`parse_graph` gives it) keeps its entries as they are, since its
@@ -164,15 +167,12 @@ class MultiGraph:
     Either way its shape and signs are checked.
 
     An edge list's items are (source, target, id) triples, :class:`Edge`
-    among them, or (source, target) pairs.  A list of Edges with int
-    endpoints and str ids, as the splittings and delays hand over, is
-    checked in bulk and kept as it is: min and max check the endpoints and
-    a set checks that the ids are unique.  Any other list, and any list
-    that fails the bulk check, is converted item by item: endpoints become
-    ints, an id a str, and an id of None the next of ``e0, e1, ...`` that
-    no earlier item holds.  That pass raises the error of the first item
-    that is out of range or reuses an earlier id, checking an item's range
-    before its id.  Out- and in-edges are grouped on their first read.
+    among them, or (source, target) pairs.  They are converted item by
+    item: endpoints become ints, an id a str, and an id of None the next of
+    ``e0, e1, ...`` that no earlier item holds.  That pass raises the error
+    of the first item that is out of range or reuses an earlier id, checking
+    an item's range before its id.  Out- and in-edges are grouped on their
+    first read.
     """
 
     __slots__ = ("_labels", "_edges", "_matrix", "_out", "_in", "_pending")
@@ -186,6 +186,8 @@ class MultiGraph:
             raise GraphError("graph must have at least one vertex")
         n = len(labels)
         self._labels = labels
+        self._edges = self._out = self._in = None
+        self._pending = None if _derive is None else _derivation(*_derive)
 
         if matrix is not None:
             if edges:
@@ -218,39 +220,25 @@ class MultiGraph:
                 )
                 raise GraphError(f"negative multiplicity at ({i}, {j})")
             self._matrix = IntMatrix(n, n, rows)
-            self._edges = self._out = self._in = None
-            self._pending = None if _derive is None else _derivation(*_derive)
             return
 
-        built = list(edges)
-        bulk = set(map(type, built)) <= {Edge}
-        if bulk:
-            sources, targets, ids = edge_columns(built)
-            ends = sources + targets
-            bulk = (
-                set(map(type, ends)) <= {int}
-                and set(map(type, ids)) <= {str}
-                and 0 <= min(ends, default=0)
-                and max(ends, default=0) < n
-                and len(set(ids)) == len(ids)
-            )
-        if not bulk:
-            built = _edges_item_by_item(built, n)
-            sources, targets, _ = edge_columns(built)
-
+        if _derive is None:
+            self._edges = tuple(_edges_item_by_item(edges, n))
+        else:
+            self._materialize()
+        sources, targets, _ = edge_columns(self._edges)
         cells = [0] * (n * n)
         for cell, k in Counter(map(add, map(n.__mul__, sources), targets)).items():
             cells[cell] = k
         self._matrix = IntMatrix(
             n, n, tuple(tuple(cells[i : i + n]) for i in range(0, n * n, n))
         )
-        self._edges = tuple(built)
-        self._out = self._in = self._pending = None
 
     def _materialize(self) -> None:
-        """Derive the edges of a matrix-built graph.  A move's child applies
-        its pending rules, in order, to the edge columns of the ancestor it
-        holds; any other graph's edges are row-major, ids e0, e1, ..."""
+        """Derive the edges of a graph built from a matrix or by a move.  A
+        move's child applies its pending rules, in order, to the edge columns
+        of the ancestor it holds; any other graph's edges are row-major, ids
+        e0, e1, ..."""
         if self._pending is not None:
             base, rules = self._pending
             columns = edge_columns(base.edges)
@@ -307,16 +295,23 @@ class MultiGraph:
         return self._labels[v]
 
     def vertex(self, name) -> int:
-        """Resolve a vertex given as a label or an index (string or int)."""
-        if isinstance(name, int):
-            if not 0 <= name < self.n:
-                raise GraphError(f"vertex index {name} out of range")
-            return name
-        if name in self._labels:
-            return self._labels.index(name)
-        if re.fullmatch(r"\d+", name):
-            return self.vertex(int(name))
-        raise GraphError(f"no vertex named {name!r}")
+        """Resolve a vertex given as a label or an index.  A str is a label,
+        or else the digits of an index; any other name is an index, read by
+        :func:`~flowinv.exactla.exact_int`, so 1.0 and True name vertex 1
+        and 0.7 or None are errors."""
+        if isinstance(name, str):
+            if name in self._labels:
+                return self._labels.index(name)
+            if not re.fullmatch(r"\d+", name):
+                raise GraphError(f"no vertex named {name!r}")
+            name = int(name)
+        try:
+            index = exact_int(name)
+        except ValueError:
+            raise GraphError(f"vertex {name!r} is not an integer") from None
+        if not 0 <= index < self.n:
+            raise GraphError(f"vertex index {index} out of range")
+        return index
 
     def edge_by_id(self, eid: str) -> Edge:
         for e in self.edges:
@@ -353,8 +348,11 @@ class MultiGraph:
     def permuted(self, perm) -> "MultiGraph":
         """Relabel vertices: old vertex i becomes position perm[i].  Edge ids
         and order are kept."""
-        perm = tuple(perm)
-        if sorted(perm) != list(range(self.n)):
+        try:
+            perm = tuple(map(exact_int, perm))
+        except ValueError:
+            perm = None
+        if perm is None or sorted(perm) != list(range(self.n)):
             raise GraphError("not a permutation")
         labels = [None] * self.n
         order = [0] * self.n

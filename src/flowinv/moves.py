@@ -10,23 +10,26 @@ Mirrored moves are written once.  Out-splitting is in-splitting conjugated
 by transposition, out-amalgamation is in-amalgamation conjugated the same
 way, and the in-delay is the out-delay conjugated the same way (its chain
 labels take ``_`` where the out-delay's take ``^``).  Each pair shares one
-kernel.  The kernel works on (source, target, id) triples, or on the
-incidence rows for the amalgamations.  The mirror feeds it the reversed
-triples or the transposed matrix and reverses what it returns.  So the
+kernel.  The kernel works on the incidence rows for the amalgamations, and
+otherwise makes an edge rule: a function from the parent's edge columns
+(sources, targets, ids) to the child's.  The mirror feeds it the transposed
+matrix and transposes what it returns, or conjugates its rule by edge
+reversal, the rule of :meth:`~flowinv.graph.MultiGraph.transpose`.  So the
 mirror keeps edge ids and edge order, and no graph is transposed.
 
-The moves that name no edge (source elimination, expansion, contraction,
-the shift move and the sign gadgets) build the child's incidence matrix from
-the parent's, in O(n^2).  Each hands the child its edge rule, a function
-from the parent's edge columns (sources, targets, ids) to the child's, and
-the child's edges are derived from it on first read (see
-:class:`~flowinv.graph.MultiGraph`); so a caller that reads only matrices,
-as the search and the classifier do, builds no edge.  The amalgamations
-build a matrix-only graph.  The rows of an expansion, a contraction and an
-amalgamation come from one rule each (:func:`expansion_rows`,
-:func:`contraction_rows`, :func:`quotient_rows`), which the search calls
-too.  The splittings and delays name edges and build the child from its
-edge list.
+Every move hands its child to :class:`~flowinv.graph.MultiGraph` one way:
+its labels and its edge rule, plus its incidence matrix when the move
+computes it.  The moves that name no edge (source elimination, expansion,
+contraction, the shift move and the sign gadgets) build the child's matrix
+from the parent's, in O(n^2), and the child's edges are derived from the
+rule on first read; so a caller that reads only matrices, as the search and
+the classifier do, builds no edge.  The splittings and delays, which name
+edges, hand over the rule alone, and the child's edges are derived at once
+and its matrix counted from them.  The amalgamations build a matrix-only
+graph.  The rows of an expansion, a contraction and an amalgamation come
+from one rule each (:func:`expansion_rows`, :func:`contraction_rows`,
+:func:`quotient_rows`), which the search calls too.  Every new label and
+edge id is named by one helper, which adds a number to a name in use.
 
 Each script keyword's argument names are written once, in ``MOVES``;
 :func:`apply_move` and the command line's script reader and writer read them.
@@ -49,8 +52,9 @@ from flowinv.graph import (
     Edge,
     GraphError,
     MultiGraph,
+    _reversed,
+    edge_columns,
     is_cyclic_component,
-    make_edges,
     strongly_connected_components,
     vertex_budget_breach,
 )
@@ -61,35 +65,29 @@ class MoveError(ValueError):
     """A move's hypotheses are not met by the given arguments."""
 
 
-# (target, source, id) of a (source, target, id) triple.
-_REVERSED = itemgetter(1, 0, 2)
-
-
-def _fresh_label(used, base: str) -> str:
-    if base not in used:
-        return base
-    k = 0
-    while f"{base}{k}" in used:
+def _fresh(used: set, base: str, sep: str = "") -> str:
+    """``base``, or else the first of ``base + sep + k`` for k = 0, 1, ...
+    that ``used`` does not hold; the name returned is added to ``used``.
+    Labels take no separator (``v*0``), edge ids take ``"."`` (``f.0``)."""
+    name, k = base, 0
+    while name in used:
+        name = f"{base}{sep}{k}"
         k += 1
-    return f"{base}{k}"
+    used.add(name)
+    return name
 
 
-def _fresh_edge_id(used, base: str) -> str:
-    if base not in used:
-        used.add(base)
-        return base
-    k = 0
-    while f"{base}.{k}" in used:
-        k += 1
-    used.add(f"{base}.{k}")
-    return f"{base}.{k}"
+def _mirrored(rule):
+    """The edge rule ``rule`` conjugated by edge reversal: the rule of a
+    move's transpose-conjugate."""
+    return lambda *columns: _reversed(*rule(*_reversed(*columns)))
 
 
 def _with_new_edges(sources, targets, ids, pairs, base: str):
     """The edge columns with one edge per (source, target) of ``pairs``
     appended, in order, each with the next fresh id made from ``base``."""
     used = set(ids)
-    fresh = [_fresh_edge_id(used, base) for _ in pairs]
+    fresh = [_fresh(used, base, ".") for _ in pairs]
     return [*sources, *(s for s, _ in pairs)], [*targets, *(t for _, t in pairs)], [*ids, *fresh]
 
 
@@ -300,13 +298,13 @@ class SplitResult:
 # Splittings.
 
 
-def _split_triples(labels, p: Partition, triples):
-    """In-split the edges ``triples``, (source, target, id) each, by ``p``.
+def _split_rule(labels, p: Partition):
+    """In-split the graph with vertex labels ``labels`` by ``p``.
 
-    The kernel of both splittings: an out-splitting is this in-splitting of
-    the reversed triples, read back reversed.  Returns the new labels, the
-    blocks of new indices per vertex, and the new triples in the order of
-    the old ones.
+    The kernel of both splittings: an out-splitting is this in-splitting
+    conjugated by edge reversal (:func:`_mirrored`).  Returns the new
+    labels, the blocks of new indices per vertex, and the edge rule, which
+    gives the new edges in the order of the old ones.
 
     The j-th copy of edge e is named ``e#j``, unless an edge that is not
     copied already has that id; then the copy gets a fresh one.
@@ -320,30 +318,31 @@ def _split_triples(labels, p: Partition, triples):
         start = len(new_labels)
         if m[v] == 0:
             new_labels.append(labels[v])
-        for i in range(1, m[v] + 1):
-            lab = _fresh_label(taken, f"{labels[v]}#{i}")
-            taken.add(lab)
-            new_labels.append(lab)
+        new_labels += [_fresh(taken, f"{labels[v]}#{i}") for i in range(1, m[v] + 1)]
         blocks.append(tuple(range(start, len(new_labels))))
 
-    class_of: dict[str, int] = {}
-    for classlist in p.classes.values():
-        for i, cls in enumerate(classlist):
-            for eid in cls:
-                class_of[eid] = i
+    class_of = {
+        eid: i
+        for classlist in p.classes.values()
+        for i, cls in enumerate(classlist)
+        for eid in cls
+    }
 
-    kept = {eid for src, _, eid in triples if m[src] == 0}
-    edges = []
-    for src, tgt, eid in triples:
-        head = blocks[tgt][class_of[eid]]
-        if m[src] == 0:
-            edges.append((blocks[src][0], head, eid))
-        else:
-            for j, tail in enumerate(blocks[src], start=1):
-                copy = f"{eid}#{j}"
-                if copy in kept:
-                    copy = _fresh_edge_id(kept, copy)
-                edges.append((tail, head, copy))
+    def edges(sources, targets, ids):
+        kept = {eid for src, eid in zip(sources, ids) if m[src] == 0}
+        out = []
+        for src, tgt, eid in zip(sources, targets, ids):
+            head = blocks[tgt][class_of[eid]]
+            if m[src] == 0:
+                out.append((blocks[src][0], head, eid))
+            else:
+                for j, tail in enumerate(blocks[src], start=1):
+                    copy = f"{eid}#{j}"
+                    if copy in kept:
+                        copy = _fresh(kept, copy, ".")
+                    out.append((tail, head, copy))
+        return edge_columns(out)
+
     return new_labels, tuple(blocks), edges
 
 
@@ -360,8 +359,8 @@ def in_split(g: MultiGraph, p: Partition) -> SplitResult:
     first read.
     """
     p.validate(g, "in")
-    labels, blocks, edges = _split_triples(g.labels, p, g.edges)
-    return SplitResult(MultiGraph(labels, make_edges(edges)), blocks, "in")
+    labels, blocks, rule = _split_rule(g.labels, p)
+    return SplitResult(MultiGraph(labels, _derive=(g, rule)), blocks, "in")
 
 
 def out_split(g: MultiGraph, p: Partition) -> SplitResult:
@@ -373,8 +372,8 @@ def out_split(g: MultiGraph, p: Partition) -> SplitResult:
     map, built on first read, sends v to the sum of its copies.
     """
     p.validate(g, "out")
-    labels, blocks, edges = _split_triples(g.labels, p, list(map(_REVERSED, g.edges)))
-    return SplitResult(MultiGraph(labels, make_edges(map(_REVERSED, edges))), blocks, "out")
+    labels, blocks, rule = _split_rule(g.labels, p)
+    return SplitResult(MultiGraph(labels, _derive=(g, _mirrored(rule))), blocks, "out")
 
 
 # ---------------------------------------------------------------------------
@@ -439,10 +438,8 @@ def _amalgamate_rows(g: MultiGraph, blocks, m, side: str):
                         "partition class would be empty"
                     )
 
-    qlabels = []
-    for block in norm:
-        base = g.label(block[0]).rsplit("#", 1)[0]
-        qlabels.append(_fresh_label(qlabels, base))
+    taken: set[str] = set()
+    qlabels = [_fresh(taken, g.label(block[0]).rsplit("#", 1)[0]) for block in norm]
     return qlabels, quotient_rows(m, norm)
 
 
@@ -521,8 +518,7 @@ def expand(g: MultiGraph, v) -> MultiGraph:
     single new edge to v*, and v* takes over all edges formerly leaving v."""
     v = g.vertex(v)
     star = g.n
-    labels = list(g.labels)
-    labels.append(_fresh_label(labels, g.label(v) + "*"))
+    labels = [*g.labels, _fresh(set(g.labels), g.label(v) + "*")]
     rows = expansion_rows(g.incidence().entries, v)
 
     def edges(sources, targets, ids):
@@ -633,37 +629,43 @@ class DrinenVector:
         return DrinenVector.from_edges(g, "source", edges, {v: 1})
 
 
-def _delay_triples(labels, d: DrinenVector, triples, suffix: str):
-    """Out-delay the edges ``triples``, (source, target, id) each, by ``d``.
+def _delay_rule(labels, d: DrinenVector, suffix: str):
+    """Out-delay the graph with vertex labels ``labels`` by ``d``.
 
-    The kernel of both delays: an in-delay is this out-delay of the reversed
-    triples, read back reversed, with chain vertices labelled ``v_i`` where
-    the out-delay's are ``v^i``.  Returns the new labels and triples.  A
-    delay that would grow the graph past the vertex budget is refused first.
+    The kernel of both delays: an in-delay is this out-delay conjugated by
+    edge reversal (:func:`_mirrored`), with chain vertices labelled ``v_i``
+    where the out-delay's are ``v^i``.  Returns the new labels and the edge
+    rule, which gives the chain edges, then the old edges in their order.
+    A delay that would grow the graph past the vertex budget is refused
+    before anything is built.
     """
     breach = vertex_budget_breach(len(labels) + sum(d.vertices.values()))
     if breach:
         raise MoveError(breach)
-    new_index = {}
-    new_labels = []
+    # Vertex v^i of the chain at v is new vertex start[v] + i.
+    start: list[int] = []
+    new_labels: list[str] = []
     taken = set(labels)
     for v, label in enumerate(labels):
-        for i in range(d.vertex_value(v) + 1):
-            new_index[(v, i)] = len(new_labels)
-            if i == 0:
-                new_labels.append(label)
-            else:
-                lab = _fresh_label(taken, f"{label}{suffix}{i}")
-                taken.add(lab)
-                new_labels.append(lab)
-    used = {eid for _, _, eid in triples}
-    edges = []
-    for v in range(len(labels)):
-        for i in range(1, d.vertex_value(v) + 1):
-            eid = _fresh_edge_id(used, f"d{v}.{i}")
-            edges.append((new_index[(v, i - 1)], new_index[(v, i)], eid))
-    for src, tgt, eid in triples:
-        edges.append((new_index[(src, d.edge_value(eid))], new_index[(tgt, 0)], eid))
+        start.append(len(new_labels))
+        new_labels.append(label)
+        new_labels += [
+            _fresh(taken, f"{label}{suffix}{i}") for i in range(1, d.vertex_value(v) + 1)
+        ]
+
+    def edges(sources, targets, ids):
+        used = set(ids)
+        chains = edge_columns(
+            (start[v] + i - 1, start[v] + i, _fresh(used, f"d{v}.{i}", "."))
+            for v in range(len(labels))
+            for i in range(1, d.vertex_value(v) + 1)
+        )
+        return (
+            [*chains[0], *(start[src] + d.edge_value(eid) for src, eid in zip(sources, ids))],
+            [*chains[1], *map(start.__getitem__, targets)],
+            [*chains[2], *ids],
+        )
+
     return new_labels, edges
 
 
@@ -677,8 +679,8 @@ def out_delay(g: MultiGraph, d: DrinenVector) -> MultiGraph:
     if d.kind != "source":
         raise MoveError("out-delay needs a source vector")
     d.validate(g)
-    labels, edges = _delay_triples(g.labels, d, g.edges, "^")
-    return MultiGraph(labels, make_edges(edges))
+    labels, rule = _delay_rule(g.labels, d, "^")
+    return MultiGraph(labels, _derive=(g, rule))
 
 
 def in_delay(g: MultiGraph, d: DrinenVector) -> MultiGraph:
@@ -691,8 +693,8 @@ def in_delay(g: MultiGraph, d: DrinenVector) -> MultiGraph:
     if d.kind != "range":
         raise MoveError("in-delay needs a range vector")
     d.validate(g)
-    labels, edges = _delay_triples(g.labels, d, list(map(_REVERSED, g.edges)), "_")
-    return MultiGraph(labels, make_edges(map(_REVERSED, edges)))
+    labels, rule = _delay_rule(g.labels, d, "_")
+    return MultiGraph(labels, _derive=(g, _mirrored(rule)))
 
 
 def proper_in_partition_vector(g: MultiGraph, p: Partition) -> DrinenVector:
@@ -796,9 +798,8 @@ def minus(g: MultiGraph, at=None) -> MultiGraph:
     """
     at = _attach_vertex(g, at)
     a, b = g.n, g.n + 1
-    labels = list(g.labels)
-    labels.append(_fresh_label(labels, "w0"))
-    labels.append(_fresh_label(labels, "w1"))
+    taken = set(g.labels)
+    labels = [*g.labels, _fresh(taken, "w0"), _fresh(taken, "w1")]
     gadget = [(at, a), (a, at), (a, a), (a, b), (b, a), (b, b)]
     rows = [[*row, 0, 0] for row in g.incidence().entries]
     rows += [[0] * (g.n + 2), [0] * (g.n + 2)]
@@ -820,8 +821,7 @@ def minus1(g: MultiGraph, at=None) -> MultiGraph:
     """
     at = _attach_vertex(g, at)
     h = minus(g, at)
-    labels = list(h.labels)
-    labels.append(_fresh_label(labels, "w2"))
+    labels = [*h.labels, _fresh(set(h.labels), "w2")]
     c = h.n
     rows = [[*row, 0] for row in h.incidence().entries]
     rows.append([int(u == at) for u in range(c + 1)])

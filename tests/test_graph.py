@@ -355,8 +355,8 @@ def test_edge_list_build_matches_reference_on_seeded_lists():
     # The seeded counterpart of the property test above, which runs without
     # hypothesis: mixed lists of Edges, pairs and triples with None, int or
     # str ids, bool and float endpoints, duplicate ids and out-of-range
-    # items; and lists of Edges with int endpoints and str ids, which the
-    # bulk check takes unless one item is out of range or reuses an id.
+    # items; and lists of Edges with int endpoints and str ids, all valid
+    # but for at most one item that is out of range or reuses an id.
     rng = random.Random(2611)
     kinds = {"graph": 0, "error": 0}
     for _ in range(3000):
@@ -402,8 +402,8 @@ def test_edge_list_build_matches_reference_on_seeded_lists():
 def test_edge_list_first_error_wins(n, items, message):
     # The first offending item in list order is named; within an item the
     # range check comes before the duplicate check.  Texts from the
-    # per-item loop, _build_reference.  The long lists of Edges fail the
-    # bulk check only at their last item, which the per-item pass names.
+    # per-item loop, _build_reference.  The long lists of Edges are valid
+    # up to their last item, which the per-item pass names.
     for build in (_build_reference, MultiGraph):
         with pytest.raises(GraphError) as exc:
             build(n, items)
@@ -420,6 +420,32 @@ def test_vertex_resolution():
         g.vertex("missing")
     with pytest.raises(GraphError):
         g.vertex(3)
+
+
+def test_vertex_reads_names_that_are_not_str_as_integers():
+    g = MultiGraph.from_matrix([[1, 1], [1, 0]])
+    assert g.vertex(1.0) == 1
+    assert type(g.vertex(True)) is int and g.vertex(True) == 1
+    assert g.vertex(0.0) == 0
+    for name, message in [
+        (0.7, "vertex 0.7 is not an integer"),
+        (None, "vertex None is not an integer"),
+        (float("nan"), "vertex nan is not an integer"),
+        (2.0, "vertex index 2 out of range"),
+    ]:
+        with pytest.raises(GraphError) as exc:
+            g.vertex(name)
+        assert str(exc.value) == message
+
+
+def test_permuted_reads_integral_entries():
+    g = MultiGraph(["a", "b"], [(0, 0, "x"), (0, 1, "y"), (1, 0, "z")])
+    h = g.permuted([1.0, 0.0])
+    assert (h.labels, h.edges) == (("b", "a"), ((1, 1, "x"), (1, 0, "y"), (0, 1, "z")))
+    for perm in ([0.5, 1], [1.0, 1.0], ["1", "0"], [None, 0]):
+        with pytest.raises(GraphError) as exc:
+            g.permuted(perm)
+        assert str(exc.value) == "not a permutation"
 
 
 def test_equality_ignores_labels_and_edge_ids():

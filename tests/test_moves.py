@@ -847,32 +847,40 @@ def _edge_list(g: MultiGraph) -> dict:
     }
 
 
+def _golden_move(case, g: MultiGraph):
+    """The move of a case of moves_golden.json made on ``g``: the
+    SplitResult of a splitting, else the new graph."""
+    move = case["move"]
+    mode = move.split("-", 1)[0]
+    if move.endswith("-split"):
+        p = Partition({int(v): cls for v, cls in case["partition"].items()})
+        return (in_split if mode == "in" else out_split)(g, p)
+    if move.endswith("-amalgamate"):
+        merge = in_amalgamate if mode == "in" else out_amalgamate
+        return merge(g, case["blocks"])
+    vec = case["vector"]
+    d = DrinenVector(
+        vec["kind"], {int(v): x for v, x in vec["vertices"].items()}, vec["edges"]
+    )
+    return (in_delay if mode == "in" else out_delay)(g, d)
+
+
 def _golden_result(case, g=None) -> dict:
     """The result of a case of moves_golden.json, in the file's terms; the
     move is made on ``g`` when given, else on the case's graph."""
     if g is None:
         g = _golden_graph(case["graph"])
-    move = case["move"]
-    mode = move.split("-", 1)[0]
-    if move.endswith("-split"):
-        p = Partition({int(v): cls for v, cls in case["partition"].items()})
-        res = (in_split if mode == "in" else out_split)(g, p)
-        out = _edge_list(res.graph)
-        out["blocks"] = [list(b) for b in res.blocks]
-        out["class_map"] = [list(vec) for vec in res.class_map.vectors]
-        if mode == "in":
-            fac = res.factorization
-            out["r"] = fac.r.to_lists() if fac else None
-            out["s"] = fac.s.to_lists() if fac else None
-        return out
-    if move.endswith("-amalgamate"):
-        merge = in_amalgamate if mode == "in" else out_amalgamate
-        return _edge_list(merge(g, case["blocks"]))
-    vec = case["vector"]
-    d = DrinenVector(
-        vec["kind"], {int(v): x for v, x in vec["vertices"].items()}, vec["edges"]
-    )
-    return _edge_list((in_delay if mode == "in" else out_delay)(g, d))
+    res = _golden_move(case, g)
+    if not case["move"].endswith("-split"):
+        return _edge_list(res)
+    out = _edge_list(res.graph)
+    out["blocks"] = [list(b) for b in res.blocks]
+    out["class_map"] = [list(vec) for vec in res.class_map.vectors]
+    if res.mode == "in":
+        fac = res.factorization
+        out["r"] = fac.r.to_lists() if fac else None
+        out["s"] = fac.s.to_lists() if fac else None
+    return out
 
 
 def test_mirrored_moves_match_golden_file():
@@ -896,12 +904,12 @@ def test_mirrored_moves_match_golden_file():
         assert got == case["expect"], f"case {k}: {case['move']}"
 
 
-def test_split_and_delay_children_take_the_bulk_check(monkeypatch):
-    # The splittings and delays hand their child a list of Edges with int
-    # endpoints and str ids, which MultiGraph takes through its bulk check:
-    # with the per-item pass made to fail, every golden split and delay
-    # that succeeds still builds its golden result.  These are the only
-    # edge-list builds of the moves; classify set-up splits its graphs.
+def test_split_and_delay_children_skip_the_per_item_pass(monkeypatch):
+    # The splittings and delays hand their child an edge rule, not an edge
+    # list, so MultiGraph's per-item pass, which converts and checks the
+    # lists given from outside flowinv, never runs for them: with that pass
+    # made to fail, every golden split and delay that succeeds still builds
+    # its golden result.  Classify set-up splits its graphs.
     path = os.path.join(os.path.dirname(__file__), "data", "moves_golden.json")
     with open(path, encoding="utf-8") as fh:
         cases = json.load(fh)["cases"]
@@ -982,14 +990,116 @@ def test_matrix_first_moves_build_no_edge_and_derive_their_matrix(monkeypatch):
         g = _golden_graph(golden["graphs"][case["graph"]])
         g.edges  # the parent's edges exist before the move
         with monkeypatch.context() as patch:
-            for module in (flowinv.graph, flowinv.moves):
-                patch.setattr(module, "make_edges", counted)
+            patch.setattr(flowinv.graph, "make_edges", counted)
             h = _EDGE_MOVES[case["move"]](g, *case["args"])
             assert not built, f"case {k}: {case['move']} built edges"
         assert h.incidence().to_lists() == case["expect"]["matrix"], k
         assert MultiGraph(h.labels, h.edges).incidence() == h.incidence(), k
         answered += 1
     assert answered >= 1000
+
+
+def test_split_and_delay_children_derive_their_edges_at_once(monkeypatch):
+    # A splitting or delay hands its child the edge rule alone, which the
+    # child applies before the move returns: on a parent whose edges exist,
+    # every golden split and delay that succeeds builds its child's Edges
+    # exactly once, in flowinv.graph, and no read of them builds more.
+    # Those edges, counted, give back the child's matrix.
+    path = os.path.join(os.path.dirname(__file__), "data", "moves_golden.json")
+    with open(path, encoding="utf-8") as fh:
+        cases = json.load(fh)["cases"]
+    built = []
+
+    def counted(triples):
+        built.append(1)
+        return make_edges(triples)
+
+    answered = 0
+    for k, case in enumerate(cases):
+        if case["move"].endswith("-amalgamate") or "error" in case["expect"]:
+            continue
+        g = _golden_graph(case["graph"])
+        g.edges  # the parent's edges exist before the move
+        built.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(flowinv.graph, "make_edges", counted)
+            res = _golden_move(case, g)
+            h = res.graph if case["move"].endswith("-split") else res
+            assert len(built) == 1, f"case {k}: {case['move']} built {len(built)}"
+            h.edges, h.out_edges(0), h.in_edges(0)
+            assert len(built) == 1, f"case {k}: {case['move']} built again"
+        assert MultiGraph(h.labels, h.edges).incidence() == h.incidence(), k
+        answered += 1
+    assert answered == 230
+
+
+def _rand_named_graph(rng: random.Random) -> MultiGraph:
+    """A graph given by an edge list in random order, with labels and ids
+    that the new labels and ids of the splittings and delays collide with."""
+    n = rng.randint(1, 4)
+    labels = rng.sample(["v0", "v0#1", "v1", "v1#2", "v1_1", "v1^1", "v2", "v3"], n)
+    ids = rng.sample(["a", "a#1", "a#2", "b", "b#1", "b#1.0", "d0.1", "d1.1", "c"], 9)
+    edges = [
+        (rng.randrange(n), rng.randrange(n), ids[k]) for k in range(rng.randint(0, 9))
+    ]
+    return MultiGraph(labels, edges)
+
+
+def test_mirrored_children_match_their_transposed_twins_edge_for_edge():
+    # An out-splitting is the in-splitting of the transpose, transposed, in
+    # labels and in its edges with their ids and order; an in-delay is the
+    # out-delay of the transpose, transposed, in its edges and matrix (its
+    # chain labels take "_" where the out-delay's take "^").
+    rng = random.Random(2801)
+    fresh_ids = 0
+    for _ in range(300):
+        g = _rand_named_graph(rng)
+        gt = g.transpose()
+        p = _rand_partition(rng, g, "out")
+        out = out_split(g, p).graph
+        twin = in_split(gt, p).graph.transpose()
+        assert (out.labels, out.edges) == (twin.labels, twin.edges), g.edges
+        fresh_ids += any(e.id.endswith(".0") for e in out.edges)
+        delays = {e.id: rng.randint(0, 2) for e in g.edges}
+        lhs = in_delay(g, DrinenVector.from_edges(g, "range", delays))
+        rhs = out_delay(gt, DrinenVector.from_edges(gt, "source", delays)).transpose()
+        assert (lhs.edges, lhs.incidence()) == (rhs.edges, rhs.incidence()), g.edges
+    assert fresh_ids > 10
+
+
+@pytest.mark.parametrize(
+    "call, same",
+    [
+        (lambda g: expand(g, 1.0), lambda g: expand(g, 1)),
+        (lambda g: expand(g, True), lambda g: expand(g, 1)),
+        (lambda g: shift(g, 0.0, 1.0), lambda g: shift(g, 0, 1)),
+        (lambda g: contract(expand(g, 1), 1.0, 2.0), lambda g: g),
+        (lambda g: minus(g, 1.0), lambda g: minus(g, 1)),
+    ],
+    ids=["expand", "expand-bool", "shift", "contract", "minus"],
+)
+def test_moves_read_integral_vertex_numbers(call, same):
+    g = MultiGraph.from_matrix([[1, 1], [1, 0]])
+    got, want = call(g), same(g)
+    assert (got.labels, got.edges) == (want.labels, want.edges)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda g: expand(g, 0.7), "vertex 0.7 is not an integer"),
+        (lambda g: expand(g, None), "vertex None is not an integer"),
+        (lambda g: shift(g, 0.5, 1), "vertex 0.5 is not an integer"),
+        (lambda g: contract(expand(g, 1), 1, 2.5), "vertex 2.5 is not an integer"),
+        (lambda g: minus(g, 0.7), "vertex 0.7 is not an integer"),
+    ],
+    ids=["expand", "expand-none", "shift", "contract", "minus"],
+)
+def test_moves_refuse_non_integral_vertex_numbers(call, message):
+    g = MultiGraph.from_matrix([[1, 1], [1, 0]])
+    with pytest.raises(GraphError) as exc:
+        call(g)
+    assert str(exc.value) == message
 
 
 def test_long_chains_of_matrix_first_moves_derive_edges_in_a_loop():
