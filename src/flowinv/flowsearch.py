@@ -25,17 +25,22 @@ incidence rows until it returns:
   goal's side made is the inverse of the move it recorded, so it is found
   again by enumerating the graph's rows, building only the neighbor whose
   key matches.
-- It skips work whose result is already known or cannot matter.  The shape
-  of a matrix (:func:`_shape`: its vertex count and sorted (out-degree,
-  in-degree) pairs) survives every vertex permutation, so a key has the
-  shape of what it keys.  A neighbor on the last level, whose frontier is
-  never expanded, is keyed only if some key of the other side has its
-  shape; one the replay enumerates, only if it has the shape of the key
-  sought.  Each distinct rows is keyed once, and the vector partitions of
-  each bundle vector are enumerated once, keeping only the first
-  ``partition_cap + 1`` with two or more parts: all the cap lets through,
-  and the one that shows it cut.  None of this changes the first meet or
-  the first match in enumeration order.
+- It skips work whose result is already known or cannot matter.  The size
+  of a matrix (:func:`_size`: its vertex count and edge count) and its
+  shape (:func:`_shape`: its vertex count and sorted (out-degree,
+  in-degree) pairs) survive every vertex permutation, so a key has the
+  size and shape of what it keys.  On every level, a neighbor is keyed at
+  once only if some key of the other side has its size; the others, which
+  cannot meet, are held in enumeration order and keyed when the level
+  ends, so a level that meets never keys them.  On the last level, whose
+  frontier is never expanded, they are dropped, and a neighbor is keyed
+  only if some key of the other side also has its shape; one the replay
+  enumerates, only if it has the shape of the key sought.  Each distinct
+  rows is keyed once, and the vector partitions of each bundle vector are
+  enumerated once, keeping only the first ``partition_cap + 1`` with two or
+  more parts: all the cap lets through, and the one that shows it cut.
+  None of this changes the first meet, the first match in enumeration
+  order, a parent, the frontier order or a counter.
 
 Graphs are identified up to isomorphism via canonical keys, so a found
 sequence ends at a graph isomorphic to the goal.  The search is bounded
@@ -88,7 +93,8 @@ class SearchStats:
 
     ``expanded`` counts the graphs whose neighbors were enumerated.
     ``vertex_capped`` counts the neighbors the vertex cap cut (expansions)
-    and ``entry_capped`` those the entry cap cut; ``pruned`` is their sum.
+    and ``entry_capped`` those the entry cap cut (amalgamations, the only
+    moves that can raise an entry); ``pruned`` is their sum.
     Splittings into more classes than the vertex cap allows are never
     generated, so they are not counted.  ``partition_capped`` counts
     vertices whose splittings were cut off at the partition cap.
@@ -300,6 +306,13 @@ def _shape(rows):
     return len(rows), tuple(sorted(zip(map(sum, rows), map(sum, zip(*rows)))))
 
 
+def _size(rows):
+    """(vertex count, edge count) of the incidence rows ``rows``, which
+    :func:`_shape` determines; so a key, too, has the size of every matrix
+    it keys."""
+    return len(rows), sum(map(sum, rows))
+
+
 def _realize(g, kind, recipe):
     """Build the neighbor of g that :meth:`_Search.neighbors` described by
     ``kind`` and ``recipe``, through the move itself: returns (script args,
@@ -392,12 +405,18 @@ class _Search:
         :func:`flowinv.moves.contraction_rows` and an amalgamation
         :func:`flowinv.moves.quotient_rows` (see :func:`_amalgam_blocks`);
         a splitting edits rows and columns (see :func:`_split_rows`).
-        Out-moves are the in-moves of the transpose.  The entry
-        cap is read from the rows.  ``recipe`` is what :func:`_realize`
-        needs to build the graph and the script arguments through the move
-        itself: the vertex (expand), the vertex and its star (contract), the
-        vertex and the vector partition (splittings), or the blocks
-        (amalgamations).
+        Out-moves are the in-moves of the transpose.  ``recipe`` is what
+        :func:`_realize` needs to build the graph and the script arguments
+        through the move itself: the vertex (expand), the vertex and its
+        star (contract), the vertex and the vector partition (splittings),
+        or the blocks (amalgamations).
+
+        The entries of ``m`` must be within the entry cap, as the roots set
+        it and every neighbor yielded keeps to it.  Then only an
+        amalgamation, whose entries are sums of m's, can break the cap, so
+        only amalgamations are checked and counted in ``entry_capped``: an
+        expansion's or contraction's entries are m's and a 1, and a
+        splitting's are parts of m's.
         """
         stats, entry_cap = self.stats, self.entry_cap
         n = len(m)
@@ -423,9 +442,6 @@ class _Search:
                     for parts, rows in _split_rows(
                         oriented, v, max_classes, self.partition_cap, stats, self.partitions
                     ):
-                        if max(map(max, rows)) > entry_cap:
-                            stats.entry_capped += 1
-                            continue
                         if kind == "out-split":
                             rows = tuple(zip(*rows))
                         yield kind, rows, (v, parts)
@@ -551,31 +567,58 @@ def find_sequence(
             key = visited[side][key]
         return out
 
+    def reach(side, key, parent, kind, recipe):
+        """Record that ``parent`` reached ``key`` by (kind, recipe); False
+        if the side had reached it before."""
+        if key in visited[side]:
+            return False
+        visited[side][key] = parent
+        if side == 0:
+            search.links[key] = kind, recipe
+        return True
+
     while depth < max_depth and all(frontiers):
         side = int(len(frontiers[0]) > len(frontiers[1]))
-        mine, other = visited[side], visited[1 - side]
+        other = visited[1 - side]
         depth += 1
-        # The last level's frontier is never expanded, so only a meet can
-        # come of it, and a neighbor meets only keys of its own shape.
+        # A neighbor meets only keys of its own size, so one of a size no
+        # key of the other side has is held, in enumeration order, and keyed
+        # when the level ends: a level that meets never keys it.  Equal keys
+        # have equal sizes, so a held neighbor never shares a key with one
+        # keyed at once, and each key's first reach is the same as if every
+        # neighbor were keyed as it came.  The last level's frontier is
+        # never expanded, so there a neighbor that cannot meet is dropped,
+        # and one is keyed only if some key of the other side also has its
+        # shape.
+        sizes = {_size(k) for k in other}
         last = depth == max_depth
         shapes = {_shape(k) for k in other} if last else None
-        next_frontier = []
+        # (key, rows) of each new key and (None, rows) of each held
+        # neighbor, the latter with its parent, kind and recipe.
+        level = []
         for key, m in frontiers[side]:
             stats.expanded += 1
             for kind, rows, recipe in search.neighbors(m):
+                if _size(rows) not in sizes:
+                    if not last:
+                        level.append((None, rows, key, kind, recipe))
+                    continue
                 if last and _shape(rows) not in shapes:
                     continue
                 hkey = search.key(rows)
-                if hkey in mine:
+                if not reach(side, hkey, key, kind, recipe):
                     continue
-                mine[hkey] = key
-                if side == 0:
-                    search.links[hkey] = kind, recipe
                 if hkey in other:
                     # The root of each chain has no step.
                     keys = chain(0, hkey)[-2::-1] + chain(1, hkey)[1:]
                     return MoveSequence(src, search.replay(src, keys, want), stats)
-                next_frontier.append((hkey, rows))
-        frontiers[side] = next_frontier
+                level.append((hkey, rows, None, None, None))
+        frontiers[side] = []
+        for hkey, rows, *held in level:
+            if hkey is None:
+                hkey = search.key(rows)
+                if not reach(side, hkey, *held):
+                    continue
+            frontiers[side].append((hkey, rows))
 
     raise NotFoundWithinBounds("bounds-exhausted", stats)

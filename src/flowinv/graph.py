@@ -8,6 +8,7 @@ incidence matrices (and everything derived from them) depend on it.  Entry
 from __future__ import annotations
 
 import itertools
+import math
 import re
 import sys
 from collections import Counter
@@ -549,6 +550,10 @@ def classify_graph(g: MultiGraph) -> GraphReport:
 # Isomorphism and canonical forms.
 
 _ISO_LIMIT = 8
+# The most vertex orders a canonical key tries: 9!, one cell of 9 vertices,
+# which keys in about 2 s on a shared 2-core x86_64 host under Python 3.11;
+# each further vertex in the cell multiplies the orders by its count.
+_ORDER_BUDGET = math.factorial(9)
 
 
 def _refinement_cells(m) -> list[tuple[int, ...]]:
@@ -599,6 +604,10 @@ def _canonical_order(m):
     are built once.  Rows are permuted by ``itemgetter(*order)``, which for
     a single vertex would return an entry, not a tuple; one vertex has one
     order, so that case is answered directly.
+
+    Otherwise every order of every cell is tried, as many as the product of
+    the factorials of the cell sizes; above ``_ORDER_BUDGET`` orders, a
+    GraphError is raised instead, before the first is tried.
     """
     if len(m) == 1:
         return [0], ((m[0][0],),)
@@ -607,6 +616,14 @@ def _canonical_order(m):
         order = list(itertools.chain.from_iterable(cells))
         get = itemgetter(*order)
         return order, tuple(map(get, get(m)))
+    orders = 1
+    for k in itertools.chain.from_iterable(range(2, len(c) + 1) for c in cells):
+        orders *= k
+        if orders > _ORDER_BUDGET:
+            raise GraphError(
+                f"canonical key refused: its refinement cells allow more than "
+                f"{_ORDER_BUDGET:,} (9!) vertex orders"
+            )
     best = best_order = None
     for parts in itertools.product(*(itertools.permutations(c) for c in cells)):
         order = [v for part in parts for v in part]
@@ -623,7 +640,8 @@ def canonical_rows_key(m):
     Among all vertex orders that respect the refinement cells, the one whose
     permuted rows are smallest, compared row by row (which is row-major
     order), is chosen; the key is those rows.  So two matrices get equal
-    keys exactly when a permutation carries one onto the other.
+    keys exactly when a permutation carries one onto the other.  Cells that
+    allow more than ``_ORDER_BUDGET`` (9!) orders raise GraphError.
     """
     return _canonical_order(m)[1]
 
@@ -631,7 +649,7 @@ def canonical_rows_key(m):
 def canonical_permutation(g: MultiGraph) -> tuple[int, ...]:
     """A permutation sending g to its canonical representative: old vertex
     i goes to position perm[i] of the order :func:`canonical_rows_key`
-    picks."""
+    picks.  Raises GraphError where that key would."""
     order, _ = _canonical_order(g.incidence().entries)
     perm = [0] * g.n
     for pos, old in enumerate(order):
@@ -641,7 +659,9 @@ def canonical_permutation(g: MultiGraph) -> tuple[int, ...]:
 
 def canonical_key(g: MultiGraph):
     """Hashable isomorphism invariant: two graphs get equal keys iff
-    isomorphic; :func:`canonical_rows_key` of the incidence rows."""
+    isomorphic; :func:`canonical_rows_key` of the incidence rows.  Raises
+    GraphError when the refinement cells allow more than ``_ORDER_BUDGET``
+    (9!) vertex orders, such as a circulant of ten or more vertices."""
     return canonical_rows_key(g.incidence().entries)
 
 
@@ -652,7 +672,9 @@ def is_isomorphic(a: MultiGraph, b: MultiGraph) -> bool:
     :func:`canonical_key` has no vertex cap, but its cost is the product of
     the factorials of its refinement's cell sizes: a 9-vertex 2-regular
     circulant is one cell, 9! orders, and took 1.2 s to key on a shared
-    2-core x86_64 host under Python 3.11.
+    2-core x86_64 host under Python 3.11.  Past 9! orders (``_ORDER_BUDGET``)
+    the key raises GraphError; graphs within ``_ISO_LIMIT``, at most 8!
+    orders, never reach it.
     """
     if a.n != b.n or a.edge_count != b.edge_count:
         return False

@@ -154,6 +154,17 @@ def test_search_to_a_huge_expansion_answers_within_budget(tmp_path):
     assert json.loads(done.stdout)["script"] == ["move expand v0"]
 
 
+@pytest.mark.skipif(resource is None, reason="needs POSIX resource limits")
+def test_search_refuses_a_key_past_the_order_budget(tmp_path):
+    # The 11-vertex circulant v -> v+1, v+2 is regular, so colour refinement
+    # leaves it one cell of 11! vertex orders: its key is refused, not tried.
+    rows = [" ".join("1" if (j - i) % 11 in (1, 2) else "0" for j in range(11)) for i in range(11)]
+    path = _write(tmp_path, "c11.graph", "matrix 11\n" + "\n".join(rows) + "\n")
+    done = _run_capped(["search", "--max-vertices", "11", path, path], 2.0, 1 << 30)
+    assert done.returncode == 2 and not done.stdout
+    assert "more than 362,880 (9!) vertex orders" in done.stderr
+
+
 def test_split_after_thousands_of_matrix_first_moves(tmp_path, capsys):
     # 2,000 moves that name no edge, then a split that names edges: the ids
     # it names are derived through every step, in a loop, and the result is

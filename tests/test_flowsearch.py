@@ -7,6 +7,7 @@ import itertools
 import json
 import os
 import random
+import sys
 
 import pytest
 
@@ -19,6 +20,7 @@ from flowinv.flowsearch import (
     MoveStep,
     NotFoundWithinBounds,
     SearchStats,
+    _amalgam_blocks,
     _max_entry,
     _realize,
     _Search,
@@ -36,7 +38,14 @@ from flowinv.graph import (
     is_isomorphic,
 )
 from flowinv.invariants import equiv_det_pair, franks_triple
-from flowinv.moves import MoveError, expand, in_amalgamate, minus, out_amalgamate
+from flowinv.moves import (
+    MoveError,
+    expand,
+    in_amalgamate,
+    minus,
+    out_amalgamate,
+    quotient_rows,
+)
 
 
 def _rose(petals: int) -> MultiGraph:
@@ -600,13 +609,14 @@ def test_neighbor_rows_match_realized_random_graphs(hypothesis_api):
     assert seen.partition_capped and seen.vertex_capped and seen.entry_capped
 
 
+def _essential(rows) -> bool:
+    return all(map(any, rows)) and all(map(any, zip(*rows)))
+
+
 def test_neighbors_of_essential_graphs_are_essential(hypothesis_api):
     # The search admits only essential graphs, so it walks no source
     # elimination: no neighbor it enumerates has a zero row or column.
     hyp, st = hypothesis_api
-
-    def essential(rows):
-        return all(map(any, rows)) and all(map(any, zip(*rows)))
 
     @hyp.settings(max_examples=150, deadline=None)
     @hyp.given(
@@ -616,7 +626,7 @@ def test_neighbors_of_essential_graphs_are_essential(hypothesis_api):
                 st.lists(st.integers(0, 2), min_size=n, max_size=n), min_size=n, max_size=n
             )
         )
-        .filter(essential),
+        .filter(_essential),
         st.integers(0, 2),
         st.sampled_from([1, 3, None]),
         st.integers(1, 6),
@@ -625,7 +635,7 @@ def test_neighbors_of_essential_graphs_are_essential(hypothesis_api):
         m = tuple(map(tuple, rows))
         search = _Search(max_vertices=len(m) + extra, entry_cap=entry_cap, partition_cap=cap)
         for kind, got, _ in search.neighbors(m):
-            assert essential(got), (kind, m, got)
+            assert _essential(got), (kind, m, got)
 
     check()
 
@@ -831,3 +841,168 @@ def test_amalgamation_neighbors_are_the_accepted_groupings_random(hypothesis_api
     found = []
     check()
     assert any(found)
+
+
+# ---------------------------------------------------------------------------
+# The level loop against the one that keyed every neighbor at once, and the
+# entry cap's invariant.
+
+
+def _find_sequence_reference(src, dst, *, max_depth, max_vertices):
+    """:func:`flowinv.flowsearch.find_sequence` with the level loop it had
+    before a neighbor that cannot meet the other side was held to the end of
+    its level: every neighbor is keyed as it comes, except on the last level,
+    where one whose shape no key of the other side has is skipped.  Kept as
+    an oracle."""
+    src_report = flowsearch._require_search_ready(src, "start", max_vertices)
+    dst_report = flowsearch._require_search_ready(dst, "goal", max_vertices)
+    want = franks_triple(src, report=src_report)
+    if not equiv_det_pair(want, franks_triple(dst, report=dst_report)):
+        raise NotFoundWithinBounds("invariant-mismatch", SearchStats())
+    entry_cap = max(9, _max_entry(src), _max_entry(dst))
+    search = _Search(max_vertices, entry_cap, DEFAULT_PARTITION_CAP)
+    stats = search.stats
+    key_src, key_dst = canonical_key(src), canonical_key(dst)
+    if key_src == key_dst:
+        return MoveSequence(start=src, steps=(), stats=stats)
+    visited = ({key_src: None}, {key_dst: None})
+    frontiers = [[(key_src, src.incidence().entries)], [(key_dst, dst.incidence().entries)]]
+    depth = 0
+
+    def chain(side, key):
+        out = []
+        while key is not None:
+            out.append(key)
+            key = visited[side][key]
+        return out
+
+    while depth < max_depth and all(frontiers):
+        side = int(len(frontiers[0]) > len(frontiers[1]))
+        mine, other = visited[side], visited[1 - side]
+        depth += 1
+        last = depth == max_depth
+        shapes = {flowsearch._shape(k) for k in other} if last else None
+        next_frontier = []
+        for key, m in frontiers[side]:
+            stats.expanded += 1
+            for kind, rows, recipe in search.neighbors(m):
+                if last and flowsearch._shape(rows) not in shapes:
+                    continue
+                hkey = search.key(rows)
+                if hkey in mine:
+                    continue
+                mine[hkey] = key
+                if side == 0:
+                    search.links[hkey] = kind, recipe
+                if hkey in other:
+                    keys = chain(0, hkey)[-2::-1] + chain(1, hkey)[1:]
+                    return MoveSequence(src, search.replay(src, keys, want), stats)
+                next_frontier.append((hkey, rows))
+        frontiers[side] = next_frontier
+    raise NotFoundWithinBounds("bounds-exhausted", stats)
+
+
+def _answer(find, start, goal, **bounds):
+    """What a search answers, as plain data: the script lines, each step's
+    kind, labels, edges and rows, and the stats; or the reason and stats."""
+    try:
+        seq = find(start, goal, **bounds)
+    except NotFoundWithinBounds as exc:
+        return exc.reason, exc.stats.to_dict()
+    steps = [
+        (s.kind, s.graph.labels, s.graph.edges, s.graph.incidence().entries) for s in seq.steps
+    ]
+    return _script(seq), steps, seq.stats.to_dict()
+
+
+_SCRAMBLE_BOUNDS = dict(max_depth=6, max_vertices=6)
+
+
+def _seeded_scrambles(count, seed):
+    """``count`` three-move scrambles of starts of 1..3 vertices, entries
+    0..2, as (start, goal) pairs."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        start = _rand_pis_graph(rng)
+        yield start, _scramble(rng, start, 3)
+
+
+def test_level_loop_matches_the_reference():
+    # Holding a neighbor that cannot meet changes no answer: the scripts,
+    # every step's graph, labels and edge ids, and every counter agree.
+    for start, goal in _seeded_scrambles(160, 2903):
+        want = _answer(_find_sequence_reference, start, goal, **_SCRAMBLE_BOUNDS)
+        assert want[0] != "bounds-exhausted"
+        assert _answer(find_sequence, start, goal, **_SCRAMBLE_BOUNDS) == want
+    for case in _search_golden()["exhausted"]:
+        start, goal = (MultiGraph.from_matrix(case[k]) for k in ("start", "goal"))
+        want = _answer(_find_sequence_reference, start, goal, **case["bounds"])
+        assert want[0] == "bounds-exhausted"
+        assert _answer(find_sequence, start, goal, **case["bounds"]) == want
+
+
+def test_the_meeting_level_keys_only_neighbors_that_could_meet(monkeypatch):
+    # Each key find_sequence computes is logged with its level and whether
+    # the neighbor's (vertex count, edge count) is among the other side's
+    # keys'; on the level that meets, every one must be.
+    def size(rows):
+        return len(rows), sum(map(sum, rows))
+
+    log = []
+    key = _Search.key
+
+    def logged(search, rows):
+        caller = sys._getframe(1)
+        if caller.f_code is find_sequence.__code__:
+            at = caller.f_locals
+            other = {size(k) for k in at["visited"][1 - at["side"]]}
+            log.append((at["depth"], size(rows) in other))
+        return key(search, rows)
+
+    monkeypatch.setattr(_Search, "key", logged)
+    held = 0
+    for start, goal in _seeded_scrambles(40, 2909):
+        log.clear()
+        assert len(find_sequence(start, goal, **_SCRAMBLE_BOUNDS)) <= 6
+        meet = max(depth for depth, _ in log)
+        assert all(could for depth, could in log if depth == meet)
+        held += sum(not could for _, could in log)
+    # Neighbors that cannot meet were keyed, on the levels before the meet.
+    assert held
+
+
+def test_only_amalgamations_can_break_the_entry_cap(hypothesis_api):
+    # The rows of expansions and contractions are m's entries and a 1, and
+    # a splitting's are parts of m's; only an amalgamation adds entries.
+    # So with the cap at max(m), only amalgamations are cut and counted.
+    hyp, st = hypothesis_api
+
+    @hyp.settings(max_examples=150, deadline=None)
+    @hyp.given(
+        st.integers(1, 4)
+        .flatmap(
+            lambda n: st.lists(
+                st.lists(st.integers(0, 3), min_size=n, max_size=n), min_size=n, max_size=n
+            )
+        )
+        .filter(_essential),
+        st.integers(0, 2),
+        st.sampled_from([1, 3, None]),
+    )
+    def check(rows, extra, cap):
+        m = tuple(map(tuple, rows))
+        top = max(map(max, m))
+        search = _Search(max_vertices=len(m) + extra, entry_cap=top, partition_cap=cap)
+        for kind, got, _ in search.neighbors(m):
+            assert max(map(max, got)) <= top, (kind, m, got)
+        over = sum(
+            max(map(max, quotient_rows(oriented, blocks))) > top
+            for oriented in (m, tuple(zip(*m)))
+            for blocks in _amalgam_blocks(oriented)
+        )
+        assert search.stats.entry_capped == over
+        counts.append(over)
+
+    counts = []
+    check()
+    assert any(counts)

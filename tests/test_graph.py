@@ -1311,6 +1311,32 @@ def _circulant(first_row):
     return tuple(tuple(first_row[(j - i) % n] for j in range(n)) for i in range(n))
 
 
+def test_canonical_key_refuses_cells_past_the_order_budget(monkeypatch):
+    # A circulant v -> v+1, v+2 is one refinement cell, so n vertices allow
+    # n! orders: 10 and 11 are past 9! and refused before any is tried.
+    for n in (10, 11):
+        with pytest.raises(GraphError, match=r"more than 362,880 \(9!\) vertex orders"):
+            canonical_rows_key(_circulant([0, 1, 1] + [0] * (n - 3)))
+    # The budget bounds the product over the cells, and a key at the budget
+    # is answered: with a budget of 4!, the 4-cycle keys, and so does a
+    # 3-cycle with loops beside a 3-cycle without, two cells of 3! orders
+    # each, until the budget is one below their 36.
+    monkeypatch.setattr(flowinv.graph, "_ORDER_BUDGET", 24)
+    four = _circulant([0, 1, 0, 0])
+    assert canonical_rows_key(four) == _canonical_order_over_every_cell(four)[1]
+    with pytest.raises(GraphError):
+        canonical_rows_key(_circulant([0, 1, 0, 0, 0]))
+    pair = tuple(
+        tuple(int(i // 3 == j // 3 and (j - i) % 3 in ((0, 1) if i < 3 else (1,))) for j in range(6))
+        for i in range(6)
+    )
+    assert len(_refinement_cells(pair)) == 2
+    with pytest.raises(GraphError):
+        canonical_rows_key(pair)
+    monkeypatch.setattr(flowinv.graph, "_ORDER_BUDGET", 36)
+    assert canonical_rows_key(pair) == _canonical_order_over_every_cell(pair)[1]
+
+
 def test_discrete_refinement_order_matches_product_oracle():
     # Seeded random matrices up to 6 vertices with entries 0..3, which
     # mostly refine to singletons, and circulants and complete graphs, which
