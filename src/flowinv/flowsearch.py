@@ -9,8 +9,9 @@ keeps a graph essential, so source elimination would never apply and is
 not walked.
 
 One :class:`_Search` holds a search's bounds, its :class:`SearchStats` and
-its memos, and lives and dies with it.  The search is a function of
-incidence rows until it returns:
+its memos, and lives and dies with it; only the capped vector partitions of
+each bundle vector (:func:`_capped_partitions`) are kept for the process.
+The search is a function of incidence rows until it returns:
 
 - It records, for each visited key (:func:`flowinv.graph.canonical_rows_key`
   of a neighbor's rows, computed from its parent's rows alone), only its
@@ -36,11 +37,12 @@ incidence rows until it returns:
   frontier is never expanded, they are dropped, and a neighbor is keyed
   only if some key of the other side also has its shape; one the replay
   enumerates, only if it has the shape of the key sought.  Each distinct
-  rows is keyed once, and the vector partitions of each bundle vector are
-  enumerated once, keeping only the first ``partition_cap + 1`` with two or
-  more parts: all the cap lets through, and the one that shows it cut.
-  None of this changes the first meet, the first match in enumeration
-  order, a parent, the frontier order or a counter.
+  rows is keyed once per search, and the vector partitions of each bundle
+  vector are enumerated once per process, keeping only the first
+  ``partition_cap + 1`` with two or more parts: all the cap lets through,
+  and the one that shows it cut.  None of this changes the first meet, the
+  first match in enumeration order, a parent, the frontier order or a
+  counter.
 
 Graphs are identified up to isomorphism via canonical keys, so a found
 sequence ends at a graph isomorphic to the goal.  The search is bounded
@@ -51,11 +53,12 @@ nothing is found it reports the work done and the cuts the bounds made.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field, replace
 
 # det is unused here but stays importable: bench/tracing.py wraps flowsearch.det.
-from flowinv.exactla import cokernel, det, group_iso  # noqa: F401
+from flowinv.exactla import cokernel, det, exact_int, group_iso  # noqa: F401
 from flowinv.graph import (
     GraphError,
     GraphReport,
@@ -193,37 +196,51 @@ def _vector_partitions(total, max_parts):
     """Multisets of at most ``max_parts`` (>= 1) nonzero vectors summing to
     ``total``.
 
-    Parts are emitted in lexicographically non-increasing order, so each
-    multiset appears exactly once; used to enumerate edge partitions up to
-    the interchange of parallel edges.  Each part is drawn from
-    :func:`itertools.product` over one descending range per coordinate,
-    from what remains down to 0, or down to 1 at the first nonzero
-    coordinate, which the part must cover since no later part, being no
-    larger, could.  The product comes in descending order, and the vectors
+    Each multiset is a tuple of parts, emitted in lexicographically
+    non-increasing order, so it appears exactly once; used to enumerate
+    edge partitions up to the interchange of parallel edges.  Each part is
+    drawn from :func:`itertools.product` over one descending range per
+    coordinate, from what remains down to 0, or down to 1 at the first
+    nonzero coordinate, which the part must cover since no later part,
+    being no larger, could.  The product comes in descending order, and the vectors
     above the previous part are filtered out.  The last allowed part is all
     that remains.
     """
 
     def rec(remaining, bound, slots):
         if not any(remaining):
-            yield []
+            yield ()
             return
         if slots == 1:
             if remaining <= bound:
-                yield [remaining]
+                yield (remaining,)
             return
         lead = next(i for i, r in enumerate(remaining) if r)
         ranges = [range(r, 0 if i == lead else -1, -1) for i, r in enumerate(remaining)]
         for part in filter(bound.__ge__, itertools.product(*ranges)):
             rest = tuple(r - p for r, p in zip(remaining, part))
             for tail in rec(rest, part, slots - 1):
-                yield [part] + tail
+                yield (part,) + tail
 
     total = tuple(total)
     yield from rec(total, total, max_parts)
 
 
-def _split_rows(m, v, max_classes, partition_cap, stats, partitions):
+@functools.lru_cache(maxsize=1024)
+def _capped_partitions(counts, max_classes, partition_cap):
+    """The first ``partition_cap + 1`` vector partitions of the bundle
+    vector ``counts`` into 2..max_classes parts, as a tuple: all the cap
+    lets through, plus the one that tells whether it cut.
+
+    A pure function of its arguments, so it is enumerated once per process
+    and shared by every search; a search's working set of bundle vectors is
+    a few hundred, well inside the cache.
+    """
+    splits = (p for p in _vector_partitions(counts, max_classes) if len(p) >= 2)
+    return tuple(itertools.islice(splits, partition_cap + 1))
+
+
+def _split_rows(m, v, max_classes, partition_cap, stats):
     """In-splittings of vertex v of the incidence rows ``m`` into
     2..max_classes classes, as (parts, rows) pairs.
 
@@ -238,21 +255,17 @@ def _split_rows(m, v, max_classes, partition_cap, stats, partitions):
     the cut ends to its split column, whose entries come from
     ``zip(*parts)``: one tuple per source, one entry per part.
 
-    ``partitions`` memoizes the vector partitions of each bundle vector:
-    only those with two or more parts, and only the first
-    ``partition_cap + 1``, which is all the cap lets through plus the one
-    that tells whether it cut.  Uncapped, they stay a lazy generator.
+    Capped, the partitions come from :func:`_capped_partitions`; uncapped,
+    they stay a lazy generator, never cached.
     """
     order = [u for u, row in enumerate(m) if row[v]]
     counts = tuple(m[u][v] for u in order)
     if sum(counts) < 2:
         return
-    splits = (p for p in _vector_partitions(counts, max_classes) if len(p) >= 2)
-    if partition_cap is not None:
-        at = (counts, max_classes, partition_cap)
-        if at not in partitions:
-            partitions[at] = list(itertools.islice(splits, partition_cap + 1))
-        splits = partitions[at]
+    if partition_cap is None:
+        splits = (p for p in _vector_partitions(counts, max_classes) if len(p) >= 2)
+    else:
+        splits = _capped_partitions(counts, max_classes, partition_cap)
     heads = [row[:v] for row in m]
     tails = [row[v + 1 :] for row in m]
     for parts in itertools.islice(splits, partition_cap):
@@ -382,9 +395,9 @@ class _Search:
 
     ``max_vertices``, ``entry_cap`` and ``partition_cap`` bound the
     neighbors; ``stats`` counts what the search did and what the bounds cut.
-    ``keyed`` maps each rows to its key, ``partitions`` is
-    :func:`_split_rows`'s memo, and ``links`` maps each key the start's side
-    reached to the (kind, recipe) of the neighbor that first reached it.
+    ``keyed`` maps each rows to its key, and ``links`` maps each key the
+    start's side reached to the (kind, recipe) of the neighbor that first
+    reached it.
     """
 
     max_vertices: int
@@ -392,7 +405,6 @@ class _Search:
     partition_cap: int | None
     stats: SearchStats = field(default_factory=SearchStats)
     keyed: dict = field(default_factory=dict)
-    partitions: dict = field(default_factory=dict)
     links: dict = field(default_factory=dict)
 
     def neighbors(self, m):
@@ -440,7 +452,7 @@ class _Search:
             for kind, oriented in (("in-split", m), ("out-split", cols)):
                 for v in range(n):
                     for parts, rows in _split_rows(
-                        oriented, v, max_classes, self.partition_cap, stats, self.partitions
+                        oriented, v, max_classes, self.partition_cap, stats
                     ):
                         if kind == "out-split":
                             rows = tuple(zip(*rows))
@@ -514,6 +526,19 @@ class _Search:
         return tuple(steps)
 
 
+def _read_bound(name, value, least):
+    """``value`` read by :func:`~flowinv.exactla.exact_int`; GraphError if
+    it is not an integer or is below ``least``, 0 or 1."""
+    try:
+        bound = exact_int(value)
+    except ValueError:
+        raise GraphError(f"{name} must be an integer, got {value!r}") from None
+    if bound < least:
+        what = "positive" if least else "non-negative"
+        raise GraphError(f"{name} must be {what}, got {bound}")
+    return bound
+
+
 def find_sequence(
     src: MultiGraph,
     dst: MultiGraph,
@@ -530,10 +555,12 @@ def find_sequence(
     runs up to ``max_depth`` total moves, cutting splittings at
     ``DEFAULT_PARTITION_CAP`` partitions per vertex, and raises
     :class:`NotFoundWithinBounds` with ``bounds-exhausted`` on failure.
-    A negative ``max_depth`` raises GraphError.
+    Both bounds are read by :func:`~flowinv.exactla.exact_int`, so 3.0
+    reads as 3 and True as 1; a bound that is not an integer, a negative
+    ``max_depth`` or a ``max_vertices`` below 1 raises GraphError.
     """
-    if max_depth < 0:
-        raise GraphError(f"max_depth must be non-negative, got {max_depth}")
+    max_depth = _read_bound("max_depth", max_depth, 0)
+    max_vertices = _read_bound("max_vertices", max_vertices, 1)
     report_src = _require_search_ready(src, "start", max_vertices)
     report_dst = _require_search_ready(dst, "goal", max_vertices)
 

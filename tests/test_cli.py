@@ -588,6 +588,13 @@ def test_search_negative_depth_exits_2(tmp_path, capsys):
     assert "max_depth" in err
 
 
+def test_search_zero_max_vertices_exits_2(tmp_path, capsys):
+    rose = _write(tmp_path, "rose.graph", ROSE4)
+    code, out, err = _run(capsys, ["search", rose, rose, "--max-vertices", "0"])
+    assert code == 2 and not out
+    assert "max_vertices must be positive, got 0" in err
+
+
 def test_search_invariant_mismatch_is_data(tmp_path, capsys):
     rose4 = _write(tmp_path, "rose4.graph", ROSE4)
     rose3 = _write(tmp_path, "rose3.graph", "edges 1\n0 0 3\n")

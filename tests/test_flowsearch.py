@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import json
@@ -21,6 +22,7 @@ from flowinv.flowsearch import (
     NotFoundWithinBounds,
     SearchStats,
     _amalgam_blocks,
+    _capped_partitions,
     _max_entry,
     _realize,
     _Search,
@@ -163,6 +165,40 @@ def test_negative_depth_is_rejected():
             find_sequence(_rose(4), goal, max_depth=-1)
 
 
+def test_bounds_must_be_integers():
+    companion = MultiGraph.from_matrix([[1, 1], [3, 2]])
+    for bounds in (
+        dict(max_depth=None),
+        dict(max_depth=2.5),
+        dict(max_depth="2"),
+        dict(max_vertices=2.5),
+        dict(max_vertices=None),
+        dict(max_vertices=float("inf")),
+    ):
+        (name,) = bounds
+        with pytest.raises(GraphError, match=f"{name} must be an integer"):
+            find_sequence(_rose(4), companion, **bounds)
+
+
+def test_max_vertices_must_be_positive():
+    for cap in (0, -3, False):
+        with pytest.raises(GraphError, match=f"max_vertices must be positive, got {int(cap)}$"):
+            find_sequence(_rose(4), _rose(4), max_vertices=cap)
+
+
+def test_integral_bounds_read_as_ints():
+    # 6.0 is 6 and True is 1: the same search as with the ints.
+    companion = MultiGraph.from_matrix([[1, 1], [3, 2]])
+    want = _answer(find_sequence, _rose(4), companion, max_depth=6, max_vertices=8)
+    assert want[0] != "bounds-exhausted"
+    assert _answer(find_sequence, _rose(4), companion, max_depth=6.0, max_vertices=8.0) == want
+    one = _answer(find_sequence, _rose(4), companion, max_depth=1)
+    assert one[0] == "bounds-exhausted"
+    assert _answer(find_sequence, _rose(4), companion, max_depth=True) == one
+    with pytest.raises(GraphError, match="above the search cap 1$"):
+        find_sequence(_rose(4), companion, max_vertices=True)
+
+
 def test_bounds_exhausted_reports_stats():
     companion = MultiGraph.from_matrix([[1, 1], [3, 2]])
     with pytest.raises(NotFoundWithinBounds) as exc:
@@ -240,12 +276,12 @@ def _all_vector_partitions(total):
 
     def rec(remaining, bound):
         if not any(remaining):
-            yield []
+            yield ()
             return
         for part in candidates(remaining, bound):
             rest = tuple(r - p for r, p in zip(remaining, part))
             for tail in rec(rest, part):
-                yield [part] + tail
+                yield (part,) + tail
 
     total = tuple(total)
     yield from rec(total, total)
@@ -445,10 +481,12 @@ def test_exhausted_searches_match_golden_file():
 
 
 def test_memoized_partitions_match_the_generator():
-    # The memo keeps at most partition_cap + 1 splittings per bundle vector;
-    # a splitting read from it, a second time included, must equal one
-    # enumerated afresh, and so must the cap count.
-    memo = {}
+    # The cache keeps at most partition_cap + 1 splittings per bundle
+    # vector; a splitting read from it must equal one enumerated afresh, and
+    # so must the cap count: with the cache cleared before each case and
+    # read again at once, then over a second sweep that finds the cache as
+    # the first left it (more keys than it holds, so some were evicted).
+    cases = []
     for k in range(4):
         for counts in itertools.product(range(5), repeat=k):
             # Vertex k receives counts[u] edges from each vertex u < k.
@@ -457,16 +495,23 @@ def test_memoized_partitions_match_the_generator():
             )
             for max_classes in range(2, 7):
                 for cap in (1, 2, 3, 512, None):
-                    fresh, memoized = SearchStats(), SearchStats()
+                    fresh = SearchStats()
                     want = list(_split_rows_reference(m, k, max_classes, cap, fresh))
-                    for _ in range(2):
-                        got = list(_split_rows(m, k, max_classes, cap, memoized, memo))
-                        assert got == want, (counts, max_classes, cap)
-                    assert memoized.partition_capped == 2 * fresh.partition_capped
-    assert memo
+                    cases.append((m, k, max_classes, cap, want, fresh.partition_capped))
+    for cold in (True, False):
+        for m, k, max_classes, cap, want, capped in cases:
+            if cold:
+                _capped_partitions.cache_clear()
+            for _ in range(2 if cold else 1):
+                stats = SearchStats()
+                assert list(_split_rows(m, k, max_classes, cap, stats)) == want, (m, max_classes, cap)
+                assert stats.partition_capped == capped
+            if cold and cap is not None and want:
+                assert _capped_partitions.cache_info().currsize == 1
+    assert _capped_partitions.cache_info().currsize == 1024
 
 
-def _split_rows_reference(m, v, max_classes, partition_cap, stats, partitions=None):
+def _split_rows_reference(m, v, max_classes, partition_cap, stats):
     """:func:`flowinv.flowsearch._split_rows` as it was before the rows were
     cut once per vertex: each splitting builds its split column part by
     part and cuts every row again.  Kept as an oracle."""
@@ -475,11 +520,6 @@ def _split_rows_reference(m, v, max_classes, partition_cap, stats, partitions=No
     if sum(counts) < 2:
         return
     splits = (p for p in _vector_partitions(counts, max_classes) if len(p) >= 2)
-    if partitions is not None and partition_cap is not None:
-        at = (counts, max_classes, partition_cap)
-        if at not in partitions:
-            partitions[at] = list(itertools.islice(splits, partition_cap + 1))
-        splits = partitions[at]
     emitted = 0
     for parts in splits:
         if partition_cap is not None and emitted >= partition_cap:
@@ -496,12 +536,15 @@ def _split_rows_reference(m, v, max_classes, partition_cap, stats, partitions=No
         yield parts, tuple(rows)
 
 
-def _check_split_rows(m, v, max_classes, cap, memo):
-    """_split_rows, with the memo ``memo``, empty or filled, yields the
-    reference's (parts, rows) sequence and counts the same partition cut."""
+def _check_split_rows(m, v, max_classes, cap, cold):
+    """_split_rows, with the partition cache cleared first if ``cold`` and
+    as earlier calls left it otherwise, yields the reference's (parts,
+    rows) sequence and counts the same partition cut."""
+    if cold:
+        _capped_partitions.cache_clear()
     want_stats, got_stats = SearchStats(), SearchStats()
     want = list(_split_rows_reference(m, v, max_classes, cap, want_stats))
-    got = list(_split_rows(m, v, max_classes, cap, got_stats, memo))
+    got = list(_split_rows(m, v, max_classes, cap, got_stats))
     assert got == want, (m, v, max_classes, cap)
     assert got_stats.partition_capped == want_stats.partition_capped
     return len(want)
@@ -513,12 +556,11 @@ def test_split_rows_match_the_reference(hypothesis_api):
     # bundle sum below 2, so they have no splitting.
     m = ((2, 1, 0), (1, 0, 0), (2, 0, 1))
     for cap in (None, 1, 3):
-        memo = {}
-        for partitions in ({}, memo, memo):
-            count = _check_split_rows(m, 0, 4, cap, partitions)
+        for cold in (True, False, False):
+            count = _check_split_rows(m, 0, 4, cap, cold)
             assert count == cap if cap else count > 3
-            assert _check_split_rows(m, 1, 4, cap, partitions) == 0
-            assert _check_split_rows(m, 2, 4, cap, partitions) == 0
+            assert _check_split_rows(m, 1, 4, cap, cold) == 0
+            assert _check_split_rows(m, 2, 4, cap, cold) == 0
 
     hyp, st = hypothesis_api
 
@@ -535,12 +577,77 @@ def test_split_rows_match_the_reference(hypothesis_api):
         max_classes = data.draw(st.integers(2, 5))
         cap = data.draw(st.sampled_from((None, 1, 3)))
         shared = data.draw(st.booleans())
-        memo = {}
-        # With a shared memo, a second call reads what the first one filled.
-        for _ in range(2):
-            _check_split_rows(m, v, max_classes, cap, memo if shared else {})
+        # With a shared cache, a second call reads what the first one filled.
+        _check_split_rows(m, v, max_classes, cap, True)
+        _check_split_rows(m, v, max_classes, cap, not shared)
 
     check()
+
+
+def _cache_history_jobs():
+    """Calls whose answers must not depend on what the partition cache
+    holds: find_sequence on the golden scrambles and exhausted pairs, and
+    the neighbors of each scramble's start and goal at partition caps 1 and
+    3, with their stats."""
+    golden = _search_golden()
+    jobs = []
+    for case in golden["scrambles"]:
+        start, goal = (MultiGraph.from_matrix(case[k]) for k in ("start", "goal"))
+        jobs.append(functools.partial(_answer, find_sequence, start, goal, max_depth=6))
+    for case in golden["exhausted"]:
+        start, goal = (MultiGraph.from_matrix(case[k]) for k in ("start", "goal"))
+        jobs.append(functools.partial(_answer, find_sequence, start, goal, **case["bounds"]))
+
+    def neighbors(m, cap):
+        search = _Search(max_vertices=len(m) + 2, entry_cap=9, partition_cap=cap)
+        return list(search.neighbors(m)), search.stats.to_dict()
+
+    for case in golden["scrambles"]:
+        for m in (case["start"], case["goal"]):
+            rows = tuple(map(tuple, m))
+            jobs.extend(functools.partial(neighbors, rows, cap) for cap in (1, 3))
+    return jobs
+
+
+def test_answers_do_not_depend_on_the_partition_cache(monkeypatch):
+    # The capped partitions are cached for the process, so a search may
+    # find them filled by any earlier one; each answer must be the one it
+    # gets from an empty cache.  Every value the cache hands out is a tuple
+    # of at most cap + 1 splittings, each a tuple, under an integral cap.
+    cached = _capped_partitions
+    handed = []
+
+    def watched(counts, max_classes, partition_cap):
+        value = cached(counts, max_classes, partition_cap)
+        handed.append((partition_cap, value))
+        return value
+
+    monkeypatch.setattr(flowsearch, "_capped_partitions", watched)
+    jobs = _cache_history_jobs()
+
+    cold = []
+    for job in jobs:
+        cached.cache_clear()
+        cold.append(job())
+    cached.cache_clear()
+    warm = [job() for job in jobs]
+    backward = [job() for job in reversed(jobs)][::-1]
+    assert warm == cold
+    assert backward == cold
+
+    assert handed
+    for cap, value in handed:
+        assert type(cap) is int and 1 <= cap <= DEFAULT_PARTITION_CAP
+        assert type(value) is tuple and 0 < len(value) <= cap + 1
+        assert all(type(parts) is tuple and len(parts) >= 2 for parts in value)
+    assert cached.cache_info().currsize <= cached.cache_info().maxsize == 1024
+
+    # The uncapped pass, the replay's second, never fills the cache.
+    cached.cache_clear()
+    for case in _search_golden()["scrambles"]:
+        m = tuple(map(tuple, case["goal"]))
+        assert list(_Search(max_vertices=len(m) + 1, entry_cap=9, partition_cap=None).neighbors(m))
+    assert cached.cache_info().currsize == 0
 
 
 # ---------------------------------------------------------------------------
