@@ -1,6 +1,6 @@
-"""Print one sha256 over every answer of ``find_sequence`` on the search
-benchmark's inputs, so that two versions of flowinv can be shown to give the
-same answers.
+"""Print two sha256 digests over every answer of ``find_sequence`` on the
+search benchmark's inputs, so that two versions of flowinv can be shown to
+give the same answers, or the same paths by other moves.
 
     python .github/search_digest.py --src src 1 2 3
 
@@ -10,8 +10,13 @@ workload of bench/workloads.py, the 450 scrambles and the two exhausted
 pairs, without changing that file.  Each answer contributes its summary as the
 benchmark checks it, its script lines (``cli.format_move_step``), each step's
 kind, labels, edges and incidence rows, and its ``SearchStats``; an
-exhausted search, its reason and ``SearchStats``.  The last line is the
-digest; the lines before it count the inputs and the answers found.
+exhausted search, its reason and ``SearchStats``.  The second digest
+leaves the scripts and graphs out: each found answer contributes its length,
+the ``canonical_key`` of each step's graph and its ``SearchStats``.  Two
+versions with equal second digests visit the same keys in the same order,
+even where some step takes another move to the same key.  The first line
+counts the inputs and the answers found; the next two are the digests,
+``scripts`` and then ``keys``.
 """
 
 from __future__ import annotations
@@ -42,6 +47,14 @@ def _record(fl, workload, result) -> list:
     return record + [_graph(result.start), steps, result.stats.to_dict()]
 
 
+def _keys_record(fl, result) -> list:
+    """What one answer contributes to the keys digest: no script, no graph."""
+    if isinstance(result, fl.flowsearch.NotFoundWithinBounds):
+        return [result.reason, result.stats.to_dict()]
+    keys = [fl.graph.canonical_key(step.graph) for step in result.steps]
+    return [len(result), keys, result.stats.to_dict()]
+
+
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--src", required=True, help="directory holding the flowinv package")
@@ -56,17 +69,19 @@ def main(argv: list[str]) -> int:
         print(f"error: flowinv was imported from {flowinv.__file__}, not {src}", file=sys.stderr)
         return 2
     workload = WORKLOADS["search"]
-    digest = hashlib.sha256()
+    digest, keys_digest = hashlib.sha256(), hashlib.sha256()
     inputs = found = 0
     for seed in ns.seeds:
         plan = workload.plan(random.Random(seed), flowinv)
         for item in workload.build(plan, flowinv, None):
             result = workload.run(flowinv, item)
             digest.update(json.dumps(_record(flowinv, workload, result)).encode() + b"\n")
+            keys_digest.update(json.dumps(_keys_record(flowinv, result)).encode() + b"\n")
             inputs += 1
             found += workload.answered(result)
     print(f"seeds {' '.join(map(str, ns.seeds))}: {inputs} inputs, {found} found")
-    print(digest.hexdigest())
+    print(f"scripts {digest.hexdigest()}")
+    print(f"keys {keys_digest.hexdigest()}")
     return 0
 
 

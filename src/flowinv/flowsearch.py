@@ -9,23 +9,24 @@ keeps a graph essential, so source elimination would never apply and is
 not walked.
 
 One :class:`_Search` holds a search's bounds, its :class:`SearchStats` and
-its memos, and lives and dies with it; only the capped vector partitions of
+its key memo, and lives and dies with it; only the capped vector partitions of
 each bundle vector (:func:`_capped_partitions`) are kept for the process.
 The search is a function of incidence rows until it returns:
 
-- It records, for each visited key (:func:`flowinv.graph.canonical_rows_key`
-  of a neighbor's rows, computed from its parent's rows alone), only its
-  parent's key, and for each key the start's side reached, the (kind,
-  recipe) of the neighbor that first reached it.  The walk holds its two
-  sides, from the start and from the goal, as one pair of visited maps and
-  one pair of frontiers, and takes each neighbor's rows from the moves' own
-  rules.
+- It records, for each key a side visited
+  (:func:`flowinv.graph.canonical_rows_key` of a neighbor's rows, computed
+  from its parent's rows alone), its parent's key, the (kind, recipe) of
+  the neighbor that first reached it and that neighbor's rows; both sides,
+  from the start and from the goal, record the same, in one pair of visited
+  maps, and walk one pair of frontiers.  Each neighbor's rows come from the
+  moves' own rules.
 - The replay of a found path builds graphs, with their edges, labels and
   script arguments, through the moves themselves and only for its steps.
-  A link the start's side made is built from its recorded recipe; one the
-  goal's side made is the inverse of the move it recorded, so it is found
-  again by enumerating the graph's rows, building only the neighbor whose
-  key matches.
+  A link the start's side made is built from its recorded recipe.  One the
+  goal's side made is built as the inverse of the move it recorded
+  (:func:`_undo`), written in the built graph's vertex order through the
+  two canonical orders; so the replay enumerates no neighbor and no
+  partition.
 - It skips work whose result is already known or cannot matter.  The size
   of a matrix (:func:`_size`: its vertex count and edge count) and its
   shape (:func:`_shape`: its vertex count and sorted (out-degree,
@@ -35,18 +36,17 @@ The search is a function of incidence rows until it returns:
   cannot meet, are held in enumeration order and keyed when the level
   ends, so a level that meets never keys them.  On the last level, whose
   frontier is never expanded, they are dropped, and a neighbor is keyed
-  only if some key of the other side also has its shape; one the replay
-  enumerates, only if it has the shape of the key sought.  Each distinct
+  only if some key of the other side also has its shape.  Each distinct
   rows is keyed once per search, and the vector partitions of each bundle
   vector are enumerated once per process, keeping only the first
   ``partition_cap + 1`` with two or more parts: all the cap lets through,
-  and the one that shows it cut.  None of this changes the first meet, the
-  first match in enumeration order, a parent, the frontier order or a
-  counter.
+  and the one that shows it cut; no search reads more.  None of this
+  changes the first meet, a parent, the frontier order or a counter.
 
 Graphs are identified up to isomorphism via canonical keys, so a found
 sequence ends at a graph isomorphic to the goal.  The search is bounded
-(depth, vertex count, entry size, partitions per vertex); splittings into
+(depth, vertex count, entry size, partitions per vertex), and refuses an
+input with an entry above ``MAX_SEARCH_ENTRY``; splittings into
 more classes than the vertex bound allows are never generated.  When
 nothing is found it reports the work done and the cuts the bounds made.
 """
@@ -55,7 +55,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 # det is unused here but stays importable: bench/tracing.py wraps flowsearch.det.
 from flowinv.exactla import cokernel, det, exact_int, group_iso  # noqa: F401
@@ -63,6 +63,7 @@ from flowinv.graph import (
     GraphError,
     GraphReport,
     MultiGraph,
+    _canonical_order,
     canonical_key,
     canonical_rows_key,
     classify_graph,
@@ -88,6 +89,14 @@ from flowinv.moves import (
 DEFAULT_MAX_DEPTH = 6
 DEFAULT_MAX_VERTICES = 8
 DEFAULT_PARTITION_CAP = 512
+# The largest entry a search's start or goal may have.  No neighbor's
+# entries exceed the inputs' largest entry or 9 (the entry cap), so this
+# bounds the whole search: a splitting's partitions of an entry k are drawn
+# from a pool of k ints, and the replay of a splitting or amalgamation
+# builds one Edge per edge.  Through the CLI, a 1-vertex start with 10^5
+# loops in-split in two took 1.1 s and 105 MB; with 10^6, 10.6 s and 820 MB
+# (2-core x86_64, Python 3.11).
+MAX_SEARCH_ENTRY = 100_000
 
 
 @dataclass
@@ -242,7 +251,9 @@ def _capped_partitions(counts, max_classes, partition_cap):
 
 def _split_rows(m, v, max_classes, partition_cap, stats):
     """In-splittings of vertex v of the incidence rows ``m`` into
-    2..max_classes classes, as (parts, rows) pairs.
+    2..max_classes classes, as (parts, rows) pairs: the first
+    ``partition_cap`` of :func:`_capped_partitions`, and a count in ``stats``
+    if it holds more.
 
     The in-edges of v are bundled by source, and bundles of parallel edges
     are interchangeable, so each vector partition of the bundle sizes (one
@@ -254,28 +265,22 @@ def _split_rows(m, v, max_classes, partition_cap, stats):
     Every row is cut around column v once per call; each splitting joins
     the cut ends to its split column, whose entries come from
     ``zip(*parts)``: one tuple per source, one entry per part.
-
-    Capped, the partitions come from :func:`_capped_partitions`; uncapped,
-    they stay a lazy generator, never cached.
     """
     order = [u for u, row in enumerate(m) if row[v]]
     counts = tuple(m[u][v] for u in order)
     if sum(counts) < 2:
         return
-    if partition_cap is None:
-        splits = (p for p in _vector_partitions(counts, max_classes) if len(p) >= 2)
-    else:
-        splits = _capped_partitions(counts, max_classes, partition_cap)
+    splits = _capped_partitions(counts, max_classes, partition_cap)
     heads = [row[:v] for row in m]
     tails = [row[v + 1 :] for row in m]
-    for parts in itertools.islice(splits, partition_cap):
+    for parts in splits[:partition_cap]:
         split_col = [(0,) * len(parts)] * len(m)
         for u, col in zip(order, zip(*parts)):
             split_col[u] = col
         rows = [head + col + tail for head, col, tail in zip(heads, split_col, tails)]
         rows[v : v + 1] = rows[v : v + 1] * len(parts)
         yield parts, tuple(rows)
-    if partition_cap is not None and len(splits) > partition_cap:
+    if len(splits) > partition_cap:
         stats.partition_capped += 1
 
 
@@ -289,7 +294,6 @@ def _amalgam_blocks(m):
     their first members, so the groupings come in the same order as if every
     subset were formed and the unfed ones skipped.
     """
-    n = len(m)
     fed = [any(col) for col in zip(*m)]
     groups: dict[tuple, list[int]] = {}
     for v, row in enumerate(m):
@@ -298,14 +302,15 @@ def _amalgam_blocks(m):
         members = [v for v in members if fed[v]]
         for size in range(2, len(members) + 1):
             for subset in itertools.combinations(members, size):
-                chosen = set(subset)
-                blocks = []
-                for v in range(n):
-                    if v == subset[0]:
-                        blocks.append(list(subset))
-                    elif v not in chosen:
-                        blocks.append([v])
-                yield blocks
+                yield _blocks(len(m), subset)
+
+
+def _blocks(n, block):
+    """The grouping of vertices 0..n-1 with the vertices of ``block``, in
+    ascending order, in the place of the first of them, and every other
+    vertex alone: the recipe of a single-block amalgamation."""
+    block = sorted(block)
+    return [block if v == block[0] else [v] for v in range(n) if v == block[0] or v not in block]
 
 
 def _max_entry(g) -> int:
@@ -361,13 +366,48 @@ def _realize(g, kind, recipe):
     return {"blocks": labeled}, amalgamate(g, recipe)
 
 
+def _undo(kind, recipe, p, r, c):
+    """The (kind, recipe) of the move that undoes (kind, recipe), the move
+    that made the rows ``r`` from the rows ``p``, written for the rows ``c``
+    of r's key: it carries a graph with rows c to one with p's key.
+
+    ``at`` sends each vertex of r to the vertex of c in the same canonical
+    position, an isomorphism of r onto c.  An expansion's inverse contracts
+    v and the new last vertex v*; a contraction's expands v, renumbered past
+    the dropped v*; a splitting's amalgamates v's copies, which sit at v and
+    after it.  An amalgamation's splits its one block b of two or more
+    vertices, in the move's orientation: one part per member w, which holds,
+    over c's sorted sources of b, the entries of column w of p in the first
+    row of each source's block.  The parts are sorted in descending order,
+    as :func:`_vector_partitions` writes them.
+    """
+    at = dict(zip(_canonical_order(r)[0], _canonical_order(c)[0]))
+    if kind == "expand":
+        return "contract", (at[recipe], at[len(p)])
+    if kind == "contract":
+        v, vs = recipe
+        return "expand", at[v - (v > vs)]
+    mode, family = kind.split("-")
+    if family == "split":
+        v, parts = recipe
+        return f"{mode}-amalgamate", _blocks(len(c), [at[u] for u in range(v, v + len(parts))])
+    if mode == "out":
+        p, c = tuple(zip(*p)), tuple(zip(*c))
+    b = next(i for i, block in enumerate(recipe) if len(block) > 1)
+    back = {w: u for u, w in at.items()}
+    firsts = [recipe[back[s]][0] for s, row in enumerate(c) if row[at[b]]]
+    parts = sorted((tuple(p[f][w] for f in firsts) for w in recipe[b]), reverse=True)
+    return f"{mode}-split", (at[b], tuple(parts))
+
+
 # ---------------------------------------------------------------------------
 # Bidirectional search.
 
 
 def _require_search_ready(g: MultiGraph, side: str, max_vertices: int) -> GraphReport:
     """The structural report of ``g``; raises GraphError unless ``g`` is
-    essential, irreducible, nontrivial and within the vertex cap."""
+    essential, irreducible, nontrivial, within the vertex cap and has no
+    entry above ``MAX_SEARCH_ENTRY``."""
     report = classify_graph(g)
     problems = []
     if not report.essential:
@@ -386,26 +426,28 @@ def _require_search_ready(g: MultiGraph, side: str, max_vertices: int) -> GraphR
             f"the {side} graph has {g.n} vertices, above the search cap "
             f"{max_vertices}"
         )
+    if (top := _max_entry(g)) > MAX_SEARCH_ENTRY:
+        raise GraphError(
+            f"the {side} graph has an entry of {top}, above the search's "
+            f"entry budget of {MAX_SEARCH_ENTRY:,}"
+        )
     return report
 
 
 @dataclass
 class _Search:
-    """One search: its bounds, its counters and its memos.
+    """One search: its bounds, its counters and its memo.
 
     ``max_vertices``, ``entry_cap`` and ``partition_cap`` bound the
     neighbors; ``stats`` counts what the search did and what the bounds cut.
-    ``keyed`` maps each rows to its key, and ``links`` maps each key the
-    start's side reached to the (kind, recipe) of the neighbor that first
-    reached it.
+    ``keyed`` maps each rows to its key.
     """
 
     max_vertices: int
     entry_cap: int
-    partition_cap: int | None
+    partition_cap: int
     stats: SearchStats = field(default_factory=SearchStats)
     keyed: dict = field(default_factory=dict)
-    links: dict = field(default_factory=dict)
 
     def neighbors(self, m):
         """All admissible one-move neighbors of the graph with incidence
@@ -476,47 +518,40 @@ class _Search:
             key = self.keyed[rows] = canonical_rows_key(rows)
         return key
 
-    def find_link(self, m, key):
-        """The (kind, recipe) of the first neighbor of the rows ``m``, in
-        enumeration order, whose key is ``key``; None if there is none.
+    def replay(self, start, visited, meet, want):
+        """Build the path from ``start`` to the goal through the key
+        ``meet``, which both sides of ``visited`` reached; returns the steps.
 
-        The inverse of a move always exists in the catalogue but may sit
-        past the partition cap, hence the uncapped second pass.  Each pass
-        is a probe that shares this search's memos but counts into a stats
-        of its own.  A neighbor is keyed only if its :func:`_shape` is the
-        key's, which every match passes, so the first match is unchanged.
-        """
-        shape = _shape(key)
-        for cap in (self.partition_cap, None):
-            probe = replace(self, partition_cap=cap, stats=SearchStats())
-            for kind, rows, recipe in probe.neighbors(m):
-                if _shape(rows) == shape and self.key(rows) == key:
-                    return kind, recipe
-        return None
-
-    def replay(self, start, keys, want):
-        """Build the path from ``start`` through the canonical ``keys``;
-        returns the steps.
-
-        On a path the links the start's side made come first, from the
-        start to the meet, and each recipe was enumerated from the rows of
-        the key before it, which are the rows of the graph the replay built
-        for that key; so such a link is built directly, through
-        :func:`_realize`.  A link the goal's side made was discovered as
-        the inverse of a move, so :meth:`find_link` finds it again.
+        ``visited`` is the search's pair of maps from each key a side
+        reached to (parent's key, kind, recipe, rows).  On the path the
+        links the start's side made come first, from the start to the meet,
+        and each recipe was enumerated from the rows of the key before it,
+        which are the rows of the graph the replay built for that key; so
+        such a link is built as recorded, through :func:`_realize`.  The
+        goal's side reached each key after the meet from the key after it,
+        so that link is built as the :func:`_undo` of the move it recorded.
 
         Every step built must key to its link, which the memo answers for a
         recorded one, and must not drift the (group, det) pair of ``want``,
         the start's :class:`flowinv.invariants.FranksTriple`; either failure
         is an internal error.
         """
+        keys = [meet]
+        while (key := visited[0][keys[0]][0]) is not None:
+            keys.insert(0, key)
+        while (key := visited[1][keys[-1]][0]) is not None:
+            keys.append(key)
         steps = []
         cur = start
-        for key in keys:
-            link = self.links.get(key) or self.find_link(cur.incidence().entries, key)
-            if link is not None:
-                step = MoveStep(link[0], *_realize(cur, *link))
-            if link is None or self.key(step.graph.incidence().entries) != key:
+        for prev, key in zip(keys, keys[1:]):
+            parent, kind, recipe, _ = visited[0].get(key, (None,) * 4)
+            if parent != prev:
+                # The goal's side reached prev from key: undo that move.
+                _, kind, recipe, rows = visited[1][prev]
+                p = visited[1][key][3]
+                kind, recipe = _undo(kind, recipe, p, rows, cur.incidence().entries)
+            step = MoveStep(kind, *_realize(cur, kind, recipe))
+            if self.key(step.graph.incidence().entries) != key:
                 raise RuntimeError("internal error: discovered step could not be replayed")
             group, proj = cokernel(bowen_franks_matrix(step.graph))
             if proj.det != want.determinant or not group_iso(group, want.group):
@@ -557,7 +592,8 @@ def find_sequence(
     :class:`NotFoundWithinBounds` with ``bounds-exhausted`` on failure.
     Both bounds are read by :func:`~flowinv.exactla.exact_int`, so 3.0
     reads as 3 and True as 1; a bound that is not an integer, a negative
-    ``max_depth`` or a ``max_vertices`` below 1 raises GraphError.
+    ``max_depth`` or a ``max_vertices`` below 1 raises GraphError, and so
+    does a graph with an entry above ``MAX_SEARCH_ENTRY``.
     """
     max_depth = _read_bound("max_depth", max_depth, 0)
     max_vertices = _read_bound("max_vertices", max_vertices, 1)
@@ -576,37 +612,21 @@ def find_sequence(
         return MoveSequence(start=src, steps=(), stats=stats)
 
     # One walk from two sides: side 0 from the start, side 1 from the goal.
-    # visited[side] maps each key the side reached to its parent's key, the
-    # root's parent being None; a key's parent is the graph that first
-    # reached it.  frontiers[side] holds (key, rows) pairs, and each
-    # neighbor's rows come from the moves' own rules (expansion_rows,
-    # contraction_rows, quotient_rows) or from _split_rows.  The smaller
-    # frontier expands, side 0 on a tie; depth counts the levels both sides
-    # have walked, and only side 0 records links for the replay.
-    visited = ({key_src: None}, {key_dst: None})
-    frontiers = [[(key_src, src.incidence().entries)], [(key_dst, dst.incidence().entries)]]
+    # visited[side] maps each key the side reached to (parent's key, kind,
+    # recipe, rows): the graph that first reached it, the move that did and
+    # the rows it made, a root's entry being (None, None, None, its rows).
+    # frontiers[side] holds keys, and each neighbor's rows come from the
+    # moves' own rules (expansion_rows, contraction_rows, quotient_rows) or
+    # from _split_rows.  The smaller frontier expands, side 0 on a tie;
+    # depth counts the levels both sides have walked.
+    visited = ({key_src: (None, None, None, src.incidence().entries)},
+               {key_dst: (None, None, None, dst.incidence().entries)})
+    frontiers = [[key_src], [key_dst]]
     depth = 0
-
-    def chain(side, key):
-        out = []
-        while key is not None:
-            out.append(key)
-            key = visited[side][key]
-        return out
-
-    def reach(side, key, parent, kind, recipe):
-        """Record that ``parent`` reached ``key`` by (kind, recipe); False
-        if the side had reached it before."""
-        if key in visited[side]:
-            return False
-        visited[side][key] = parent
-        if side == 0:
-            search.links[key] = kind, recipe
-        return True
 
     while depth < max_depth and all(frontiers):
         side = int(len(frontiers[0]) > len(frontiers[1]))
-        other = visited[1 - side]
+        mine, other = visited[side], visited[1 - side]
         depth += 1
         # A neighbor meets only keys of its own size, so one of a size no
         # key of the other side has is held, in enumeration order, and keyed
@@ -620,32 +640,32 @@ def find_sequence(
         sizes = {_size(k) for k in other}
         last = depth == max_depth
         shapes = {_shape(k) for k in other} if last else None
-        # (key, rows) of each new key and (None, rows) of each held
-        # neighbor, the latter with its parent, kind and recipe.
+        # (key, None) of each new key and (None, link) of each held
+        # neighbor, its link being what visited records for it.
         level = []
-        for key, m in frontiers[side]:
+        for key in frontiers[side]:
             stats.expanded += 1
-            for kind, rows, recipe in search.neighbors(m):
+            for kind, rows, recipe in search.neighbors(mine[key][3]):
                 if _size(rows) not in sizes:
                     if not last:
-                        level.append((None, rows, key, kind, recipe))
+                        level.append((None, (key, kind, recipe, rows)))
                     continue
                 if last and _shape(rows) not in shapes:
                     continue
                 hkey = search.key(rows)
-                if not reach(side, hkey, key, kind, recipe):
+                if hkey in mine:
                     continue
+                mine[hkey] = key, kind, recipe, rows
                 if hkey in other:
-                    # The root of each chain has no step.
-                    keys = chain(0, hkey)[-2::-1] + chain(1, hkey)[1:]
-                    return MoveSequence(src, search.replay(src, keys, want), stats)
-                level.append((hkey, rows, None, None, None))
+                    return MoveSequence(src, search.replay(src, visited, hkey, want), stats)
+                level.append((hkey, None))
         frontiers[side] = []
-        for hkey, rows, *held in level:
+        for hkey, link in level:
             if hkey is None:
-                hkey = search.key(rows)
-                if not reach(side, hkey, *held):
+                hkey = search.key(link[3])
+                if hkey in mine:
                     continue
-            frontiers[side].append((hkey, rows))
+                mine[hkey] = link
+            frontiers[side].append(hkey)
 
     raise NotFoundWithinBounds("bounds-exhausted", stats)

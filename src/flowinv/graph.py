@@ -76,20 +76,36 @@ def make_edges(triples) -> list:
     return list(map(_new_edge, triples))
 
 
+def _endpoints(src, tgt, n: int) -> tuple[int, int]:
+    """The endpoints ``src`` and ``tgt`` of an edge item, read by
+    :func:`~flowinv.exactla.exact_int`.  Raises GraphError if either is a
+    number outside 0..n-1, and otherwise if either is not an integer, such
+    as 0.5 or the string ``'0'``."""
+    try:
+        outside = not (0 <= src < n and 0 <= tgt < n)
+    except TypeError:  # not a number: exact_int refuses it below
+        outside = False
+    if outside:
+        raise GraphError(f"edge endpoint out of range: ({src}, {tgt})")
+    try:
+        return exact_int(src), exact_int(tgt)
+    except ValueError:
+        raise GraphError(f"edge endpoint is not an integer: ({src!r}, {tgt!r})") from None
+
+
 def _edges_item_by_item(items, n: int) -> list:
     """The Edges of edge-list ``items``, converted one by one: endpoints
-    become ints, an id a str, and an id of None the next of e0, e1, ...
-    that no earlier item holds.  Raises the GraphError of the first item
-    that is out of range or reuses an earlier id; an item's range is
-    checked before its id."""
+    read by :func:`_endpoints`, an id made a str, and an id of None the next
+    of e0, e1, ... that no earlier item holds.  Raises the GraphError of the
+    first item that has a bad endpoint or reuses an earlier id; an item's
+    endpoints are checked before its id."""
     built, seen, auto = [], set(), 0
     for item in items:
         if len(item) == 2:
             (src, tgt), eid = item, None
         else:
             src, tgt, eid = item
-        if not (0 <= src < n and 0 <= tgt < n):
-            raise GraphError(f"edge endpoint out of range: ({src}, {tgt})")
+        src, tgt = _endpoints(src, tgt, n)
         if eid is None:
             while f"e{auto}" in seen:
                 auto += 1
@@ -99,7 +115,7 @@ def _edges_item_by_item(items, n: int) -> list:
         if eid in seen:
             raise GraphError(f"duplicate edge id {eid!r}")
         seen.add(eid)
-        built.append(_new_edge((int(src), int(tgt), eid)))
+        built.append(_new_edge((src, tgt, eid)))
     return built
 
 

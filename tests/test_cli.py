@@ -16,7 +16,7 @@ except ImportError:  # not POSIX
     resource = None
 
 from flowinv.cli import format_move_step, main, parse_move_script
-from flowinv.flowsearch import MoveStep
+from flowinv.flowsearch import MAX_SEARCH_ENTRY, MoveStep
 from flowinv.graph import (
     MAX_VERTICES,
     MultiGraph,
@@ -146,12 +146,43 @@ def test_expansion_of_a_huge_multiplicity_answers_within_budget(tmp_path):
 
 @pytest.mark.skipif(resource is None, reason="needs POSIX resource limits")
 def test_search_to_a_huge_expansion_answers_within_budget(tmp_path):
-    # The search replays the expansion it found through the move itself.
-    start = _write(tmp_path, "start.graph", "matrix 1\n100000000\n")
-    goal = _write(tmp_path, "goal.graph", "matrix 2\n0 1\n100000000 0\n")
+    # The search replays the expansion it found through the move itself, at
+    # the largest entry the search admits.
+    top = MAX_SEARCH_ENTRY
+    start = _write(tmp_path, "start.graph", f"matrix 1\n{top}\n")
+    goal = _write(tmp_path, "goal.graph", f"matrix 2\n0 1\n{top} 0\n")
     done = _run_capped(["search", start, goal, "--json"], 2.0, 1 << 30)
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout)["script"] == ["move expand v0"]
+
+
+@pytest.mark.skipif(resource is None, reason="needs POSIX resource limits")
+def test_search_undoes_a_goal_side_amalgamation_past_the_partition_cap(tmp_path):
+    # The rose of 2,000 loops in-splits into the all-1,000 2x2 matrix only by
+    # the partition (1000), (1000), far past the cap.  The goal's side
+    # reaches the rose by one amalgamation, and the replay builds the split
+    # that undoes it without enumerating a partition.
+    start = _write(tmp_path, "start.graph", "matrix 1\n2000\n")
+    goal = _write(tmp_path, "goal.graph", "matrix 2\n1000 1000\n1000 1000\n")
+    done = _run_capped(["search", start, goal, "--json"], 2.0, 1 << 30)
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout)
+    assert result["moves"] == 1
+    assert result["script"][0] == "move in-split"
+
+
+@pytest.mark.skipif(resource is None, reason="needs POSIX resource limits")
+def test_search_refuses_an_entry_past_the_entry_budget(tmp_path):
+    # Splitting 10^8 loops would draw partitions from a pool of 10^8 ints.
+    start = _write(tmp_path, "start.graph", "matrix 1\n100000000\n")
+    half = "50000000 50000000"
+    goal = _write(tmp_path, "goal.graph", f"matrix 2\n{half}\n{half}\n")
+    done = _run_capped(["search", start, goal], 2.0, 1 << 30)
+    assert done.returncode == 2 and not done.stdout
+    assert (
+        "the start graph has an entry of 100000000, above the search's entry budget "
+        f"of {MAX_SEARCH_ENTRY:,}"
+    ) in done.stderr
 
 
 @pytest.mark.skipif(resource is None, reason="needs POSIX resource limits")

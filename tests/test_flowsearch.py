@@ -50,6 +50,12 @@ from flowinv.moves import (
 )
 
 
+# A partition cap above the number of splittings of every bundle vector
+# these tests draw, so that it cuts none: where a test counts the cuts, it
+# checks that this cap made none.
+_NO_CUT = 10**6
+
+
 def _rose(petals: int) -> MultiGraph:
     return MultiGraph.from_matrix([[petals]])
 
@@ -319,13 +325,14 @@ def test_bounded_partitions_match_the_oracle_up_to_five_coordinates(hypothesis_a
 
 def _replay_by_enumeration(seq, *, max_vertices, entry_cap, partition_cap):
     """Re-find every step of ``seq`` as the first neighbor, in enumeration
-    order, with the next graph's key: capped first, then uncapped."""
+    order, with the next graph's key: under ``partition_cap`` first, then
+    under ``_NO_CUT``."""
     steps = []
     cur = seq.start
     for step in seq.steps:
         want = canonical_key(step.graph)
         found = None
-        for cap in (partition_cap, None):
+        for cap in (partition_cap, _NO_CUT):
             found = next(
                 (
                     MoveStep(kind=kind, args=args, graph=h)
@@ -494,9 +501,10 @@ def test_memoized_partitions_match_the_generator():
                 tuple(counts[u] if u < k == j else 0 for j in range(k + 1)) for u in range(k + 1)
             )
             for max_classes in range(2, 7):
-                for cap in (1, 2, 3, 512, None):
+                for cap in (1, 2, 3, 512, _NO_CUT):
                     fresh = SearchStats()
                     want = list(_split_rows_reference(m, k, max_classes, cap, fresh))
+                    assert cap != _NO_CUT or not fresh.partition_capped
                     cases.append((m, k, max_classes, cap, want, fresh.partition_capped))
     for cold in (True, False):
         for m, k, max_classes, cap, want, capped in cases:
@@ -506,7 +514,7 @@ def test_memoized_partitions_match_the_generator():
                 stats = SearchStats()
                 assert list(_split_rows(m, k, max_classes, cap, stats)) == want, (m, max_classes, cap)
                 assert stats.partition_capped == capped
-            if cold and cap is not None and want:
+            if cold and want:
                 assert _capped_partitions.cache_info().currsize == 1
     assert _capped_partitions.cache_info().currsize == 1024
 
@@ -522,7 +530,7 @@ def _split_rows_reference(m, v, max_classes, partition_cap, stats):
     splits = (p for p in _vector_partitions(counts, max_classes) if len(p) >= 2)
     emitted = 0
     for parts in splits:
-        if partition_cap is not None and emitted >= partition_cap:
+        if emitted >= partition_cap:
             stats.partition_capped += 1
             break
         emitted += 1
@@ -555,10 +563,10 @@ def test_split_rows_match_the_reference(hypothesis_api):
     # and 2; vertices 1 and 2 each receive one edge (vertex 2 its loop), a
     # bundle sum below 2, so they have no splitting.
     m = ((2, 1, 0), (1, 0, 0), (2, 0, 1))
-    for cap in (None, 1, 3):
+    for cap in (_NO_CUT, 1, 3):
         for cold in (True, False, False):
             count = _check_split_rows(m, 0, 4, cap, cold)
-            assert count == cap if cap else count > 3
+            assert count == cap if cap < _NO_CUT else count > 3
             assert _check_split_rows(m, 1, 4, cap, cold) == 0
             assert _check_split_rows(m, 2, 4, cap, cold) == 0
 
@@ -575,7 +583,7 @@ def test_split_rows_match_the_reference(hypothesis_api):
     def check(m, data):
         v = data.draw(st.integers(0, len(m) - 1))
         max_classes = data.draw(st.integers(2, 5))
-        cap = data.draw(st.sampled_from((None, 1, 3)))
+        cap = data.draw(st.sampled_from((_NO_CUT, 1, 3)))
         shared = data.draw(st.booleans())
         # With a shared cache, a second call reads what the first one filled.
         _check_split_rows(m, v, max_classes, cap, True)
@@ -642,13 +650,6 @@ def test_answers_do_not_depend_on_the_partition_cache(monkeypatch):
         assert all(type(parts) is tuple and len(parts) >= 2 for parts in value)
     assert cached.cache_info().currsize <= cached.cache_info().maxsize == 1024
 
-    # The uncapped pass, the replay's second, never fills the cache.
-    cached.cache_clear()
-    for case in _search_golden()["scrambles"]:
-        m = tuple(map(tuple, case["goal"]))
-        assert list(_Search(max_vertices=len(m) + 1, entry_cap=9, partition_cap=None).neighbors(m))
-    assert cached.cache_info().currsize == 0
-
 
 # ---------------------------------------------------------------------------
 # Neighbors as rows: what the search keys and what it builds.
@@ -656,12 +657,17 @@ def test_answers_do_not_depend_on_the_partition_cache(monkeypatch):
 
 def _check_neighbor_rows(g, stats, **bounds):
     """Every neighbor's rows are exactly the incidence of the graph its
-    recipe builds, and their key is that graph's canonical key."""
-    for kind, rows, recipe in _Search(stats=stats, **bounds).neighbors(g.incidence().entries):
+    recipe builds, and their key is that graph's canonical key.  The cuts
+    are counted into ``stats``; ``_NO_CUT`` must make none."""
+    search = _Search(**bounds)
+    for kind, rows, recipe in search.neighbors(g.incidence().entries):
         _, h = _realize(g, kind, recipe)
         assert h.incidence().entries == rows, (kind, recipe)
         if h.n <= DEFAULT_MAX_VERTICES:  # keys of larger graphs can be factorial
             assert canonical_rows_key(rows) == canonical_key(h), (kind, recipe)
+    assert bounds["partition_cap"] != _NO_CUT or not search.stats.partition_capped
+    for name in ("partition_capped", "vertex_capped", "entry_capped"):
+        setattr(stats, name, getattr(stats, name) + getattr(search.stats, name))
 
 
 def test_neighbor_rows_match_realized_golden_graphs():
@@ -675,9 +681,9 @@ def test_neighbor_rows_match_realized_golden_graphs():
             g = MultiGraph.from_matrix(spec["matrix"], labels=spec["labels"])
         else:
             g = MultiGraph(spec["labels"], [tuple(t) for t in spec["edges"]])
-        # Uncapped only where that stays small; the search never expands a
+        # No cut only where that stays small; the search never expands a
         # graph above DEFAULT_MAX_VERTICES.
-        caps = (1, None) if g.n <= 3 else (2,) if g.n <= 8 else (1,)
+        caps = (1, _NO_CUT) if g.n <= 3 else (2,) if g.n <= 8 else (1,)
         for cap in caps:
             _check_neighbor_rows(
                 g, stats, max_vertices=g.n + 2, entry_cap=4, partition_cap=cap
@@ -699,17 +705,14 @@ def test_neighbor_rows_match_realized_random_graphs(hypothesis_api):
             )
         ),
         st.integers(0, 2),
-        st.sampled_from([1, 3, None]),
+        st.sampled_from([1, 3, _NO_CUT]),
         st.integers(1, 9),
     )
     def check(rows, extra, cap, entry_cap):
         g = MultiGraph.from_matrix(rows)
-        stats = SearchStats()
         _check_neighbor_rows(
-            g, stats, max_vertices=g.n + extra, entry_cap=entry_cap, partition_cap=cap
+            g, seen, max_vertices=g.n + extra, entry_cap=entry_cap, partition_cap=cap
         )
-        for name in ("partition_capped", "vertex_capped", "entry_capped"):
-            setattr(seen, name, getattr(seen, name) + getattr(stats, name))
 
     check()
     # Every cap was both hit and missed among the drawn graphs.
@@ -735,7 +738,7 @@ def test_neighbors_of_essential_graphs_are_essential(hypothesis_api):
         )
         .filter(_essential),
         st.integers(0, 2),
-        st.sampled_from([1, 3, None]),
+        st.sampled_from([1, 3, _NO_CUT]),
         st.integers(1, 6),
     )
     def check(rows, extra, cap, entry_cap):
@@ -743,6 +746,7 @@ def test_neighbors_of_essential_graphs_are_essential(hypothesis_api):
         search = _Search(max_vertices=len(m) + extra, entry_cap=entry_cap, partition_cap=cap)
         for kind, got, _ in search.neighbors(m):
             assert _essential(got), (kind, m, got)
+        assert cap != _NO_CUT or not search.stats.partition_capped
 
     check()
 
@@ -782,20 +786,33 @@ def test_search_builds_only_expanded_graphs_and_the_path(monkeypatch):
         assert len(built) <= len(seq)
 
 
-def test_replay_takes_a_link_past_the_partition_cap():
+def test_replay_takes_a_link_past_the_partition_cap(monkeypatch):
     # The rose with three petals in-splits into the all-ones 3x3 matrix only
     # by its second vector partition, (1), (1), (1); with partition_cap=1 the
-    # capped pass yields only (2), (1), so the uncapped pass must find it.
-    # The capped pass cuts the in- and out-splittings again, but its count
-    # is the probe's own: replaying adds nothing to the search's stats.
+    # start's side yields only (2), (1), so it never reaches the goal.  The
+    # goal's side reaches the rose by amalgamating all three vertices, and
+    # the replay builds that link as the splitting that undoes it, past the
+    # cap: it enumerates no neighbor and adds nothing to the search's stats.
     rose = _rose(3)
     goal = MultiGraph.from_matrix([[1] * 3] * 3)
-    key = canonical_key(goal)
+    key_rose, key_goal = canonical_key(rose), canonical_key(goal)
     search = _Search(max_vertices=3, entry_cap=9, partition_cap=1)
     capped = search.neighbors(rose.incidence().entries)
-    assert key not in {canonical_rows_key(rows) for _, rows, _ in capped}
+    assert key_goal not in {canonical_rows_key(rows) for _, rows, _ in capped}
     assert search.stats == SearchStats(partition_capped=2)
-    steps = search.replay(rose, [key], franks_triple(rose))
+    m = goal.incidence().entries
+    link = next(
+        (kind, recipe, rows)
+        for kind, rows, recipe in _Search(3, 9, 1).neighbors(m)
+        if canonical_rows_key(rows) == key_rose
+    )
+    assert link == ("in-amalgamate", [[0, 1, 2]], ((3,),))
+    visited = (
+        {key_rose: (None, None, None, rose.incidence().entries)},
+        {key_goal: (None, None, None, m), key_rose: (key_goal, *link)},
+    )
+    monkeypatch.setattr(_Search, "neighbors", None)
+    steps = search.replay(rose, visited, key_rose, franks_triple(rose))
     assert search.stats == SearchStats(partition_capped=2)
     assert [s.kind for s in steps] == ["in-split"]
     assert steps[0].graph == goal
@@ -803,57 +820,67 @@ def test_replay_takes_a_link_past_the_partition_cap():
     assert verify_sequence(MoveSequence(start=rose, steps=steps))
 
 
-def test_replay_enumerates_only_links_made_backward(monkeypatch):
-    # A link the search made forward is built from its recorded recipe;
-    # only a backward one is found again by enumeration, capped and then
-    # perhaps uncapped.
-    calls, seen = [], []
-    neighbors, replay = _Search.neighbors, _Search.replay
+def test_replay_enumerates_no_neighbors(monkeypatch):
+    # A link the start's side made is built from its recorded recipe, and
+    # one the goal's side made as the _undo of the move it recorded: the
+    # replay enumerates no neighbor, and undoes each goal-side link once.
+    calls, undone, seen = [], [], []
+    neighbors, replay, undo = _Search.neighbors, _Search.replay, flowsearch._undo
 
     def counted(search, m):
         calls.append(m)
         return neighbors(search, m)
 
-    def watched(search, start, keys, want):
-        before = len(calls)
-        steps = replay(search, start, keys, want)
-        backward = sum(key not in search.links for key in keys)
-        seen.append((len(calls) - before, backward, len(keys)))
+    def counted_undo(*args):
+        undone.append(args)
+        return undo(*args)
+
+    def watched(search, start, visited, meet, want):
+        before = len(calls), len(undone)
+        steps = replay(search, start, visited, meet, want)
+        backward, key = 0, visited[1][meet][0]
+        while key is not None:
+            backward, key = backward + 1, visited[1][key][0]
+        seen.append((len(calls) - before[0], len(undone) - before[1], backward, len(steps)))
         return steps
 
     monkeypatch.setattr(_Search, "neighbors", counted)
     monkeypatch.setattr(_Search, "replay", watched)
+    monkeypatch.setattr(flowsearch, "_undo", counted_undo)
     rose = _rose(2)
     assert len(find_sequence(rose, expand(rose, 0), max_depth=2)) == 1
-    assert seen == [(0, 0, 1)]
+    assert seen == [(0, 0, 0, 1)]
     for case in _search_golden()["scrambles"]:
         start = MultiGraph.from_matrix(case["start"])
         find_sequence(start, MultiGraph.from_matrix(case["goal"]), max_depth=6)
     assert len(seen) == 26
-    assert all(made <= 2 * backward for made, backward, _ in seen)
-    assert any(backward < steps for _, backward, steps in seen[1:])
-    assert any(backward for _, backward, _ in seen)
+    assert all(made == 0 and undid == backward for made, undid, backward, _ in seen)
+    assert any(backward < steps for _, _, backward, steps in seen[1:])
+    assert any(backward for _, _, backward, _ in seen)
 
 
-def _forward_path(start, moves, rng, **bounds):
-    """A path of ``moves`` steps from ``start`` through new keys, as the
-    forward side records it: the keys, each key's (kind, recipe), each
-    step's neighbor rows and the graphs."""
-    keys, links, rows_of, graphs = [], {}, [], []
+def _walk(start, moves, rng, **bounds):
+    """A walk of ``moves`` steps from ``start`` through new keys, recorded
+    as a side of the search records it: the keys from ``start``'s on, the
+    map from each key to (parent's key, kind, recipe, rows), and the graphs
+    the recipes build."""
+    keys = [canonical_key(start)]
+    walk = {keys[0]: (None, None, None, start.incidence().entries)}
+    graphs = []
     cur = start
     for _ in range(moves):
         fresh = [
             (kind, rows, recipe)
             for kind, rows, recipe in _Search(**bounds).neighbors(cur.incidence().entries)
-            if canonical_rows_key(rows) not in keys + [canonical_key(start)]
+            if canonical_rows_key(rows) not in walk
         ]
         kind, rows, recipe = rng.choice(fresh)
-        keys.append(canonical_rows_key(rows))
-        links[keys[-1]] = kind, recipe
-        rows_of.append(rows)
+        key = canonical_rows_key(rows)
+        walk[key] = keys[-1], kind, recipe, rows
+        keys.append(key)
         cur = _realize(cur, kind, recipe)[1]
         graphs.append(cur)
-    return keys, links, rows_of, graphs
+    return keys, walk, graphs
 
 
 def test_replay_builds_recorded_links_and_rejects_a_tampered_one(monkeypatch):
@@ -862,29 +889,145 @@ def test_replay_builds_recorded_links_and_rejects_a_tampered_one(monkeypatch):
     want = franks_triple(start)
     rng = random.Random(1601)
     for _ in range(10):
-        keys, links, rows_of, graphs = _forward_path(start, 3, rng, **bounds)
-        neighbors, keyed = [], dict(zip(rows_of, keys))
-        monkeypatch.setattr(_Search, "neighbors", lambda *a: neighbors.append(a))
-        monkeypatch.setattr(flowsearch, "canonical_rows_key", lambda rows: neighbors.append(rows))
-        steps = _Search(links=links, keyed=keyed, **bounds).replay(start, keys, want)
+        # The walk is the start's side; the goal's side is its last key.
+        keys, walk, graphs = _walk(start, 3, rng, **bounds)
+        goal_side = {keys[-1]: (None, None, None, graphs[-1].incidence().entries)}
+        keyed = {link[3]: key for key, link in walk.items()}
+        called = []
+        monkeypatch.setattr(_Search, "neighbors", lambda *a: called.append(a))
+        monkeypatch.setattr(flowsearch, "canonical_rows_key", lambda rows: called.append(rows))
+        monkeypatch.setattr(flowsearch, "_undo", lambda *a: called.append(a))
+        search = _Search(keyed=keyed, **bounds)
+        steps = search.replay(start, (walk, goal_side), keys[-1], want)
         monkeypatch.undo()
         # Every recorded link is built as it is and keyed by the memo.
-        assert not neighbors
+        assert not called
         assert [s.graph for s in steps] == graphs
-        assert [s.kind for s in steps] == [links[k][0] for k in keys]
+        assert [s.kind for s in steps] == [walk[k][1] for k in keys[1:]]
         assert verify_sequence(MoveSequence(start=start, steps=steps))
 
-        # Another neighbor's recipe of the same graph in place of the second
+        # Another neighbor's move from the same graph in place of the second
         # link builds a graph with the wrong key: an internal error, not a
         # wrong step.
         other = next(
-            (kind, recipe)
+            (kind, recipe, rows)
             for kind, rows, recipe in _Search(**bounds).neighbors(graphs[0].incidence().entries)
-            if canonical_rows_key(rows) != keys[1]
+            if canonical_rows_key(rows) != keys[2]
         )
-        tampered = {**links, keys[1]: other}
+        tampered = {**walk, keys[2]: (keys[1], *other)}
         with pytest.raises(RuntimeError, match="internal error"):
-            _Search(links=tampered, keyed=keyed, **bounds).replay(start, keys, want)
+            _Search(keyed=keyed, **bounds).replay(start, (tampered, goal_side), keys[-1], want)
+
+
+def test_replay_undoes_the_links_the_goal_side_made():
+    # A walk from the goal is the goal's side, and the start is its last
+    # graph with its vertices shuffled, so the replay's graphs are in
+    # another vertex order than the rows the walk recorded.  Each step
+    # undoes one recorded move and keys to the walk's key before it.
+    bounds = dict(max_vertices=5, entry_cap=9, partition_cap=DEFAULT_PARTITION_CAP)
+    goal = MultiGraph.from_matrix([[1, 1], [1, 1]])
+    rng = random.Random(1607)
+    kinds = set()
+    for _ in range(20):
+        keys, walk, graphs = _walk(goal, 3, rng, **bounds)
+        perm = list(range(graphs[-1].n))
+        rng.shuffle(perm)
+        start = graphs[-1].permuted(perm)
+        start_side = {keys[-1]: (None, None, None, start.incidence().entries)}
+        steps = _Search(**bounds).replay(start, (start_side, walk), keys[-1], franks_triple(start))
+        assert [canonical_key(s.graph) for s in steps] == keys[-2::-1]
+        assert verify_sequence(MoveSequence(start=start, steps=steps))
+        kinds.update(s.kind for s in steps)
+    assert len(kinds) >= 4, kinds
+
+
+_INVERSE = {
+    "expand": "contract",
+    "contract": "expand",
+    "in-split": "in-amalgamate",
+    "in-amalgamate": "in-split",
+    "out-split": "out-amalgamate",
+    "out-amalgamate": "out-split",
+}
+
+
+def _isomorphic_by_permutation(a, b) -> bool:
+    """Brute force: some vertex permutation carries the rows ``a`` onto
+    the rows ``b``."""
+    n = len(a)
+    return len(b) == n and any(
+        all(b[s[i]][s[j]] == a[i][j] for i in range(n) for j in range(n))
+        for s in itertools.permutations(range(n))
+    )
+
+
+def _check_undo(g, rng, seen):
+    """Each neighbor of g, as the rows r its move makes, is undone in a
+    shuffled copy c of r: the move _undo returns is the inverse kind, and
+    the graph it builds from c is g up to a permutation.  The kinds undone
+    are added to ``seen``."""
+    p = g.incidence().entries
+    search = _Search(max_vertices=g.n + 2, entry_cap=10**9, partition_cap=8)
+    for kind, r, recipe in search.neighbors(p):
+        perm = list(range(len(r)))
+        rng.shuffle(perm)
+        c = MultiGraph.from_matrix(r).permuted(perm)
+        back_kind, back_recipe = flowsearch._undo(kind, recipe, p, r, c.incidence().entries)
+        assert back_kind == _INVERSE[kind]
+        _, back = _realize(c, back_kind, back_recipe)
+        assert _isomorphic_by_permutation(back.incidence().entries, p), (kind, recipe, perm)
+        seen.add(kind)
+
+
+def _has_automorphism(rows) -> bool:
+    """Some vertex permutation other than the identity fixes ``rows``."""
+    n = len(rows)
+    return any(
+        all(rows[s[i]][s[j]] == rows[i][j] for i in range(n) for j in range(n))
+        for s in itertools.islice(itertools.permutations(range(n)), 1, None)
+    )
+
+
+def test_undo_inverts_every_move_on_golden_graphs():
+    path = os.path.join(os.path.dirname(__file__), "data", "moves_golden.json")
+    with open(path, encoding="utf-8") as fh:
+        specs = {json.dumps(c["graph"], sort_keys=True): c["graph"] for c in json.load(fh)["cases"]}
+    rng = random.Random(1613)
+    seen, checked, symmetric = set(), 0, 0
+    for spec in specs.values():
+        if "matrix" in spec:
+            g = MultiGraph.from_matrix(spec["matrix"], labels=spec["labels"])
+        else:
+            g = MultiGraph(spec["labels"], [tuple(t) for t in spec["edges"]])
+        if g.n <= 5:  # the oracle tries every permutation
+            _check_undo(g, rng, seen)
+            checked += 1
+            symmetric += _has_automorphism(g.incidence().entries)
+    assert seen == set(_INVERSE)
+    assert checked > 100 and symmetric
+
+
+def test_undo_inverts_every_move_on_seeded_graphs():
+    # Random graphs of up to five vertices, entries 0..2, and graphs with
+    # many automorphisms, where the canonical order has ties to break.
+    rng = random.Random(1619)
+    symmetric = [
+        MultiGraph.from_matrix([[1, 1], [1, 1]]),
+        MultiGraph.from_matrix([[0, 2], [2, 0]]),
+        MultiGraph.from_matrix([[1] * 3] * 3),
+        MultiGraph.from_matrix([[0, 1, 0], [0, 0, 1], [1, 0, 0]]),
+        MultiGraph.from_matrix([[1 if j != i else 0 for j in range(4)] for i in range(4)]),
+        MultiGraph.from_matrix([[0, 1, 1, 0], [1, 0, 0, 1], [1, 0, 0, 1], [0, 1, 1, 0]]),
+    ]
+    assert all(_has_automorphism(g.incidence().entries) for g in symmetric)
+    drawn = []
+    for _ in range(60):
+        n = rng.randint(1, 5)
+        drawn.append(MultiGraph.from_matrix([[rng.randint(0, 2) for _ in range(n)] for _ in range(n)]))
+    seen = set()
+    for g in [_rose(3), *symmetric, *drawn]:
+        _check_undo(g, rng, seen)
+    assert seen == set(_INVERSE)
 
 
 def _accepted_single_blocks(g, amalgamate):
@@ -959,8 +1102,10 @@ def _find_sequence_reference(src, dst, *, max_depth, max_vertices):
     """:func:`flowinv.flowsearch.find_sequence` with the level loop it had
     before a neighbor that cannot meet the other side was held to the end of
     its level: every neighbor is keyed as it comes, except on the last level,
-    where one whose shape no key of the other side has is skipped.  Kept as
-    an oracle."""
+    where one whose shape no key of the other side has is skipped.  Both
+    sides record what :func:`find_sequence` records, (parent's key, kind,
+    recipe, rows), and a found path is built by the same replay.  Kept as an
+    oracle."""
     src_report = flowsearch._require_search_ready(src, "start", max_vertices)
     dst_report = flowsearch._require_search_ready(dst, "goal", max_vertices)
     want = franks_triple(src, report=src_report)
@@ -972,16 +1117,10 @@ def _find_sequence_reference(src, dst, *, max_depth, max_vertices):
     key_src, key_dst = canonical_key(src), canonical_key(dst)
     if key_src == key_dst:
         return MoveSequence(start=src, steps=(), stats=stats)
-    visited = ({key_src: None}, {key_dst: None})
+    visited = ({key_src: (None, None, None, src.incidence().entries)},
+               {key_dst: (None, None, None, dst.incidence().entries)})
     frontiers = [[(key_src, src.incidence().entries)], [(key_dst, dst.incidence().entries)]]
     depth = 0
-
-    def chain(side, key):
-        out = []
-        while key is not None:
-            out.append(key)
-            key = visited[side][key]
-        return out
 
     while depth < max_depth and all(frontiers):
         side = int(len(frontiers[0]) > len(frontiers[1]))
@@ -998,12 +1137,9 @@ def _find_sequence_reference(src, dst, *, max_depth, max_vertices):
                 hkey = search.key(rows)
                 if hkey in mine:
                     continue
-                mine[hkey] = key
-                if side == 0:
-                    search.links[hkey] = kind, recipe
+                mine[hkey] = key, kind, recipe, rows
                 if hkey in other:
-                    keys = chain(0, hkey)[-2::-1] + chain(1, hkey)[1:]
-                    return MoveSequence(src, search.replay(src, keys, want), stats)
+                    return MoveSequence(src, search.replay(src, visited, hkey, want), stats)
                 next_frontier.append((hkey, rows))
         frontiers[side] = next_frontier
     raise NotFoundWithinBounds("bounds-exhausted", stats)
@@ -1094,7 +1230,7 @@ def test_only_amalgamations_can_break_the_entry_cap(hypothesis_api):
         )
         .filter(_essential),
         st.integers(0, 2),
-        st.sampled_from([1, 3, None]),
+        st.sampled_from([1, 3, _NO_CUT]),
     )
     def check(rows, extra, cap):
         m = tuple(map(tuple, rows))
@@ -1108,6 +1244,7 @@ def test_only_amalgamations_can_break_the_entry_cap(hypothesis_api):
             for blocks in _amalgam_blocks(oriented)
         )
         assert search.stats.entry_capped == over
+        assert cap != _NO_CUT or not search.stats.partition_capped
         counts.append(over)
 
     counts = []

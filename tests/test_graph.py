@@ -221,8 +221,14 @@ def _build_reference(vertices, edges):
             eid = None
         else:
             src, tgt, eid = item
-        if not (0 <= src < n and 0 <= tgt < n):
+        try:
+            outside = not (0 <= src < n and 0 <= tgt < n)
+        except TypeError:
+            outside = False
+        if outside:
             raise GraphError(f"edge endpoint out of range: ({src}, {tgt})")
+        if any(isinstance(x, str) or x != int(x) for x in (src, tgt)):
+            raise GraphError(f"edge endpoint is not an integer: ({src!r}, {tgt!r})")
         if eid is None:
             while f"e{auto}" in seen_ids:
                 auto += 1
@@ -390,19 +396,21 @@ def test_edge_list_build_matches_reference_on_seeded_lists():
         (2, [(0, 0, 1), (0, 0, "1")], "duplicate edge id '1'"),
         (2, [Edge(0, 0, "x"), Edge(0, 9, "y"), Edge(0, 0, "x")], "edge endpoint out of range: (0, 9)"),
         (2, [Edge(1, 1, "x"), (0, 0, "x")], "duplicate edge id 'x'"),
-        (3, [(0.5, 2.5), (-0.5, 0)], "edge endpoint out of range: (-0.5, 0)"),
+        (3, [(0.5, 2.5), (-0.5, 0)], "edge endpoint is not an integer: (0.5, 2.5)"),
         (3, [(0.5, 3.0)], "edge endpoint out of range: (0.5, 3.0)"),
         (2, [(float("nan"), 0)], "edge endpoint out of range: (nan, 0)"),
         (2, [(True, 2)], "edge endpoint out of range: (True, 2)"),
         (1, [(0, -1, "x"), (0, 0, "x")], "edge endpoint out of range: (0, -1)"),
         (3, [*_valid_edges(10_000), Edge(2, 0, "k17")], "duplicate edge id 'k17'"),
         (3, [*_valid_edges(10_000), Edge(1, 3, "z")], "edge endpoint out of range: (1, 3)"),
+        (2, [(0, 0), ("0", 1)], "edge endpoint is not an integer: ('0', 1)"),
+        (2, [(0, 1.0), (0.5, 1.5)], "edge endpoint is not an integer: (0.5, 1.5)"),
     ],
 )
 def test_edge_list_first_error_wins(n, items, message):
     # The first offending item in list order is named; within an item the
-    # range check comes before the duplicate check.  Texts from the
-    # per-item loop, _build_reference.  The long lists of Edges are valid
+    # range check comes before the integer check, and both before the
+    # duplicate check.  Texts from the per-item loop, _build_reference.  The long lists of Edges are valid
     # up to their last item, which the per-item pass names.
     for build in (_build_reference, MultiGraph):
         with pytest.raises(GraphError) as exc:
