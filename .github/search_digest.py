@@ -16,7 +16,10 @@ the ``canonical_key`` of each step's graph and its ``SearchStats``.  Two
 versions with equal second digests visit the same keys in the same order,
 even where some step takes another move to the same key.  The first line
 counts the inputs and the answers found; the next two are the digests,
-``scripts`` and then ``keys``.
+``scripts`` and then ``keys``.  The last, ``keyings``, counts the
+``canonical_rows_key`` calls those ``find_sequence`` runs made, counted by
+wrapping ``flowinv.flowsearch.canonical_rows_key``; it is a cost, not part
+of an answer.
 """
 
 from __future__ import annotations
@@ -69,6 +72,15 @@ def main(argv: list[str]) -> int:
         print(f"error: flowinv was imported from {flowinv.__file__}, not {src}", file=sys.stderr)
         return 2
     workload = WORKLOADS["search"]
+    keyings = 0
+    rows_key = flowinv.flowsearch.canonical_rows_key
+
+    def counted(m):
+        nonlocal keyings
+        keyings += 1
+        return rows_key(m)
+
+    flowinv.flowsearch.canonical_rows_key = counted
     digest, keys_digest = hashlib.sha256(), hashlib.sha256()
     inputs = found = 0
     for seed in ns.seeds:
@@ -82,6 +94,7 @@ def main(argv: list[str]) -> int:
     print(f"seeds {' '.join(map(str, ns.seeds))}: {inputs} inputs, {found} found")
     print(f"scripts {digest.hexdigest()}")
     print(f"keys {keys_digest.hexdigest()}")
+    print(f"keyings {keyings}")
     return 0
 
 

@@ -31,17 +31,22 @@ The search is a function of incidence rows until it returns:
   of a matrix (:func:`_size`: its vertex count and edge count) and its
   shape (:func:`_shape`: its vertex count and sorted (out-degree,
   in-degree) pairs) survive every vertex permutation, so a key has the
-  size and shape of what it keys.  On every level, a neighbor is keyed at
-  once only if some key of the other side has its size; the others, which
-  cannot meet, are held in enumeration order and keyed when the level
-  ends, so a level that meets never keys them.  On the last level, whose
-  frontier is never expanded, they are dropped, and a neighbor is keyed
+  size and shape of what it keys.  A neighbor is keyed at once only if
+  some key of the other side, keyed or held, has its size; the others
+  cannot meet yet, and are held unkeyed in enumeration order, grouped by
+  size (:class:`_Side`).  A held group is keyed only when the other side
+  makes a neighbor of its size, when its own side is about to expand, or
+  when bounds on the two frontiers' lengths cannot tell which is smaller
+  or whether one is empty (:func:`_next_side`); so a level that meets
+  keys none of its held neighbors.  On the last level, whose frontier is
+  never expanded, a neighbor that cannot meet is dropped, and one is keyed
   only if some key of the other side also has its shape.  Each distinct
   rows is keyed once per search, and the vector partitions of each bundle
   vector are enumerated once per process, keeping only the first
   ``partition_cap + 1`` with two or more parts: all the cap lets through,
-  and the one that shows it cut; no search reads more.  None of this
-  changes the first meet, a parent, the frontier order or a counter.
+  and the one that shows it cut; no search reads more.  That cache holds
+  at most ``PARTITION_CACHE_SPLITTINGS`` splittings.  None of this changes
+  the first meet, a parent, the frontier order or a counter.
 
 Graphs are identified up to isomorphism via canonical keys, so a found
 sequence ends at a graph isomorphic to the goal.  The search is bounded
@@ -53,6 +58,7 @@ nothing is found it reports the work done and the cuts the bounds made.
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 from dataclasses import dataclass, field
@@ -235,15 +241,66 @@ def _vector_partitions(total, max_parts):
     yield from rec(total, total, max_parts)
 
 
-@functools.lru_cache(maxsize=1024)
+# The splittings the partition cache holds at most, over all its entries:
+# about 13 MB at the 0.1 MB that the 513 splittings of
+# _capped_partitions((3,) * 6, 7, 512) take (tracemalloc, Python 3.11).
+PARTITION_CACHE_SPLITTINGS = 65_536
+
+_MemoInfo = collections.namedtuple("_MemoInfo", "currsize held budget")
+
+
+def _memo_by_length(budget):
+    """Memoize a function of hashable arguments that returns a tuple,
+    holding at most ``budget`` tuple items over all the results it keeps.
+
+    When a new result would pass the budget, the least recently used
+    results are evicted first; a result longer than the whole budget is
+    returned without being kept.  The memoized function has
+    ``cache_clear()``, and ``cache_info()``, which returns the number of
+    results kept (``currsize``), their items (``held``) and ``budget``.
+    """
+
+    def wrap(func):
+        memo = collections.OrderedDict()
+        held = 0
+
+        @functools.wraps(func)
+        def cached(*args):
+            nonlocal held
+            value = memo.get(args)
+            if value is not None:
+                memo.move_to_end(args)
+                return value
+            value = func(*args)
+            if len(value) <= budget:
+                memo[args] = value
+                held += len(value)
+                while held > budget:
+                    held -= len(memo.popitem(last=False)[1])
+            return value
+
+        def cache_clear():
+            nonlocal held
+            memo.clear()
+            held = 0
+
+        cached.cache_clear = cache_clear
+        cached.cache_info = lambda: _MemoInfo(len(memo), held, budget)
+        return cached
+
+    return wrap
+
+
+@_memo_by_length(PARTITION_CACHE_SPLITTINGS)
 def _capped_partitions(counts, max_classes, partition_cap):
     """The first ``partition_cap + 1`` vector partitions of the bundle
     vector ``counts`` into 2..max_classes parts, as a tuple: all the cap
     lets through, plus the one that tells whether it cut.
 
     A pure function of its arguments, so it is enumerated once per process
-    and shared by every search; a search's working set of bundle vectors is
-    a few hundred, well inside the cache.
+    and shared by every search, up to ``PARTITION_CACHE_SPLITTINGS``
+    splittings in all; a search's working set of bundle vectors is a few
+    hundred, holding a few thousand splittings, well inside the cache.
     """
     splits = (p for p in _vector_partitions(counts, max_classes) if len(p) >= 2)
     return tuple(itertools.islice(splits, partition_cap + 1))
@@ -561,6 +618,94 @@ class _Search:
         return tuple(steps)
 
 
+class _Side:
+    """One side of the search: the keys it reached and its newest level.
+
+    ``visited`` maps each key the side reached to (parent's key, kind,
+    recipe, rows): the graph that first reached it, the move that did and
+    the rows it made, a root's entry being (None, None, None, its rows).
+    ``sizes`` holds the :func:`_size` of every key in ``visited``.
+
+    ``level`` holds the links of the newest level in enumeration order,
+    each keyed as it came or held unkeyed, and ``held`` groups the held ones
+    by size; ``known`` counts the links known to have first reached their
+    key.  A held group is keyed, in order, only when something needs it
+    (:meth:`settle`): a neighbor of its size on the other side, this side's
+    expansion, or a frontier comparison its bounds cannot settle
+    (:func:`_next_side`).  Equal keys have equal sizes, so keying a group
+    later records each key's first reach as keying it at once would, and
+    the frontier is the links, in order, that first reached their key.  The
+    root's rows go into the search's memo, where the frontier reads every
+    link's key.
+    """
+
+    def __init__(self, search, key, rows):
+        self.search = search
+        self.visited = {key: (None, None, None, rows)}
+        self.sizes = {_size(rows)}
+        self.level = [self.visited[key]]
+        self.held = {}
+        self.known = 1
+        search.keyed[rows] = key
+
+    def settle(self, size):
+        """Key the held group of ``size`` in order, recording each key's
+        first reach."""
+        visited, key = self.visited, self.search.key
+        for link in self.held.pop(size):
+            hkey = key(link[3])
+            if hkey not in visited:
+                visited[hkey] = link
+                self.known += 1
+        self.sizes.add(size)
+
+    def bounds(self):
+        """(lower, upper) bounds of the frontier's length: a held group of a
+        size no key of this side has holds at least one new key."""
+        held = self.held
+        return (self.known + sum(size not in self.sizes for size in held),
+                self.known + sum(map(len, held.values())))
+
+    def shapes(self):
+        """The :func:`_shape` of every key this side reached or holds."""
+        held = (link[3] for group in self.held.values() for link in group)
+        return set(map(_shape, itertools.chain(self.visited, held)))
+
+    def take_frontier(self):
+        """The frontier's keys, in order, every held group keyed; starts an
+        empty level."""
+        for size in list(self.held):
+            self.settle(size)
+        visited, keyed = self.visited, self.search.keyed
+        frontier = [k for link in self.level if visited[k := keyed[link[3]]] is link]
+        self.level, self.held, self.known = [], {}, 0
+        return frontier
+
+
+def _next_side(sides):
+    """The side whose frontier is smaller, side 0 on a tie, or None if a
+    frontier is empty, keying held groups only until the bounds of
+    :meth:`_Side.bounds` settle it: a frontier whose emptiness is open
+    first, then the side with the narrower gap, then the other, one group
+    at a time, largest first."""
+    while True:
+        (lo0, hi0), (lo1, hi1) = (side.bounds() for side in sides)
+        if not hi0 or not hi1:
+            return None
+        if lo0 and lo1:
+            if lo0 > hi1:
+                return 1
+            if hi0 <= lo1:
+                return 0
+            gaps = hi0 - lo0, hi1 - lo1
+            narrow = int(gaps[1] < gaps[0])
+            side = sides[narrow] if gaps[narrow] else sides[1 - narrow]
+        else:
+            side = sides[0] if not lo0 else sides[1]
+        held = side.held
+        side.settle(max(held, key=lambda size: len(held[size])))
+
+
 def _read_bound(name, value, least):
     """``value`` read by :func:`~flowinv.exactla.exact_int`; GraphError if
     it is not an integer or is below ``least``, 0 or 1."""
@@ -611,61 +756,53 @@ def find_sequence(
     if key_src == key_dst:
         return MoveSequence(start=src, steps=(), stats=stats)
 
-    # One walk from two sides: side 0 from the start, side 1 from the goal.
-    # visited[side] maps each key the side reached to (parent's key, kind,
-    # recipe, rows): the graph that first reached it, the move that did and
-    # the rows it made, a root's entry being (None, None, None, its rows).
-    # frontiers[side] holds keys, and each neighbor's rows come from the
-    # moves' own rules (expansion_rows, contraction_rows, quotient_rows) or
-    # from _split_rows.  The smaller frontier expands, side 0 on a tie;
-    # depth counts the levels both sides have walked.
-    visited = ({key_src: (None, None, None, src.incidence().entries)},
-               {key_dst: (None, None, None, dst.incidence().entries)})
-    frontiers = [[key_src], [key_dst]]
+    # One walk from two sides: side 0 from the start, side 1 from the goal;
+    # each neighbor's rows come from the moves' own rules (expansion_rows,
+    # contraction_rows, quotient_rows) or from _split_rows.  The smaller
+    # frontier expands, side 0 on a tie; depth counts the levels both sides
+    # have walked.
+    sides = (_Side(search, key_src, src.incidence().entries),
+             _Side(search, key_dst, dst.incidence().entries))
+    visited = (sides[0].visited, sides[1].visited)
     depth = 0
 
-    while depth < max_depth and all(frontiers):
-        side = int(len(frontiers[0]) > len(frontiers[1]))
-        mine, other = visited[side], visited[1 - side]
+    while depth < max_depth and (side := _next_side(sides)) is not None:
+        mine, other = sides[side], sides[1 - side]
+        frontier = mine.take_frontier()
+        seen, known_sizes, level, held = mine.visited, mine.sizes, mine.level, mine.held
         depth += 1
-        # A neighbor meets only keys of its own size, so one of a size no
-        # key of the other side has is held, in enumeration order, and keyed
-        # when the level ends: a level that meets never keys it.  Equal keys
-        # have equal sizes, so a held neighbor never shares a key with one
-        # keyed at once, and each key's first reach is the same as if every
-        # neighbor were keyed as it came.  The last level's frontier is
-        # never expanded, so there a neighbor that cannot meet is dropped,
-        # and one is keyed only if some key of the other side also has its
-        # shape.
-        sizes = {_size(k) for k in other}
+        # A neighbor meets only keys of its own size, so one of a size no key
+        # of the other side has, held or known, is held unkeyed (see _Side).
+        # Before a neighbor is tested against the other side, the other
+        # side's held neighbors of its size are keyed.  The last level's
+        # frontier is never expanded, so there a neighbor that cannot meet is
+        # dropped, and one is keyed only if some key of the other side also
+        # has its shape.
+        sizes, waiting, reached = other.sizes, other.held, other.visited
         last = depth == max_depth
-        shapes = {_shape(k) for k in other} if last else None
-        # (key, None) of each new key and (None, link) of each held
-        # neighbor, its link being what visited records for it.
-        level = []
-        for key in frontiers[side]:
+        shapes = other.shapes() if last else None
+        for key in frontier:
             stats.expanded += 1
-            for kind, rows, recipe in search.neighbors(mine[key][3]):
-                if _size(rows) not in sizes:
+            for kind, rows, recipe in search.neighbors(seen[key][3]):
+                size = _size(rows)
+                if size not in sizes and size not in waiting:
                     if not last:
-                        level.append((None, (key, kind, recipe, rows)))
+                        link = key, kind, recipe, rows
+                        level.append(link)
+                        held.setdefault(size, []).append(link)
                     continue
                 if last and _shape(rows) not in shapes:
                     continue
                 hkey = search.key(rows)
-                if hkey in mine:
+                if hkey in seen:
                     continue
-                mine[hkey] = key, kind, recipe, rows
-                if hkey in other:
+                link = seen[hkey] = key, kind, recipe, rows
+                known_sizes.add(size)
+                if size in waiting:
+                    other.settle(size)
+                if hkey in reached:
                     return MoveSequence(src, search.replay(src, visited, hkey, want), stats)
-                level.append((hkey, None))
-        frontiers[side] = []
-        for hkey, link in level:
-            if hkey is None:
-                hkey = search.key(link[3])
-                if hkey in mine:
-                    continue
-                mine[hkey] = link
-            frontiers[side].append(hkey)
+                level.append(link)
+                mine.known += 1
 
     raise NotFoundWithinBounds("bounds-exhausted", stats)

@@ -8,7 +8,6 @@ import itertools
 import json
 import os
 import random
-import sys
 
 import pytest
 
@@ -492,7 +491,8 @@ def test_memoized_partitions_match_the_generator():
     # vector; a splitting read from it must equal one enumerated afresh, and
     # so must the cap count: with the cache cleared before each case and
     # read again at once, then over a second sweep that finds the cache as
-    # the first left it (more keys than it holds, so some were evicted).
+    # the first left it (more splittings than it holds, so some were
+    # evicted).
     cases = []
     for k in range(4):
         for counts in itertools.product(range(5), repeat=k):
@@ -516,7 +516,34 @@ def test_memoized_partitions_match_the_generator():
                 assert stats.partition_capped == capped
             if cold and want:
                 assert _capped_partitions.cache_info().currsize == 1
-    assert _capped_partitions.cache_info().currsize == 1024
+    info = _capped_partitions.cache_info()
+    assert info.held <= info.budget == flowsearch.PARTITION_CACHE_SPLITTINGS
+    assert info.currsize < len({(m, max_classes, cap) for m, _, max_classes, cap, want, _ in cases if want})
+
+
+def test_partition_cache_is_bounded_by_what_it_holds():
+    # The least recently used results go first, until the items held are
+    # within the budget; a result longer than the budget is not kept.
+    calls = []
+
+    @flowsearch._memo_by_length(5)
+    def ones(n):
+        calls.append(n)
+        return (1,) * n
+
+    for n in (2, 2, 3, 1):
+        assert ones(n) == (1,) * n
+    assert calls == [2, 3, 1]
+    assert ones.cache_info() == (2, 4, 5)  # 2 went to make room for 1
+    assert ones(3) == (1, 1, 1)
+    assert ones(6) == (1,) * 6
+    assert ones(6) == (1,) * 6
+    assert ones(2) == (1, 1)  # 1, read less recently than 3, goes
+    assert ones(3) == (1, 1, 1)
+    assert calls == [2, 3, 1, 6, 6, 2]
+    assert ones.cache_info() == (2, 5, 5)
+    ones.cache_clear()
+    assert ones.cache_info() == (0, 0, 5)
 
 
 def _split_rows_reference(m, v, max_classes, partition_cap, stats):
@@ -648,7 +675,7 @@ def test_answers_do_not_depend_on_the_partition_cache(monkeypatch):
         assert type(cap) is int and 1 <= cap <= DEFAULT_PARTITION_CAP
         assert type(value) is tuple and 0 < len(value) <= cap + 1
         assert all(type(parts) is tuple and len(parts) >= 2 for parts in value)
-    assert cached.cache_info().currsize <= cached.cache_info().maxsize == 1024
+    assert cached.cache_info().held <= cached.cache_info().budget
 
 
 # ---------------------------------------------------------------------------
@@ -1094,18 +1121,20 @@ def test_amalgamation_neighbors_are_the_accepted_groupings_random(hypothesis_api
 
 
 # ---------------------------------------------------------------------------
-# The level loop against the one that keyed every neighbor at once, and the
-# entry cap's invariant.
+# The level loop against the one that keyed every held neighbor at its
+# level's end, and the entry cap's invariant.
 
 
 def _find_sequence_reference(src, dst, *, max_depth, max_vertices):
     """:func:`flowinv.flowsearch.find_sequence` with the level loop it had
-    before a neighbor that cannot meet the other side was held to the end of
-    its level: every neighbor is keyed as it comes, except on the last level,
-    where one whose shape no key of the other side has is skipped.  Both
-    sides record what :func:`find_sequence` records, (parent's key, kind,
-    recipe, rows), and a found path is built by the same replay.  Kept as an
-    oracle."""
+    before a held neighbor was keyed only when needed: a neighbor is keyed
+    at once only if some key of the other side has its size; every other
+    one is held, in enumeration order, and keyed when its level ends.  On
+    the last level a held neighbor is dropped, and one is keyed only if some
+    key of the other side also has its shape.  Each level's frontier is
+    counted exactly, every held neighbor keyed.  Both sides record what
+    :func:`find_sequence` records, (parent's key, kind, recipe, rows), and a
+    found path is built by the same replay.  Kept as an oracle."""
     src_report = flowsearch._require_search_ready(src, "start", max_vertices)
     dst_report = flowsearch._require_search_ready(dst, "goal", max_vertices)
     want = franks_triple(src, report=src_report)
@@ -1119,19 +1148,29 @@ def _find_sequence_reference(src, dst, *, max_depth, max_vertices):
         return MoveSequence(start=src, steps=(), stats=stats)
     visited = ({key_src: (None, None, None, src.incidence().entries)},
                {key_dst: (None, None, None, dst.incidence().entries)})
-    frontiers = [[(key_src, src.incidence().entries)], [(key_dst, dst.incidence().entries)]]
+    # The roots' keys are in the memo, as in find_sequence, so that the two
+    # key the same rows but for the held neighbors they key.
+    search.keyed[src.incidence().entries] = key_src
+    search.keyed[dst.incidence().entries] = key_dst
+    frontiers = [[key_src], [key_dst]]
     depth = 0
 
     while depth < max_depth and all(frontiers):
         side = int(len(frontiers[0]) > len(frontiers[1]))
         mine, other = visited[side], visited[1 - side]
         depth += 1
+        sizes = {flowsearch._size(k) for k in other}
         last = depth == max_depth
         shapes = {flowsearch._shape(k) for k in other} if last else None
-        next_frontier = []
-        for key, m in frontiers[side]:
+        # (key, None) of each new key and (None, link) of each held neighbor.
+        level = []
+        for key in frontiers[side]:
             stats.expanded += 1
-            for kind, rows, recipe in search.neighbors(m):
+            for kind, rows, recipe in search.neighbors(mine[key][3]):
+                if flowsearch._size(rows) not in sizes:
+                    if not last:
+                        level.append((None, (key, kind, recipe, rows)))
+                    continue
                 if last and flowsearch._shape(rows) not in shapes:
                     continue
                 hkey = search.key(rows)
@@ -1140,8 +1179,15 @@ def _find_sequence_reference(src, dst, *, max_depth, max_vertices):
                 mine[hkey] = key, kind, recipe, rows
                 if hkey in other:
                     return MoveSequence(src, search.replay(src, visited, hkey, want), stats)
-                next_frontier.append((hkey, rows))
-        frontiers[side] = next_frontier
+                level.append((hkey, None))
+        frontiers[side] = []
+        for hkey, link in level:
+            if hkey is None:
+                hkey = search.key(link[3])
+                if hkey in mine:
+                    continue
+                mine[hkey] = link
+            frontiers[side].append(hkey)
     raise NotFoundWithinBounds("bounds-exhausted", stats)
 
 
@@ -1160,6 +1206,14 @@ def _answer(find, start, goal, **bounds):
 
 _SCRAMBLE_BOUNDS = dict(max_depth=6, max_vertices=6)
 
+# Searches whose side choice or stop needs held neighbors keyed: at these
+# bounds a frontier empties and the search exhausts within a few levels.
+_EMPTIED = (
+    ([[2]], [[3, 3], [1, 2]], dict(max_depth=20, max_vertices=2)),
+    ([[2]], [[3, 3], [1, 2]], dict(max_depth=14, max_vertices=3)),
+    ([[3]], [[3, 3], [2, 3]], dict(max_depth=30, max_vertices=2)),
+)
+
 
 def _seeded_scrambles(count, seed):
     """``count`` three-move scrambles of starts of 1..3 vertices, entries
@@ -1170,48 +1224,66 @@ def _seeded_scrambles(count, seed):
         yield start, _scramble(rng, start, 3)
 
 
+def _exhausted_pairs():
+    """The golden exhausted pairs and :data:`_EMPTIED`, as (start, goal,
+    bounds)."""
+    for case in _search_golden()["exhausted"]:
+        start, goal = (MultiGraph.from_matrix(case[k]) for k in ("start", "goal"))
+        yield start, goal, case["bounds"]
+    for start, goal, bounds in _EMPTIED:
+        yield MultiGraph.from_matrix(start), MultiGraph.from_matrix(goal), bounds
+
+
 def test_level_loop_matches_the_reference():
-    # Holding a neighbor that cannot meet changes no answer: the scripts,
-    # every step's graph, labels and edge ids, and every counter agree.
+    # Keying a held neighbor only when it is needed changes no answer: the
+    # scripts, every step's graph, labels and edge ids, and every counter
+    # agree, on searches that meet and on ones that exhaust, some because a
+    # frontier empties.
     for start, goal in _seeded_scrambles(160, 2903):
         want = _answer(_find_sequence_reference, start, goal, **_SCRAMBLE_BOUNDS)
         assert want[0] != "bounds-exhausted"
         assert _answer(find_sequence, start, goal, **_SCRAMBLE_BOUNDS) == want
-    for case in _search_golden()["exhausted"]:
-        start, goal = (MultiGraph.from_matrix(case[k]) for k in ("start", "goal"))
-        want = _answer(_find_sequence_reference, start, goal, **case["bounds"])
+    for start, goal, bounds in _exhausted_pairs():
+        want = _answer(_find_sequence_reference, start, goal, **bounds)
         assert want[0] == "bounds-exhausted"
-        assert _answer(find_sequence, start, goal, **case["bounds"]) == want
+        assert _answer(find_sequence, start, goal, **bounds) == want
+    # A 12-move path through levels that hold thousands of neighbors.
+    start, goal = MultiGraph.from_matrix([[0, 3], [3, 0]]), MultiGraph.from_matrix([[2, 3], [3, 2]])
+    want = _answer(_find_sequence_reference, start, goal, max_depth=12, max_vertices=4)
+    assert len(want[1]) == 12
+    assert _answer(find_sequence, start, goal, max_depth=12, max_vertices=4) == want
 
 
-def test_the_meeting_level_keys_only_neighbors_that_could_meet(monkeypatch):
-    # Each key find_sequence computes is logged with its level and whether
-    # the neighbor's (vertex count, edge count) is among the other side's
-    # keys'; on the level that meets, every one must be.
-    def size(rows):
-        return len(rows), sum(map(sum, rows))
-
-    log = []
+def test_search_keys_no_more_rows_than_the_reference(monkeypatch):
+    # A held neighbor is keyed only when a meet, its side's expansion or the
+    # frontier comparison needs it, and the reference keys every one whose
+    # level ends; so no search keys more rows than the reference, and those
+    # that meet before their held neighbors are needed key fewer.
+    keyed = 0
     key = _Search.key
 
-    def logged(search, rows):
-        caller = sys._getframe(1)
-        if caller.f_code is find_sequence.__code__:
-            at = caller.f_locals
-            other = {size(k) for k in at["visited"][1 - at["side"]]}
-            log.append((at["depth"], size(rows) in other))
+    def counted(search, rows):
+        nonlocal keyed
+        keyed += rows not in search.keyed
         return key(search, rows)
 
-    monkeypatch.setattr(_Search, "key", logged)
-    held = 0
-    for start, goal in _seeded_scrambles(40, 2909):
-        log.clear()
-        assert len(find_sequence(start, goal, **_SCRAMBLE_BOUNDS)) <= 6
-        meet = max(depth for depth, _ in log)
-        assert all(could for depth, could in log if depth == meet)
-        held += sum(not could for _, could in log)
-    # Neighbors that cannot meet were keyed, on the levels before the meet.
-    assert held
+    monkeypatch.setattr(_Search, "key", counted)
+
+    def keyings(find, start, goal, bounds):
+        nonlocal keyed
+        keyed = 0
+        _answer(find, start, goal, **bounds)
+        return keyed
+
+    pairs = [(start, goal, _SCRAMBLE_BOUNDS) for start, goal in _seeded_scrambles(160, 2903)]
+    totals = [0, 0]
+    for start, goal, bounds in pairs + list(_exhausted_pairs()):
+        want = keyings(_find_sequence_reference, start, goal, bounds)
+        got = keyings(find_sequence, start, goal, bounds)
+        assert got <= want, (start.incidence().entries, goal.incidence().entries, bounds)
+        totals[0] += want
+        totals[1] += got
+    assert totals[1] < totals[0]
 
 
 def test_only_amalgamations_can_break_the_entry_cap(hypothesis_api):
